@@ -1,18 +1,10 @@
-"""Analysis-path benchmark: cold vs warm CLI, batched vs per-day kernels.
+"""Analysis-path benchmark: cold vs warm CLI through the artifact cache.
 
-Two claims are measured and gated:
-
-1. **The artifact cache.**  A warm ``analyze`` — every artifact served
-   from ``<run>/cache/analysis/`` keyed on the manifest digests, no
-   feeds loaded — must be at least 5x faster than the cold run that
-   populated it, with *byte-identical* printed output.
-2. **Adaptive batched daily metrics.**  ``compute_daily_metrics``
-   batches days into one kernel call only where the per-call numpy
-   overhead dominates (small populations); at large populations the
-   automatic path is the per-day loop, because flattening was a
-   measured ~0.99x loss there.  Both the small-population win and the
-   large-population routing decision are measured, and every path must
-   reproduce the per-day oracle bitwise.
+A warm ``analyze`` — every artifact served from
+``<run>/cache/analysis/`` keyed on the manifest digests, no feeds
+loaded — must be at least 5x faster than the cold run that populated
+it, with *byte-identical* printed output (cold, warm and
+``--no-cache``).
 
 Results land as JSON in ``benchmarks/results/analysis.json``.
 
@@ -27,25 +19,11 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.cli import main
-from repro.core.statistics import (
-    _BATCH_TARGET_BYTES,
-    _MIN_AUTO_BATCH_DAYS,
-    _compute_daily_metrics_loop,
-    compute_daily_metrics,
-)
-from repro.io import load_feeds
 
 RESULTS_PATH = Path(__file__).parent / "results" / "analysis.json"
 BENCH_SEED = 2020
 BENCH_USERS = 2_000
-SMALL_USERS = 60
-
-#: Floor for the small-population batched speedup — the scale the
-#: batching exists for (measured ~3x at 60 users on the dev box).
-MIN_SMALL_BATCH_SPEEDUP = 1.2
 
 #: Acceptance floor for the warm/cold analyze ratio.  In practice the
 #: warm path is orders of magnitude faster (it reads one NPZ entry
@@ -92,83 +70,6 @@ def bench_cache(rundir: Path) -> dict:
     }
 
 
-def _auto_path(feeds) -> str:
-    """The path ``compute_daily_metrics`` picks with no ``batch_days``."""
-    k = feeds.mobility.anchor_sites.shape[1]
-    per_day = max(feeds.mobility.num_users * k * 8, 1)
-    auto = max(1, _BATCH_TARGET_BYTES // per_day)
-    return "loop" if auto < _MIN_AUTO_BATCH_DAYS else "batched"
-
-
-def bench_batched_metrics(rundir: Path) -> dict:
-    """Time the per-day oracle vs the auto and forced-batch paths."""
-    feeds = load_feeds(rundir)
-    # Warm both paths once (allocator, page faults) before timing.
-    compute_daily_metrics(feeds, batch_days=1)
-
-    start = time.perf_counter()
-    loop = _compute_daily_metrics_loop(feeds, "weighted", 20)
-    loop_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    auto = compute_daily_metrics(feeds)
-    auto_s = time.perf_counter() - start
-
-    # Forced flattening, regardless of the adaptive gate — what the
-    # auto path did before the gate existed.
-    start = time.perf_counter()
-    forced = compute_daily_metrics(feeds, batch_days=8)
-    forced_s = time.perf_counter() - start
-
-    return {
-        "users": feeds.mobility.num_users,
-        "days": feeds.mobility.num_days,
-        "auto_path": _auto_path(feeds),
-        "loop_seconds": loop_s,
-        "auto_seconds": auto_s,
-        "forced_batched_seconds": forced_s,
-        "auto_speedup": loop_s / auto_s,
-        "forced_batched_speedup": loop_s / forced_s,
-        "bitwise_identical": bool(
-            np.array_equal(loop.entropy, auto.entropy)
-            and np.array_equal(loop.gyration_km, auto.gyration_km)
-            and np.array_equal(loop.entropy, forced.entropy)
-            and np.array_equal(loop.gyration_km, forced.gyration_km)
-        ),
-    }
-
-
-def bench_small_population(small_rundir: Path) -> dict:
-    """The scale the batching exists for: tiny per-day kernel calls."""
-    _cli([
-        "simulate", "--preset", "tiny", "--seed", str(BENCH_SEED),
-        "--users", str(SMALL_USERS), "--out", str(small_rundir),
-    ])
-    feeds = load_feeds(small_rundir)
-    compute_daily_metrics(feeds, batch_days=1)  # warm
-
-    start = time.perf_counter()
-    loop = _compute_daily_metrics_loop(feeds, "weighted", 20)
-    loop_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    auto = compute_daily_metrics(feeds)
-    auto_s = time.perf_counter() - start
-
-    return {
-        "users": feeds.mobility.num_users,
-        "days": feeds.mobility.num_days,
-        "auto_path": _auto_path(feeds),
-        "loop_seconds": loop_s,
-        "auto_seconds": auto_s,
-        "auto_speedup": loop_s / auto_s,
-        "bitwise_identical": bool(
-            np.array_equal(loop.entropy, auto.entropy)
-            and np.array_equal(loop.gyration_km, auto.gyration_km)
-        ),
-    }
-
-
 def test_analysis_bench(tmp_path):
     rundir = tmp_path / "run"
     report = {
@@ -176,42 +77,17 @@ def test_analysis_bench(tmp_path):
         "users": BENCH_USERS,
         "cpu_count": os.cpu_count(),
         "cache": bench_cache(rundir),
-        "batched_metrics": bench_batched_metrics(rundir),
-        "batched_metrics_small": bench_small_population(tmp_path / "small"),
-        "batching_decision": (
-            "kept, gated adaptively: populations whose automatic batch "
-            "size falls below _MIN_AUTO_BATCH_DAYS route to the per-day "
-            "loop (flattening was a measured ~0.99x loss at 2k users); "
-            "small populations keep the batch path, where per-call "
-            "overhead dominates and batching wins ~3x"
-        ),
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     cache = report["cache"]
-    metrics = report["batched_metrics"]
-    small = report["batched_metrics_small"]
     print("\nAnalysis pipeline benchmark")
     print(
         f"  analyze: cold {cache['cold_seconds']:.3f}s -> warm "
         f"{cache['warm_seconds']:.3f}s ({cache['warm_speedup']:.1f}x), "
         f"--no-cache {cache['no_cache_seconds']:.3f}s, "
         f"{cache['cache_entries']} entries / {cache['cache_bytes']} B"
-    )
-    print(
-        f"  daily metrics ({metrics['users']} users, auto path "
-        f"{metrics['auto_path']}): loop {metrics['loop_seconds']:.3f}s, "
-        f"auto {metrics['auto_seconds']:.3f}s "
-        f"({metrics['auto_speedup']:.2f}x), forced batch "
-        f"{metrics['forced_batched_seconds']:.3f}s "
-        f"({metrics['forced_batched_speedup']:.2f}x)"
-    )
-    print(
-        f"  daily metrics ({small['users']} users, auto path "
-        f"{small['auto_path']}): loop {small['loop_seconds'] * 1e3:.2f}ms, "
-        f"auto {small['auto_seconds'] * 1e3:.2f}ms "
-        f"({small['auto_speedup']:.2f}x)"
     )
 
     assert cache["byte_identical"], (
@@ -221,20 +97,6 @@ def test_analysis_bench(tmp_path):
     assert cache["warm_speedup"] >= MIN_WARM_SPEEDUP, (
         f"warm analyze only {cache['warm_speedup']:.1f}x faster "
         f"than cold (< {MIN_WARM_SPEEDUP}x)"
-    )
-    assert metrics["bitwise_identical"], (
-        "batched daily metrics diverged from the per-day oracle"
-    )
-    assert small["bitwise_identical"], (
-        "small-population batched metrics diverged from the oracle"
-    )
-    # The routing decision itself: big populations take the loop, small
-    # ones the batch — and the batch must actually win where it is used.
-    assert metrics["auto_path"] == "loop"
-    assert small["auto_path"] == "batched"
-    assert small["auto_speedup"] >= MIN_SMALL_BATCH_SPEEDUP, (
-        f"small-population batching only {small['auto_speedup']:.2f}x "
-        f"(< {MIN_SMALL_BATCH_SPEEDUP}x)"
     )
 
 

@@ -8,8 +8,8 @@ shard layouts (the engine output is shard-count invariant, so all nine
 ``(shards, workers)`` combinations must agree):
 
 - every combination's daily metrics, detected homes and headline
-  summary hash to the same SHA-256 digests — and to the
-  ``REPRO_ANALYSIS_SERIAL=1`` oracle's;
+  summary hash to the same SHA-256 digests — and to the serial
+  (``workers=1``) oracle's;
 - at the full (``-m slow``) size — 200k agents over the nine-week
   study calendar — parallel analysis at four workers must beat the
   serial walk by >= 2x (asserted only where the cores exist, repo
@@ -106,12 +106,8 @@ def _analyze(rundir: Path, workers: int) -> dict:
 
 
 def _analyze_serial_oracle(rundir: Path) -> dict:
-    """The differential oracle: workers requested, env forces serial."""
-    os.environ["REPRO_ANALYSIS_SERIAL"] = "1"
-    try:
-        return _analyze(rundir, workers=4)
-    finally:
-        os.environ.pop("REPRO_ANALYSIS_SERIAL", None)
+    """The differential oracle: the in-process walk (``workers=1``)."""
+    return _analyze(rundir, workers=1)
 
 
 def _bench(label: str, tmp_path: Path) -> None:

@@ -7,7 +7,7 @@ recomputing them across processes unnecessary.  See
 CLI share, :mod:`repro.analysis.mobility` for the segment-composed
 incremental analytics live runs re-key it with, and
 :mod:`repro.analysis.parallel` for the process pool that fans the
-shard-streaming kernels out across workers.
+per-shard kernels out across workers.
 """
 
 from repro.analysis.cache import (
@@ -25,8 +25,6 @@ from repro.analysis.mobility import (
 )
 from repro.analysis.parallel import (
     ShardPlan,
-    parallel_daily_metrics,
-    parallel_night_win_counts,
     parallel_sessionize_events,
     plan_for,
     resolve_workers,
@@ -41,8 +39,6 @@ __all__ = [
     "incremental_daily_metrics",
     "incremental_homes",
     "incremental_labeled_kpis",
-    "parallel_daily_metrics",
-    "parallel_night_win_counts",
     "parallel_sessionize_events",
     "plan_for",
     "report_params",

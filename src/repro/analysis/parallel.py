@@ -1,29 +1,30 @@
-"""Process-parallel shard-streaming analysis.
+"""Where the per-shard analysis kernels run: in process or in a pool.
 
 The analysis kernels are shard-partitioned by construction: entropy,
 gyration and the night-win counts are strictly row-independent, and
 sessionization never crosses users, so every per-shard partial can be
 computed from *that shard's files alone* and merged associatively.
-This module fans those per-shard walks across a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+:func:`walk_shards` is the one executor choice for the mobility
+kernels: it runs their tasks over the feed's already-open shards in
+process, or fans them across a
+:class:`~concurrent.futures.ProcessPoolExecutor` (:func:`map_shards`).
 
 No feed object ever crosses the process boundary.  A worker receives
 only a :class:`ShardPlan` — the run directory, the shard layout, the
 segment spans — via the pool initializer and calls
 :func:`repro.io.columnar.open_shard` / :func:`~repro.io.columnar.
-open_events` itself, memory-mapping exactly its shard's files.  The
-tasks dispatch to the *same* per-shard kernels the serial streaming
-walk uses (:func:`repro.core.statistics.shard_metric_blocks`,
+open_events` itself, memory-mapping exactly its shard's files.  Both
+executors dispatch to the *same* task functions over the same
+per-shard kernels (:func:`repro.core.statistics.shard_metric_blocks`,
 :func:`repro.core.home.shard_night_win_counts`,
 :func:`repro.core.sessionize.sessionize_events`), so the partials are
 bitwise identical by construction for any (shards × workers), and the
 coordinator merge is a scatter into disjoint population rows (metrics,
 homes) or the stable user-partitioned sort (sessions).
 
-``REPRO_ANALYSIS_SERIAL=1`` forces the sequential walk — the
-differential oracle every parallel result is gated against.  When the
-pool cannot start or dies (:class:`_PoolLost`), the coordinator
-degrades to running the identical task functions in-process.
+Serial analysis is ``workers=1``.  When the pool cannot start or dies
+(:class:`_PoolLost`), the coordinator degrades to running the
+identical task functions in-process.
 """
 
 from __future__ import annotations
@@ -37,29 +38,14 @@ import numpy as np
 from repro import telemetry
 
 __all__ = [
-    "ENV_SERIAL",
     "ShardPlan",
     "map_figure_chains",
     "map_shards",
-    "parallel_daily_metrics",
-    "parallel_night_win_counts",
     "parallel_sessionize_events",
     "plan_for",
     "resolve_workers",
-    "use_serial",
+    "walk_shards",
 ]
-
-#: Forces the sequential shard walk regardless of ``workers``.
-ENV_SERIAL = "REPRO_ANALYSIS_SERIAL"
-
-
-def use_serial() -> bool:
-    """Whether ``REPRO_ANALYSIS_SERIAL=1`` forces the sequential walk.
-
-    Read at call time so tests (and users) can flip the environment
-    variable between calls without reimporting.
-    """
-    return os.environ.get(ENV_SERIAL) == "1"
 
 
 def resolve_workers(workers: int | str | None) -> int:
@@ -96,25 +82,22 @@ def plan_for(feeds) -> ShardPlan | None:
     """A :class:`ShardPlan` for this bundle, or ``None`` if ineligible.
 
     Eligible bundles back onto a *committed* columnar run: the bundle
-    records its source directory, its mobility view is sharded with no
-    pending (uncommitted) writer, the oracle environment flags are off,
-    and the directory's manifest still describes a columnar layout with
-    the same shard count.  Callers fall back to the serial walk on
-    ``None`` — the parallel path is an optimisation, never a
-    requirement.
+    records its source directory, its mobility view is a
+    :class:`~repro.io.columnar.ShardedMobilityFeed` with no pending
+    (uncommitted) writer, and the directory's manifest still describes
+    a columnar layout with the same shard count.  In-memory feeds never
+    get a plan.  Callers run in process on ``None`` — the pool is an
+    optimisation, never a requirement.
     """
     import json
 
+    from repro.io.columnar import ShardedMobilityFeed
+
     directory = getattr(feeds, "source_directory", None)
     mobility = feeds.mobility
-    shards = getattr(mobility, "shards", None)
-    if directory is None or shards is None:
+    if directory is None or not isinstance(mobility, ShardedMobilityFeed):
         return None
-    from repro.io import columnar
-
-    if columnar.use_naive() or use_serial():
-        return None
-    if getattr(mobility, "pending_writer", None) is not None:
+    if mobility.pending_writer is not None:
         return None
     try:
         manifest = json.loads(
@@ -125,7 +108,7 @@ def plan_for(feeds) -> ShardPlan | None:
     block = manifest.get("feeds") or {}
     if block.get("layout") != "columnar":
         return None
-    if int(block.get("num_shards", 0)) != len(shards):
+    if int(block.get("num_shards", 0)) != mobility.num_shards:
         return None
     raw_segments = block.get("segments")
     segments = (
@@ -140,7 +123,7 @@ def plan_for(feeds) -> ShardPlan | None:
             has_events = False
     return ShardPlan(
         directory=str(directory),
-        num_shards=len(shards),
+        num_shards=mobility.num_shards,
         num_days=int(manifest.get("num_days", mobility.num_days)),
         segments=segments,
         has_events=has_events,
@@ -158,9 +141,13 @@ def plan_for(feeds) -> ShardPlan | None:
 
 @dataclass
 class _WorkerState:
-    """Per-process cache of opened shard maps and context arrays."""
+    """Per-process cache of opened shard maps and context arrays.
 
-    plan: ShardPlan
+    ``plan`` is ``None`` for the in-process executor of
+    :func:`walk_shards`, which hands over the feed's open shards.
+    """
+
+    plan: ShardPlan | None
     site_lats: np.ndarray | None
     site_lons: np.ndarray | None
     shards: dict = field(default_factory=dict)
@@ -236,8 +223,9 @@ def _run_task(state: _WorkerState, task: tuple):
     """Dispatch one ``(name, shard_index, kwargs)`` task.
 
     The single executable form of a shard task, shared verbatim by the
-    pool workers and the in-process degraded path — the fallback is
-    bitwise identical because it *is* the same code.
+    pool workers, the in-process degraded path and the in-process
+    executor of :func:`walk_shards` — every executor is bitwise
+    identical because it *is* the same code.
     """
     name, shard_index, kwargs = task
     return _TASKS[name](state, shard_index, **kwargs)
@@ -249,15 +237,12 @@ def _task_metrics(
     *,
     gyration_mode: str,
     top_towers: int,
-    batch_days: int | None,
     day_lo: int,
     day_hi: int,
 ):
     from repro.core.statistics import shard_metric_blocks
 
     shard = state.shard(shard_index)
-    if shard.num_rows == 0:
-        return None
     telemetry.count("store.shards_streamed", 1)
     entropy, gyration = shard_metric_blocks(
         shard,
@@ -265,7 +250,6 @@ def _task_metrics(
         state.site_lons,
         gyration_mode=gyration_mode,
         top_towers=top_towers,
-        batch_days=batch_days,
         day_lo=day_lo,
         day_hi=day_hi,
     )
@@ -278,8 +262,6 @@ def _task_night_counts(
     from repro.core.home import shard_night_win_counts
 
     shard = state.shard(shard_index)
-    if shard.num_rows == 0:
-        return None
     telemetry.count("store.shards_streamed", 1)
     counts = shard_night_win_counts(
         shard, np.asarray(window_days, dtype=np.int64)
@@ -319,9 +301,9 @@ def map_shards(
     """Run per-shard ``tasks`` over ``plan``, preserving task order.
 
     Each task is ``(task_name, shard_index, kwargs)``.  With
-    ``workers`` > 1 (and the serial oracle off) the tasks run in a
-    process pool whose initializer hands every worker the plan — the
-    workers open their own shard maps.  A pool that cannot start or
+    ``workers`` > 1 the tasks run in a process pool whose initializer
+    hands every worker the plan — the workers open their own shard
+    maps.  A pool that cannot start or
     dies degrades to executing the identical task functions in-process
     (counted as ``analysis.pool_degraded``); results are bitwise the
     same either way.  Worker telemetry snapshots are absorbed under the
@@ -334,7 +316,7 @@ def map_shards(
     with telemetry.span(span_name) as span:
         telemetry.count("analysis.shards_dispatched", len(tasks))
         results = None
-        if workers > 1 and not use_serial():
+        if workers > 1:
             try:
                 results = _map_pool(
                     plan, tasks, workers, site_lats, site_lons, span
@@ -396,100 +378,42 @@ def _map_pool(
         raise _PoolLost from err
 
 
-def parallel_daily_metrics(
+def walk_shards(
     feeds,
-    plan: ShardPlan,
+    task: str,
+    kwargs: dict,
     *,
-    gyration_mode: str,
-    top_towers: int,
-    batch_days: int | None,
-    day_range: tuple[int, int] | None,
-    workers: int,
-):
-    """Per-shard metric blocks across the pool, scattered associatively.
+    workers: int | str | None,
+    site_lats: np.ndarray | None = None,
+    site_lons: np.ndarray | None = None,
+) -> list:
+    """Run one shard task on every non-empty mobility shard of ``feeds``.
 
-    Bitwise identical to
-    :func:`repro.core.statistics.compute_daily_metrics`'s serial walk:
-    every worker runs the same
-    :func:`~repro.core.statistics.shard_metric_blocks` kernel and the
-    merge is a scatter into disjoint population rows, so shard order
-    and worker count cannot affect a single byte.
+    The single executor choice of the per-shard mobility kernels.  The
+    tasks run in process over the feed's already-open shards (never
+    reopened from disk) when ``workers`` is ``None`` or resolves to 1,
+    or when the feed has no :func:`plan_for` — in-memory feeds, whose
+    one shard is the whole population, never do.  Otherwise they fan
+    across the process pool of :func:`map_shards`.  Either way each
+    payload is ``(rows, *blocks)`` in shard order, from the same task
+    function, so the caller's scatter at ``rows`` is bitwise identical
+    for every executor.
     """
-    from repro.core.statistics import (
-        MobilityDailyMetrics,
-        _normalize_day_range,
+    shards = [shard for shard in feeds.mobility.shards if shard.num_rows]
+    tasks = [(task, shard.index, kwargs) for shard in shards]
+    count = None if workers is None else resolve_workers(workers)
+    plan = plan_for(feeds) if count is not None and count > 1 else None
+    if plan is None:
+        state = _WorkerState(
+            None,
+            site_lats,
+            site_lons,
+            shards={shard.index: shard for shard in shards},
+        )
+        return [_run_task(state, entry) for entry in tasks]
+    return map_shards(
+        plan, tasks, workers=count, site_lats=site_lats, site_lons=site_lons
     )
-
-    mobility = feeds.mobility
-    day_lo, day_hi = _normalize_day_range(day_range, mobility.num_days)
-    num_days = day_hi - day_lo
-    num_users = mobility.num_users
-    entropy = np.empty((num_days, num_users), dtype=np.float32)
-    gyration = np.empty((num_days, num_users), dtype=np.float32)
-    metrics = MobilityDailyMetrics(
-        user_ids=mobility.user_ids,
-        entropy=entropy,
-        gyration_km=gyration,
-    )
-    if num_days == 0 or num_users == 0:
-        return metrics
-    site_lats, site_lons = feeds.site_locations()
-    kwargs = dict(
-        gyration_mode=gyration_mode,
-        top_towers=top_towers,
-        batch_days=batch_days,
-        day_lo=day_lo,
-        day_hi=day_hi,
-    )
-    tasks = [
-        ("metrics", shard.index, kwargs)
-        for shard in mobility.shards
-        if shard.num_rows
-    ]
-    for payload in map_shards(
-        plan,
-        tasks,
-        workers=workers,
-        site_lats=site_lats,
-        site_lons=site_lons,
-    ):
-        if payload is None:
-            continue
-        rows, entropy_block, gyration_block = payload
-        entropy[:, rows] = entropy_block
-        gyration[:, rows] = gyration_block
-    return metrics
-
-
-def parallel_night_win_counts(
-    feeds,
-    plan: ShardPlan,
-    window_days: np.ndarray,
-    *,
-    workers: int,
-) -> np.ndarray:
-    """Per-shard night-win partials across the pool.
-
-    Same kernel (:func:`repro.core.home.shard_night_win_counts`), same
-    disjoint-row scatter — bitwise identical to the serial walk for
-    every worker count.
-    """
-    mobility = feeds.mobility
-    num_users = mobility.num_users
-    k = mobility.anchor_sites.shape[1]
-    win_counts = np.zeros((num_users, k), dtype=np.int64)
-    window = [int(day) for day in np.asarray(window_days).ravel()]
-    tasks = [
-        ("night_counts", shard.index, {"window_days": window})
-        for shard in mobility.shards
-        if shard.num_rows
-    ]
-    for payload in map_shards(plan, tasks, workers=workers):
-        if payload is None:
-            continue
-        rows, counts = payload
-        win_counts[rows] = counts
-    return win_counts
 
 
 # -- figure-chain fan-out ---------------------------------------------------

@@ -34,19 +34,13 @@ handle:
 Everything raises :class:`~repro.io.store.RunStoreError` subtypes with
 the offending file named, so a broken run directory is a one-line
 diagnosis rather than a pickle traceback.
-
-Deprecated aliases (each emits :class:`DeprecationWarning` and will be
-removed in a future release): ``Run.load`` / :func:`load` →
-:meth:`Run.open`; ``simulate(out=...)`` → ``simulate(directory=...)``;
-``experiment(workdir=...)`` → ``experiment(directory=...)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
-__all__ = ["Run", "experiment", "load", "resume", "simulate"]
+__all__ = ["Run", "experiment", "resume", "simulate"]
 
 #: Configuration flags whose outputs never reach the run directory —
 #: a live run would silently diverge from its persisted form, so
@@ -159,17 +153,6 @@ class Run:
         from repro.io import load_feeds
 
         return cls(load_feeds(directory, lazy=lazy), directory, lazy=lazy)
-
-    @classmethod
-    def load(cls, directory: str | Path, *, lazy: bool = False) -> "Run":
-        """Deprecated alias of :meth:`open`."""
-        warnings.warn(
-            "Run.load(...) is deprecated and will be removed in a future "
-            "release; use Run.open(directory, lazy=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.open(directory, lazy=lazy)
 
     def save(self, directory: str | Path | None = None) -> Path:
         """Persist the run (defaults to the directory it came from)."""
@@ -307,7 +290,6 @@ def simulate(
     days: int | None = None,
     checkpoint: bool = True,
     progress=None,
-    out: str | Path | None = None,
 ) -> Run:
     """Run the simulator and return a :class:`Run` handle.
 
@@ -322,25 +304,9 @@ def simulate(
     every length the loaded feeds and analysis are bitwise what any
     other advance path to the same day count produces, and the frozen
     directory is byte-identical to a whole-window simulate's.
-
-    ``out=`` is a deprecated alias of ``directory=``.
     """
     from repro.simulation.config import SimulationConfig
     from repro.simulation.engine import Simulator
-
-    if out is not None:
-        warnings.warn(
-            "simulate(out=...) is deprecated and will be removed in a "
-            "future release; pass directory= (second positional "
-            "argument)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if directory is not None:
-            raise TypeError(
-                "pass either directory= or the deprecated out=, not both"
-            )
-        directory = out
 
     config = config or SimulationConfig()
     simulator = Simulator(config)
@@ -414,17 +380,6 @@ def resume(directory: str | Path, progress=None) -> Run:
     return run
 
 
-def load(directory: str | Path, *, lazy: bool = False) -> Run:
-    """Deprecated alias of :meth:`Run.open`."""
-    warnings.warn(
-        "api.load(...) is deprecated and will be removed in a future "
-        "release; use Run.open(directory, lazy=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Run.open(directory, lazy=lazy)
-
-
 def experiment(
     scenarios,
     *,
@@ -434,7 +389,6 @@ def experiment(
     baseline: str = "baseline_lockdown",
     directory: str | Path | None = None,
     progress=None,
-    workdir: str | Path | None = None,
 ):
     """Run a (scenario × seed) grid and return its ``GridResult``.
 
@@ -451,23 +405,8 @@ def experiment(
     Scenario names come from the catalog
     (:func:`repro.datasets.scenario_names`); ``directory`` enables
     persistent cells that warm reruns reload instead of re-simulating.
-    ``workdir=`` is a deprecated alias of ``directory=``.
     """
     from repro.experiments import ExperimentSpec, run_grid
-
-    if workdir is not None:
-        warnings.warn(
-            "experiment(workdir=...) is deprecated and will be removed "
-            "in a future release; pass directory=",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if directory is not None:
-            raise TypeError(
-                "pass either directory= or the deprecated workdir=, "
-                "not both"
-            )
-        directory = workdir
 
     spec = ExperimentSpec(
         scenarios=tuple(scenarios),

@@ -14,13 +14,12 @@ shot without touching disk (or, given a run directory, reports on it).
 
 Every feed-consuming subcommand (``analyze``, ``summary``, ``report``,
 ``verdict``, ``export``, ``watch``) takes the run directory as its
-positional argument; the historical ``--feeds`` flag still works as a
-deprecated alias, warns, and will be removed in the next release.
-They all take the same trio of switches: ``--lazy`` memory-maps the
-run's columnar feed partition instead of materializing it (same
-output, bounded peak memory — see :mod:`repro.io.columnar`),
-``--no-cache`` bypasses the persistent artifact cache for one
-invocation, and ``--telemetry`` appends the phase table.
+positional argument.  They all take the same trio of switches:
+``--lazy`` memory-maps the run's columnar feed partition instead of
+materializing it (same output, bounded peak memory — see
+:mod:`repro.io.columnar`), ``--no-cache`` bypasses the persistent
+artifact cache for one invocation, and ``--telemetry`` appends the
+phase table.
 
 ``watch`` is the live-operator loop: it polls a run directory that
 another process is advancing day-by-day (:meth:`repro.api.Run.advance`)
@@ -63,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from collections.abc import Sequence
 
 __all__ = ["main", "build_parser"]
@@ -301,13 +299,6 @@ def _add_rundir_args(
         + ("" if required else " (omit to simulate in memory)"),
     )
     parser.add_argument(
-        "--feeds", dest="feeds", default=None, metavar="DIR",
-        help=(
-            "deprecated alias for the positional run directory "
-            "(will be removed in the next release)"
-        ),
-    )
-    parser.add_argument(
         "--lazy", action="store_true",
         help=(
             "memory-map the run's mobility shards on demand instead of "
@@ -400,37 +391,13 @@ class _CliError(Exception):
 
 
 def _resolve_rundir(args: argparse.Namespace, required: bool = True):
-    """The run directory of a feed-consuming command.
-
-    Prefers the positional form; honours the deprecated ``--feeds``
-    alias with a warning.
-    """
-    positional = getattr(args, "rundir", None)
-    legacy = getattr(args, "feeds", None)
-    if positional is not None and legacy is not None:
-        raise _CliError(
-            f"{args.command}: give the run directory once — positionally "
-            "(--feeds is a deprecated alias)",
-            code=2,
-        )
-    if legacy is not None:
-        warnings.warn(
-            "--feeds is deprecated and will be removed in the next "
-            "release; pass the run directory as a positional argument",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        print(
-            f"note: --feeds is deprecated and will be removed in the "
-            f"next release; use 'repro {args.command} {legacy}'",
-            file=sys.stderr,
-        )
-        return legacy
-    if positional is None and required:
+    """The run directory of a feed-consuming command."""
+    rundir = getattr(args, "rundir", None)
+    if rundir is None and required:
         raise _CliError(
             f"{args.command}: a run directory is required", code=2
         )
-    return positional
+    return rundir
 
 
 def _config_from_args(args: argparse.Namespace):

@@ -11,12 +11,10 @@ parameters so the home-detection ablation can vary them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro import telemetry
 from repro.simulation.feeds import DataFeeds
 
 __all__ = [
@@ -64,9 +62,10 @@ def detect_homes(
     window_days:
         Simulation day indices to scan; defaults to February 2020.
     workers:
-        Fan the per-shard night scan across a process pool (> 1, on a
-        committed columnar run); bitwise identical to the serial scan
-        for every worker count.  ``None`` stays serial.
+        Where the per-shard night scans run: in process for ``None``
+        or 1, across a process pool otherwise on a committed columnar
+        run (:func:`repro.analysis.parallel.walk_shards`); the result
+        is bitwise identical either way.
     """
     if min_nights <= 0:
         raise ValueError("min_nights must be positive")
@@ -97,60 +96,30 @@ def night_win_counts(
     bitwise-equal to a single whole-window scan.
 
     The winner of a night is per-user ``argmax`` — strictly
-    row-independent — so counts also partition by shard: on a lazily
-    mapped columnar run each shard's partial
-    (:func:`shard_night_win_counts`) is computed from that shard's maps
-    alone and scattered at its population rows, serially or across a
-    process pool (``workers`` > 1), with identical results.
+    row-independent — so counts also partition by shard: each shard's
+    partial (:func:`shard_night_win_counts`) is computed from that
+    shard's dwell alone and scattered at its population rows, in
+    process or across a process pool (``workers``), with identical
+    results.
     """
-    mobility = feeds.mobility
-    window_days = np.asarray(window_days)
-    shards = getattr(mobility, "shards", None)
-    if shards is not None and os.environ.get("REPRO_STORE_NAIVE") != "1":
-        from repro.analysis import parallel as _parallel
+    from repro.analysis.parallel import walk_shards
 
-        num_users = mobility.num_users
-        k = mobility.anchor_sites.shape[1]
-        if (
-            workers is not None
-            and _parallel.resolve_workers(workers) > 1
-            and not _parallel.use_serial()
-        ):
-            plan = _parallel.plan_for(feeds)
-            if plan is not None:
-                return _parallel.parallel_night_win_counts(
-                    feeds,
-                    plan,
-                    window_days,
-                    workers=_parallel.resolve_workers(workers),
-                )
-        win_counts = np.zeros((num_users, k), dtype=np.int64)
-        for shard in shards:
-            if shard.num_rows == 0:
-                continue
-            telemetry.count("store.shards_streamed", 1)
-            win_counts[shard.rows] = shard_night_win_counts(
-                shard, window_days
-            )
-        return win_counts
-    num_users = mobility.num_users
-    k = mobility.anchor_sites.shape[1]
-    win_counts = np.zeros((num_users, k), dtype=np.int64)
-    rows = np.arange(num_users)
-    for day in window_days:
-        night = mobility.night(int(day))
-        winner = night.argmax(axis=1)
-        observed = night.max(axis=1) > 0
-        win_counts[rows[observed], winner[observed]] += 1
+    mobility = feeds.mobility
+    win_counts = np.zeros(mobility.anchor_sites.shape, dtype=np.int64)
+    window = [int(day) for day in np.asarray(window_days).ravel()]
+    for rows, counts in walk_shards(
+        feeds, "night_counts", {"window_days": window}, workers=workers
+    ):
+        win_counts[rows] = counts
     return win_counts
 
 
 def shard_night_win_counts(shard, window_days: np.ndarray) -> np.ndarray:
     """One shard's night-win partial: ``(rows, k)`` int64 counts.
 
-    The single per-shard kernel shared by the serial streaming walk and
-    the process-pool workers — identical partials by construction.
-    Night days are read through windowed maps
+    The single per-shard kernel, run in process or by the process-pool
+    workers alike — identical partials by construction.  Night days are
+    read through windowed maps
     (:func:`repro.io.columnar.window_days`, one contiguous run of the
     scan window at a time) and released as consumed.
     """

@@ -5,35 +5,22 @@ each visited tower (keeping the top-20 towers), then the entropy and
 radius of gyration, then aggregates. :func:`compute_daily_metrics` does
 exactly that over the whole study window.
 
-The hot path is *batched*: instead of one kernel call per day, several
-days are flattened into a single ``(days × users, K)`` matrix and fed
-through the row-vectorized :func:`~repro.core.metrics.mobility_entropy`
-and :func:`~repro.core.metrics.radius_of_gyration` kernels in one call.
-Both kernels are strictly row-independent, so the batched results are
-bitwise identical to the historical per-day loop — which is kept,
-verbatim, behind ``REPRO_ANALYSIS_NAIVE=1`` as the differential oracle
-(the same pattern as ``REPRO_FRAMES_NAIVE`` for the frames kernels).
-The chunk size is capped so the flattened float64 work buffer stays
-small regardless of the study scale; ``batch_days`` overrides it.
-
-A lazily loaded run (``load_feeds(..., lazy=True)``) hands this module
-a :class:`~repro.io.columnar.ShardedMobilityFeed`; the computation then
-*streams* shard by shard straight off the memory-mapped partition —
-peak memory is one shard × one day batch, independent of the
-population, and the same row independence keeps the scattered results
-bitwise identical to the in-memory path.  ``REPRO_STORE_NAIVE=1``
-forces full-population assembly instead (the streaming path's
-differential oracle).
+The work is one walk over the feed's shards: an in-memory feed is a
+single shard of the whole population, a lazily loaded run
+(``load_feeds(..., lazy=True)``) one shard per memory-mapped partition.
+:func:`shard_metric_blocks` computes a shard's block a day at a time
+and the block scatters into the output at the shard's population rows.
+Both kernels are strictly row-independent, so the result is bitwise
+identical for every shard layout, and peak memory is one shard × one
+day rather than the population × the window.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro import telemetry
 from repro.core.metrics import mobility_entropy, radius_of_gyration
 from repro.simulation.feeds import DataFeeds
 
@@ -43,25 +30,6 @@ __all__ = [
     "shard_metric_blocks",
     "top_tower_filter",
 ]
-
-#: Peak size of the flattened float64 dwell buffer a batched
-#: :func:`compute_daily_metrics` call materializes at once.  The three
-#: companion matrices (sites, lats, lons) are tiled to the same shape,
-#: so the true peak is ~4x this figure.  Deliberately last-level-cache
-#: sized: the kernels stream the chunk several times, and measured
-#: sweeps show large flat buffers losing to cache-resident ones well
-#: before memory pressure is a concern — while days with few users
-#: still collapse into one call, which is where the per-call numpy
-#: overhead actually dominates.
-_BATCH_TARGET_BYTES = 1 * 1024 * 1024
-
-#: Minimum automatic batch size worth flattening for.  When fewer than
-#: this many days fit the cache budget, a single day is already a large
-#: kernel call — the per-call numpy overhead the batching amortizes is
-#: negligible, and the flatten/tile work makes the batch path a
-#: measured ~0.8–0.9x *loss* (see ``benchmarks/results/analysis.json``).
-#: Small populations, where batching wins up to ~3x, stay batched.
-_MIN_AUTO_BATCH_DAYS = 16
 
 
 @dataclass
@@ -173,20 +141,10 @@ def compute_daily_metrics(
     feeds: DataFeeds,
     gyration_mode: str = "weighted",
     top_towers: int = 20,
-    batch_days: int | None = None,
     day_range: tuple[int, int] | None = None,
     workers: int | None = None,
 ) -> MobilityDailyMetrics:
     """Compute entropy and gyration for every user and study day.
-
-    ``batch_days`` sets how many days are flattened into one kernel
-    call (``1`` degenerates to a day-at-a-time loop).  Left unset, the
-    batch is sized to the cache budget — and if fewer than
-    ``_MIN_AUTO_BATCH_DAYS`` days fit, the population is large enough
-    that batching is a measured loss and the per-day loop serves the
-    call instead.  All batch sizes — and the historical per-day loop
-    selected by ``REPRO_ANALYSIS_NAIVE=1`` — produce bitwise-identical
-    results.
 
     ``day_range`` restricts the result to a ``[start, stop)`` window of
     absolute day indices; row ``i`` of the matrices is then day
@@ -195,158 +153,42 @@ def compute_daily_metrics(
     lets the live-run analytics compute only the appended days and
     concatenate (:mod:`repro.analysis.mobility`).
 
-    ``workers`` (> 1) fans the per-shard streaming work across a
-    process pool (:mod:`repro.analysis.parallel`) when the feed backs
-    onto a committed columnar run; each worker maps only its shard's
-    files and the partial blocks merge associatively, so the result is
-    bitwise identical for every worker count.  ``None`` stays serial;
-    ``REPRO_ANALYSIS_SERIAL=1`` forces the sequential walk regardless.
+    ``workers`` picks where the per-shard blocks are computed
+    (:func:`repro.analysis.parallel.walk_shards`): in process when it
+    is ``None`` or 1, across a process pool otherwise when the feed
+    backs onto a committed columnar run.  The result is bitwise
+    identical either way.
     """
-    if os.environ.get("REPRO_ANALYSIS_NAIVE") == "1":
-        return _compute_daily_metrics_loop(
-            feeds, gyration_mode, top_towers, day_range
-        )
+    from repro.analysis.parallel import walk_shards
 
     mobility = feeds.mobility
-    shards = getattr(mobility, "shards", None)
-    if shards is not None and os.environ.get("REPRO_STORE_NAIVE") != "1":
-        from repro.analysis import parallel as _parallel
-
-        if (
-            workers is not None
-            and _parallel.resolve_workers(workers) > 1
-            and not _parallel.use_serial()
-        ):
-            plan = _parallel.plan_for(feeds)
-            if plan is not None:
-                return _parallel.parallel_daily_metrics(
-                    feeds,
-                    plan,
-                    gyration_mode=gyration_mode,
-                    top_towers=top_towers,
-                    batch_days=batch_days,
-                    day_range=day_range,
-                    workers=_parallel.resolve_workers(workers),
-                )
-        # Columnar run opened lazily: stream it shard by shard instead
-        # of assembling full-population day matrices.
-        return _compute_daily_metrics_stream(
-            feeds, gyration_mode, top_towers, batch_days, day_range
-        )
-    site_lats, site_lons = feeds.site_locations()
-    anchor_sites = mobility.anchor_sites
-    lats = site_lats[anchor_sites]
-    lons = site_lons[anchor_sites]
-
     day_lo, day_hi = _normalize_day_range(day_range, mobility.num_days)
-    num_days = day_hi - day_lo
-    num_users = mobility.num_users
-    entropy = np.empty((num_days, num_users), dtype=np.float32)
-    gyration = np.empty((num_days, num_users), dtype=np.float32)
-    if num_days == 0 or num_users == 0:
-        return MobilityDailyMetrics(
-            user_ids=mobility.user_ids,
-            entropy=entropy,
-            gyration_km=gyration,
-        )
-
-    k = anchor_sites.shape[1]
-    if batch_days is None:
-        per_day = max(num_users * k * 8, 1)
-        batch_days = max(1, _BATCH_TARGET_BYTES // per_day)
-        if batch_days < _MIN_AUTO_BATCH_DAYS:
-            # Large population: each day is already a big kernel call,
-            # so flattening only adds copy/tile traffic.  The per-day
-            # loop is bitwise identical and measured faster here.
-            return _compute_daily_metrics_loop(
-                feeds, gyration_mode, top_towers, day_range
-            )
-    batch_days = max(1, min(int(batch_days), num_days))
-
-    # One flattened work buffer, reused across chunks; the companion
-    # matrices tile once to the largest chunk and are sliced after.
-    buffer = np.empty((batch_days * num_users, k), dtype=np.float64)
-    tiled_sites = np.tile(anchor_sites, (batch_days, 1))
-    tiled_lats = np.tile(lats, (batch_days, 1))
-    tiled_lons = np.tile(lons, (batch_days, 1))
-
-    for start in range(day_lo, day_hi, batch_days):
-        stop = min(start + batch_days, day_hi)
-        rows = (stop - start) * num_users
-        chunk = buffer[:rows]
-        for offset, day in enumerate(range(start, stop)):
-            np.copyto(
-                chunk[offset * num_users:(offset + 1) * num_users],
-                mobility.dwell(day),
-                casting="same_kind",
-            )
-        top_tower_filter(chunk, top_towers, out=chunk)
-        entropy[start - day_lo:stop - day_lo] = mobility_entropy(
-            chunk, tiled_sites[:rows]
-        ).reshape(stop - start, num_users)
-        gyration[start - day_lo:stop - day_lo] = radius_of_gyration(
-            chunk,
-            tiled_lats[:rows],
-            tiled_lons[:rows],
-            mode=gyration_mode,
-        ).reshape(stop - start, num_users)
+    entropy = np.empty(
+        (day_hi - day_lo, mobility.num_users), dtype=np.float32
+    )
+    gyration = np.empty_like(entropy)
+    site_lats, site_lons = feeds.site_locations()
+    kwargs = dict(
+        gyration_mode=gyration_mode,
+        top_towers=top_towers,
+        day_lo=day_lo,
+        day_hi=day_hi,
+    )
+    for rows, entropy_block, gyration_block in walk_shards(
+        feeds,
+        "metrics",
+        kwargs,
+        workers=workers,
+        site_lats=site_lats,
+        site_lons=site_lons,
+    ):
+        entropy[:, rows] = entropy_block
+        gyration[:, rows] = gyration_block
     return MobilityDailyMetrics(
         user_ids=mobility.user_ids,
         entropy=entropy,
         gyration_km=gyration,
     )
-
-
-def _compute_daily_metrics_stream(
-    feeds: DataFeeds,
-    gyration_mode: str,
-    top_towers: int,
-    batch_days: int | None,
-    day_range: tuple[int, int] | None = None,
-) -> MobilityDailyMetrics:
-    """Shard-streaming metrics over a lazily mapped columnar run.
-
-    One shard at a time, a day batch of that shard's dwell rows is read
-    off the memory map into the float64 work buffer, filtered and fed
-    through the kernels, and the results scattered into the output
-    matrices at the shard's population rows.  Both kernels are strictly
-    row-independent and the float64→float32 store is elementwise, so
-    the result is bitwise identical to the in-memory batch path and the
-    per-day loop — peak memory is ``O(shard × batch)`` instead of
-    ``O(population × days)``.
-    """
-    mobility = feeds.mobility
-    site_lats, site_lons = feeds.site_locations()
-    day_lo, day_hi = _normalize_day_range(day_range, mobility.num_days)
-    num_days = day_hi - day_lo
-    num_users = mobility.num_users
-    entropy = np.empty((num_days, num_users), dtype=np.float32)
-    gyration = np.empty((num_days, num_users), dtype=np.float32)
-    metrics = MobilityDailyMetrics(
-        user_ids=mobility.user_ids,
-        entropy=entropy,
-        gyration_km=gyration,
-    )
-    if num_days == 0 or num_users == 0:
-        return metrics
-
-    for shard in mobility.shards:
-        if shard.num_rows == 0:
-            continue
-        telemetry.count("store.shards_streamed", 1)
-        entropy_block, gyration_block = shard_metric_blocks(
-            shard,
-            site_lats,
-            site_lons,
-            gyration_mode=gyration_mode,
-            top_towers=top_towers,
-            batch_days=batch_days,
-            day_lo=day_lo,
-            day_hi=day_hi,
-        )
-        entropy[:, shard.rows] = entropy_block
-        gyration[:, shard.rows] = gyration_block
-    return metrics
 
 
 def shard_metric_blocks(
@@ -356,101 +198,35 @@ def shard_metric_blocks(
     *,
     gyration_mode: str,
     top_towers: int,
-    batch_days: int | None,
     day_lo: int,
     day_hi: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropy/gyration blocks of one shard: ``(num_days, rows)`` each.
 
-    The single per-shard kernel shared by the serial streaming walk and
-    the process-pool workers of :mod:`repro.analysis.parallel` — both
-    paths call exactly this function, so per-shard partials are bitwise
-    identical by construction and the only difference is where the
-    scatter into the population-wide matrices happens.
+    The single per-shard kernel, run in process or by the process-pool
+    workers of :mod:`repro.analysis.parallel` alike, so per-shard
+    partials are bitwise identical by construction and the only
+    difference is where the task runs.
 
-    Dwell days are read through :func:`repro.io.columnar.window_days`:
-    each chunk window maps fresh and is released when consumed, keeping
-    the walk's resident set bounded by one window (the persistent shard
-    maps are never touched here).
+    Each dwell day is read through :func:`repro.io.columnar.window_days`:
+    on a lazily opened shard the day maps fresh and is released once
+    filtered, keeping the walk's resident set bounded by one day (the
+    persistent shard maps are never touched here).
     """
     from repro.io.columnar import window_days
 
-    rows = shard.num_rows
-    num_days = day_hi - day_lo
     anchor_sites = shard.anchor_sites
     lats = site_lats[anchor_sites]
     lons = site_lons[anchor_sites]
-    k = anchor_sites.shape[1]
-    entropy = np.empty((num_days, rows), dtype=np.float32)
-    gyration = np.empty((num_days, rows), dtype=np.float32)
-    if batch_days is None:
-        per_day = max(rows * k * 8, 1)
-        chunk_days = max(1, _BATCH_TARGET_BYTES // per_day)
-        if chunk_days < _MIN_AUTO_BATCH_DAYS:
-            # Large shard: one day is already a big kernel call
-            # (same measured trade-off as the in-memory path).
-            chunk_days = 1
-    else:
-        chunk_days = batch_days
-    chunk_days = max(1, min(int(chunk_days), max(num_days, 1)))
-
-    buffer = np.empty((chunk_days * rows, k), dtype=np.float64)
-    tiled_sites = np.tile(anchor_sites, (chunk_days, 1))
-    tiled_lats = np.tile(lats, (chunk_days, 1))
-    tiled_lons = np.tile(lons, (chunk_days, 1))
-    for start in range(day_lo, day_hi, chunk_days):
-        stop = min(start + chunk_days, day_hi)
-        count = (stop - start) * rows
-        chunk = buffer[:count]
-        window = window_days(shard, "daily_dwell", start, stop)
-        for offset in range(stop - start):
-            np.copyto(
-                chunk[offset * rows:(offset + 1) * rows],
-                window[offset],
-                casting="same_kind",
-            )
-        del window
-        top_tower_filter(chunk, top_towers, out=chunk)
-        entropy[start - day_lo:stop - day_lo] = mobility_entropy(
-            chunk, tiled_sites[:count]
-        ).reshape(stop - start, rows)
-        gyration[start - day_lo:stop - day_lo] = radius_of_gyration(
-            chunk,
-            tiled_lats[:count],
-            tiled_lons[:count],
-            mode=gyration_mode,
-        ).reshape(stop - start, rows)
-    return entropy, gyration
-
-
-def _compute_daily_metrics_loop(
-    feeds: DataFeeds,
-    gyration_mode: str,
-    top_towers: int,
-    day_range: tuple[int, int] | None = None,
-) -> MobilityDailyMetrics:
-    """The historical day-at-a-time path, kept as the differential oracle."""
-    mobility = feeds.mobility
-    site_lats, site_lons = feeds.site_locations()
-    anchor_sites = mobility.anchor_sites
-    lats = site_lats[anchor_sites]
-    lons = site_lons[anchor_sites]
-
-    day_lo, day_hi = _normalize_day_range(day_range, mobility.num_days)
-    num_days = day_hi - day_lo
-    num_users = mobility.num_users
-    entropy = np.empty((num_days, num_users), dtype=np.float32)
-    gyration = np.empty((num_days, num_users), dtype=np.float32)
+    entropy = np.empty((day_hi - day_lo, shard.num_rows), dtype=np.float32)
+    gyration = np.empty_like(entropy)
+    dwell = np.empty(anchor_sites.shape, dtype=np.float64)
     for day in range(day_lo, day_hi):
-        dwell = top_tower_filter(
-            mobility.dwell(day).astype(np.float64), top_towers
-        )
+        (window,) = window_days(shard, "daily_dwell", day, day + 1)
+        top_tower_filter(window, top_towers, out=dwell)
+        del window
         entropy[day - day_lo] = mobility_entropy(dwell, anchor_sites)
         gyration[day - day_lo] = radius_of_gyration(
             dwell, lats, lons, mode=gyration_mode
         )
-    return MobilityDailyMetrics(
-        user_ids=mobility.user_ids,
-        entropy=entropy,
-        gyration_km=gyration,
-    )
+    return entropy, gyration

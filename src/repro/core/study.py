@@ -443,7 +443,6 @@ class CovidImpactStudy:
         explicit = (
             self._workers is not None
             and _parallel.resolve_workers(self._workers) > 1
-            and not _parallel.use_serial()
         )
         cpus = os.cpu_count() or 1
         if not explicit and cpus <= 1:

@@ -43,22 +43,22 @@ switches) forces the eager in-memory path everywhere — it is the
 differential oracle the streaming results are asserted bitwise against.
 
 Telemetry: ``store.bytes_mapped`` counts bytes opened for on-demand
-mapping, ``store.shards_streamed`` counts shard partitions fed through
-a streaming reduction, and ``store.digest_verifications`` (bumped by
-:mod:`repro.io.store`) counts files checked against manifest digests.
+mapping, ``store.shards_streamed`` counts shards walked by a per-shard
+mobility kernel (:mod:`repro.core.statistics`, :mod:`repro.core.home`),
+and ``store.digest_verifications`` (bumped by :mod:`repro.io.store`)
+counts files checked against manifest digests.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro import telemetry
 from repro.io.errors import RunStoreError
-from repro.simulation.feeds import MobilityFeed
+from repro.simulation.feeds import MobilityFeed, MobilityShard
 
 __all__ = [
     "EVENT_COLUMNS",
@@ -222,31 +222,6 @@ class SegmentedStack:
 
     def __iter__(self):
         return (self[day] for day in range(len(self)))
-
-
-@dataclass
-class MobilityShard:
-    """One shard of the columnar partition.
-
-    ``rows`` are the shard's indices into population row order
-    (ascending); the dwell stacks are ``(num_days, n, NUM_ANCHORS)``
-    and may be memory maps (lazy open) or plain arrays.
-    """
-
-    index: int
-    rows: np.ndarray
-    user_ids: np.ndarray
-    anchor_sites: np.ndarray
-    daily_dwell: np.ndarray
-    night_dwell: np.ndarray
-    #: Column → ``[(start_day, num_days, path)]`` of the backing segment
-    #: files, recorded on lazy opens so :func:`window_days` can map a
-    #: day window fresh and release it after consumption.
-    sources: dict[str, list[tuple[int, int, Path]]] | None = None
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.rows.shape[0])
 
 
 class _DayStack:

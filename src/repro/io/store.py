@@ -19,9 +19,10 @@ The mobility feed — by far the largest payload — is partitioned by the
 engine's deterministic user sharding into one memory-mappable ``.npy``
 file per shard × column (:mod:`repro.io.columnar`), so
 ``load_feeds(..., lazy=True)`` can map a million-agent run without
-materializing it.  Format version 1 (a single ``mobility.npz``) is
-still read.  The world (geography, topology, subscriber base, agents)
-is *not* stored: it is a pure function of the configuration and is
+materializing it.  Any other format version (such as version 1, a
+single ``mobility.npz``) is refused at the manifest, naming the
+version.  The world (geography, topology, subscriber base, agents) is
+*not* stored: it is a pure function of the configuration and is
 rebuilt on load, which keeps saved runs small and guarantees the
 reloaded bundle is exactly what the simulator produced.
 
@@ -57,8 +58,6 @@ import os
 import pickle
 from pathlib import Path
 
-import numpy as np
-
 from repro import telemetry
 from repro.frames import read_csv, write_csv
 from repro.geo.nspl import PostcodeLookup
@@ -78,9 +77,6 @@ _MANIFEST = "manifest.json"
 _CONFIG = "config.pkl"
 _KPIS = "radio_kpis.csv"
 _RAT = "rat_time.csv"
-_MOBILITY = "mobility.npz"  # format version 1 only
-
-_MOBILITY_KEYS = ("user_ids", "anchor_sites", "daily_dwell", "night_dwell")
 
 #: Small files whose SHA-256 payload digests are recorded in the
 #: manifest at save time and verified on load; the per-shard columnar
@@ -91,7 +87,7 @@ _MOBILITY_KEYS = ("user_ids", "anchor_sites", "daily_dwell", "night_dwell")
 _DIGESTED_FILES = (_KPIS, _RAT, _CONFIG)
 
 _FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+_SUPPORTED_VERSIONS = {_FORMAT_VERSION}
 
 
 def _table_name(base: str, num_days: int) -> str:
@@ -247,8 +243,6 @@ def save_feeds(feeds: DataFeeds, directory: str | Path) -> Path:
         _atomic_csv(feeds.radio_kpis, path / _KPIS)
         _atomic_csv(feeds.rat_time, path / _RAT)
         _atomic_pickle(feeds.config, path / _CONFIG)
-        # A re-save over a format-1 run supersedes its archive.
-        (path / _MOBILITY).unlink(missing_ok=True)
 
         from repro.simulation.sharding import parallelism_of
 
@@ -356,13 +350,6 @@ def append_feeds(feeds: DataFeeds, chunk: DataFeeds, directory: str | Path) -> P
     """
     path = Path(directory)
     manifest = _read_manifest(path)
-    if manifest["format_version"] != _FORMAT_VERSION:
-        raise RunStoreError(
-            f"run {path} uses feed-store format "
-            f"{manifest['format_version']}; only format "
-            f"{_FORMAT_VERSION} runs can be advanced",
-            path=path / _MANIFEST,
-        )
     live = manifest.get("live")
     if not isinstance(live, dict):
         raise RunStoreError(
@@ -556,40 +543,7 @@ def _read_config(path: Path):
         ) from err
 
 
-def _read_mobility_v1(path: Path) -> MobilityFeed:
-    """Read the monolithic format-1 ``mobility.npz`` archive."""
-    mobility_path = path / _MOBILITY
-    if not mobility_path.exists():
-        raise RunStoreError(
-            f"saved run {path} is missing {mobility_path}",
-            path=mobility_path,
-        )
-    try:
-        with np.load(mobility_path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-    except Exception as err:
-        raise RunStoreError(
-            f"corrupt mobility archive {mobility_path}: {err}",
-            path=mobility_path,
-        ) from err
-    missing = [key for key in _MOBILITY_KEYS if key not in arrays]
-    if missing:
-        raise RunStoreError(
-            f"mobility archive {mobility_path} is missing arrays: "
-            f"{missing}",
-            path=mobility_path,
-        )
-    daily = arrays["daily_dwell"]
-    night = arrays["night_dwell"]
-    return MobilityFeed(
-        user_ids=arrays["user_ids"],
-        anchor_sites=arrays["anchor_sites"],
-        daily_dwell=[daily[index] for index in range(daily.shape[0])],
-        night_dwell=[night[index] for index in range(night.shape[0])],
-    )
-
-
-def _read_mobility_v2(
+def _read_mobility(
     path: Path, manifest: dict, *, lazy: bool
 ) -> MobilityFeed | ShardedMobilityFeed:
     """Open the columnar partition described by the manifest.
@@ -668,12 +622,12 @@ def _read_frame(path: Path, name: str):
 def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
     """Reload a run saved by :func:`save_feeds`.
 
-    With ``lazy=True`` (format-2 runs) the mobility partition is
+    With ``lazy=True`` the mobility partition is
     memory-mapped shard by shard instead of materialized: the returned
     bundle's ``mobility`` is a :class:`~repro.io.columnar.
     ShardedMobilityFeed` whose day matrices are assembled on demand,
-    so analysis peak memory is bounded by one shard × a day batch
-    rather than the whole population.  ``REPRO_STORE_NAIVE=1`` forces
+    so analysis peak memory is bounded by one shard × one day rather
+    than the whole population.  ``REPRO_STORE_NAIVE=1`` forces
     the eager in-memory path regardless (the differential oracle).
 
     Raises :class:`RunStoreError` naming the offending file when the
@@ -691,12 +645,8 @@ def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
     from repro.simulation.engine import build_world
 
     world = build_world(config)
-    if manifest["format_version"] == 1:
-        mobility = _read_mobility_v1(path)
-        described = path / _MOBILITY
-    else:
-        mobility = _read_mobility_v2(path, manifest, lazy=lazy)
-        described = path / columnar.FEEDS_SUBDIR
+    mobility = _read_mobility(path, manifest, lazy=lazy)
+    described = path / columnar.FEEDS_SUBDIR
     if mobility.num_users != manifest["num_users"]:
         raise RunStoreError(
             f"mobility store {described} holds "
@@ -713,15 +663,9 @@ def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
         )
 
     upgrade = manifest.get("interconnect_upgrade_day")
-    feeds_block = (
-        manifest.get("feeds") if manifest["format_version"] != 1 else {}
-    ) or {}
+    feeds_block = manifest.get("feeds") or {}
     tables = feeds_block.get("tables") or {}
-    segments = (
-        _read_segments(path, feeds_block)
-        if manifest["format_version"] != 1
-        else None
-    )
+    segments = _read_segments(path, feeds_block)
     signaling = None
     events_block = feeds_block.get("events")
     if isinstance(events_block, dict):

@@ -10,6 +10,7 @@ the analysis layer can be written exactly against what the paper had.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +24,35 @@ from repro.network.subscribers import SubscriberBase
 from repro.network.topology import RadioTopology
 from repro.simulation.clock import StudyCalendar
 
-__all__ = ["MobilityFeed", "DataFeeds"]
+__all__ = ["MobilityFeed", "MobilityShard", "DataFeeds"]
+
+
+@dataclass
+class MobilityShard:
+    """One shard of a mobility feed: a subset of its users.
+
+    ``rows`` are the shard's indices into population row order
+    (ascending); the dwell stacks are day-indexed ``(n, NUM_ANCHORS)``
+    matrices: memory maps or arrays from the columnar store
+    (:mod:`repro.io.columnar`), or the day lists of an in-memory
+    :class:`MobilityFeed`.
+    """
+
+    index: int
+    rows: np.ndarray
+    user_ids: np.ndarray
+    anchor_sites: np.ndarray
+    daily_dwell: np.ndarray
+    night_dwell: np.ndarray
+    #: Column → ``[(start_day, num_days, path)]`` of the backing segment
+    #: files, recorded on lazy opens so
+    #: :func:`repro.io.columnar.window_days` can map a day window fresh
+    #: and release it after consumption.
+    sources: dict[str, list[tuple[int, int, Path]]] | None = None
+
+    @property
+    def num_rows(self) -> int:
+        return int(self.rows.shape[0])
 
 
 @dataclass
@@ -58,6 +87,26 @@ class MobilityFeed:
     def night(self, day: int) -> np.ndarray:
         """Nighttime dwell seconds, shape (num_users, num_anchors)."""
         return self.night_dwell[day]
+
+    @property
+    def shards(self) -> list[MobilityShard]:
+        """The whole population as one shard over the day lists.
+
+        The same surface as
+        :attr:`repro.io.columnar.ShardedMobilityFeed.shards`, so the
+        per-shard analysis kernels walk in-memory and stored feeds
+        alike.
+        """
+        return [
+            MobilityShard(
+                index=0,
+                rows=np.arange(self.num_users),
+                user_ids=self.user_ids,
+                anchor_sites=self.anchor_sites,
+                daily_dwell=self.daily_dwell,
+                night_dwell=self.night_dwell,
+            )
+        ]
 
 
 @dataclass

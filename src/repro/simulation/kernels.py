@@ -6,7 +6,7 @@ whole-population array programs by default.  The historical per-agent /
 per-event Python loops are kept, verbatim in structure, as the
 *differential oracle* behind the ``REPRO_SIM_NAIVE=1`` environment
 switch — the exact pattern of ``REPRO_FRAMES_NAIVE`` for the frames
-kernels and ``REPRO_ANALYSIS_NAIVE`` for the analysis batch path.
+kernels.
 
 Both paths consume identical RNG streams (every random vector is drawn
 population-wide, in the same order, in both modes) and order their

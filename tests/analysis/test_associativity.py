@@ -1,17 +1,18 @@
 """Merge associativity of the shard-partitioned analysis kernels.
 
-The process-parallel fan-out (:mod:`repro.analysis.parallel`) rests on
-one algebraic fact: per-shard partials scatter into *disjoint*
+The per-shard walk (:func:`repro.analysis.parallel.walk_shards`) rests
+on one algebraic fact: per-shard partials scatter into *disjoint*
 population rows, so the merge is associative and commutative — the
 order workers finish in can never change a byte.  This module pins
 that fact directly, property-based where the order space is large:
 
 - night-win-count partials and daily-metric blocks merged under any
-  shard permutation equal the serial whole-feed oracle bitwise;
+  shard permutation equal the whole-feed result bitwise;
 - night counts over disjoint day windows simply *add* (the live-run
   incremental identity);
-- and the full ``(shards x workers)`` grid of public entry points
-  agrees with the ``REPRO_ANALYSIS_SERIAL=1`` oracle.
+- and the full ``(shards x workers)`` grid of public entry points, for
+  each metric input, agrees with the in-memory feed — one shard of the
+  whole population — as the oracle.
 """
 
 import datetime as dt
@@ -21,7 +22,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import parallel
 from repro.core.home import (
     detect_homes,
     finalize_homes,
@@ -30,12 +30,22 @@ from repro.core.home import (
 )
 from repro.core.statistics import compute_daily_metrics, shard_metric_blocks
 from repro.io import load_feeds, save_feeds
+from repro.mobility.agents import NUM_ANCHORS
 from repro.simulation.clock import StudyCalendar
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 
 SHARD_COUNTS = (1, 2, 4)
-WORKER_COUNTS = (1, 2, 4)
+WORKER_COUNTS = (None, 1, 2, 4)
+
+#: Metric inputs beyond the defaults: a day window, a top-towers cut
+#: below the anchor count (zeroes the smallest entries) and the
+#: paper's gyration formula.
+METRIC_OPTIONS = {
+    "day_range": {"day_range": (3, 11)},
+    "top_towers": {"top_towers": NUM_ANCHORS - 2},
+    "paper": {"gyration_mode": "paper"},
+}
 
 _CALENDAR = StudyCalendar(first_day=dt.date(2020, 2, 24), num_days=14)
 
@@ -63,8 +73,17 @@ def run_dirs(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def eager(run_dirs):
+    return {shards: load_feeds(path) for shards, path in run_dirs.items()}
+
+
+@pytest.fixture(scope="module")
 def lazy4(run_dirs):
     return load_feeds(run_dirs[4], lazy=True)
+
+
+def _shard_order(data, mobility) -> list[int]:
+    return data.draw(st.permutations(range(len(mobility.shards))))
 
 
 _WINDOW = np.arange(10)
@@ -76,12 +95,12 @@ class TestShardOrderIndependence:
     @settings(
         max_examples=25, suppress_health_check=[HealthCheck.too_slow]
     )
-    @given(order=st.permutations(range(4)))
-    def test_night_counts_merge_any_order(self, lazy4, order):
+    @given(data=st.data())
+    def test_night_counts_merge_any_order(self, lazy4, data):
         mobility = lazy4.mobility
         oracle = night_win_counts(lazy4, _WINDOW)
         merged = np.zeros_like(oracle)
-        for index in order:
+        for index in _shard_order(data, mobility):
             shard = mobility.shards[index]
             if shard.num_rows:
                 merged[shard.rows] = shard_night_win_counts(
@@ -92,14 +111,14 @@ class TestShardOrderIndependence:
     @settings(
         max_examples=10, suppress_health_check=[HealthCheck.too_slow]
     )
-    @given(order=st.permutations(range(4)))
-    def test_metric_blocks_merge_any_order(self, lazy4, order):
+    @given(data=st.data())
+    def test_metric_blocks_merge_any_order(self, lazy4, data):
         mobility = lazy4.mobility
         site_lats, site_lons = lazy4.site_locations()
         oracle = compute_daily_metrics(lazy4)
         entropy = np.zeros_like(oracle.entropy)
         gyration = np.zeros_like(oracle.gyration_km)
-        for index in order:
+        for index in _shard_order(data, mobility):
             shard = mobility.shards[index]
             if not shard.num_rows:
                 continue
@@ -109,7 +128,6 @@ class TestShardOrderIndependence:
                 site_lons,
                 gyration_mode="weighted",
                 top_towers=20,
-                batch_days=None,
                 day_lo=0,
                 day_hi=mobility.num_days,
             )
@@ -145,32 +163,49 @@ class TestWindowAdditivity:
 
 
 class TestGridVsSerialOracle:
-    """Every (shards, workers) combo equals REPRO_ANALYSIS_SERIAL=1."""
+    """Every (shards, workers) combo equals the in-memory feed.
+
+    The eager feed is one shard of the whole population, walked in
+    process: the oracle for every stored layout and executor.
+    """
+
+    def test_eager_feed_is_one_shard(self, eager):
+        mobility = eager[4].mobility
+        (shard,) = mobility.shards
+        assert shard.index == 0
+        assert np.array_equal(shard.rows, np.arange(mobility.num_users))
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_metrics_and_homes(
-        self, run_dirs, shards, workers, monkeypatch
-    ):
+    def test_metrics_and_homes(self, run_dirs, eager, shards, workers):
+        oracle_metrics = compute_daily_metrics(eager[shards])
+        oracle_homes = detect_homes(eager[shards], min_nights=3)
         lazy = load_feeds(run_dirs[shards], lazy=True)
-        monkeypatch.setenv(parallel.ENV_SERIAL, "1")
-        serial_metrics = compute_daily_metrics(lazy, workers=workers)
-        serial_homes = detect_homes(lazy, min_nights=3, workers=workers)
-        monkeypatch.delenv(parallel.ENV_SERIAL)
         fanned_metrics = compute_daily_metrics(lazy, workers=workers)
         fanned_homes = detect_homes(lazy, min_nights=3, workers=workers)
         assert np.array_equal(
-            serial_metrics.entropy, fanned_metrics.entropy
+            oracle_metrics.entropy, fanned_metrics.entropy
         )
         assert np.array_equal(
-            serial_metrics.gyration_km, fanned_metrics.gyration_km
+            oracle_metrics.gyration_km, fanned_metrics.gyration_km
         )
         assert np.array_equal(
-            serial_homes.home_site, fanned_homes.home_site
+            oracle_homes.home_site, fanned_homes.home_site
         )
         assert np.array_equal(
-            serial_homes.nights_observed, fanned_homes.nights_observed
+            oracle_homes.nights_observed, fanned_homes.nights_observed
         )
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("option", sorted(METRIC_OPTIONS))
+    def test_metric_options(self, run_dirs, eager, shards, workers, option):
+        kwargs = METRIC_OPTIONS[option]
+        oracle = compute_daily_metrics(eager[shards], **kwargs)
+        lazy = load_feeds(run_dirs[shards], lazy=True)
+        fanned = compute_daily_metrics(lazy, workers=workers, **kwargs)
+        assert np.array_equal(oracle.entropy, fanned.entropy)
+        assert np.array_equal(oracle.gyration_km, fanned.gyration_km)
 
     def test_shard_count_does_not_change_results(self, run_dirs):
         # The same world saved at three layouts: results must agree

@@ -1,12 +1,11 @@
 """Process-parallel analysis: plans, pools, fallbacks, and knobs.
 
-:mod:`repro.analysis.parallel` promises that fanning the shard-streaming
+:mod:`repro.analysis.parallel` promises that fanning the per-shard
 kernels across a process pool changes *nothing observable*: metrics,
-homes and sessions are bitwise identical to the serial walk for every
-worker count, ``REPRO_ANALYSIS_SERIAL=1`` forces the sequential oracle,
-and a pool that cannot start degrades to in-process execution of the
-identical task functions.  This module pins those promises plus the
-plumbing around them — worker resolution, the CLI ``--workers`` flag,
+homes and sessions are bitwise identical to the in-process walk for
+every worker count, and a pool that cannot start degrades to
+in-process execution of the identical task functions.  This module
+pins those promises plus the plumbing around them — worker resolution, the CLI ``--workers`` flag,
 and the ``analysis.*`` telemetry counters.
 """
 
@@ -78,11 +77,6 @@ class TestPlanFor:
     def test_eager_feeds_have_no_plan(self, run_dir):
         assert parallel.plan_for(load_feeds(run_dir)) is None
 
-    def test_serial_env_disables_planning(self, lazy, monkeypatch):
-        monkeypatch.setenv(parallel.ENV_SERIAL, "1")
-        assert parallel.use_serial()
-        assert parallel.plan_for(lazy) is None
-
 
 class TestResolveWorkers:
     @pytest.mark.parametrize("value", [None, 0, "auto"])
@@ -119,13 +113,6 @@ class TestBitwiseIdentity:
         assert np.array_equal(
             serial.nights_observed, fanned.nights_observed
         )
-
-    def test_serial_env_forces_sequential_path(self, lazy, monkeypatch):
-        baseline = compute_daily_metrics(lazy, workers=2)
-        monkeypatch.setenv(parallel.ENV_SERIAL, "1")
-        forced = compute_daily_metrics(lazy, workers=2)
-        assert np.array_equal(baseline.entropy, forced.entropy)
-        assert np.array_equal(baseline.gyration_km, forced.gyration_km)
 
     def test_sessionized_events_match_eager(self, lazy):
         plan = parallel.plan_for(lazy)

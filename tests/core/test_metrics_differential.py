@@ -1,7 +1,7 @@
 """Differential tests: vectorized mobility kernels vs per-row Python.
 
 :func:`mobility_entropy` and :func:`radius_of_gyration` are the inner
-kernels of the batched analysis path; both are segment-sum / bincount
+kernels of the daily-metrics walk; both are segment-sum / bincount
 vectorizations of a formula that is trivial to state row by row.
 These property tests (hypothesis) re-derive every row with a naive
 pure-Python reference — dicts for the tower merge, ``math`` for the

@@ -1,12 +1,10 @@
-"""Batched daily-metrics path vs the per-day oracle, bitwise.
+"""Daily-metrics helpers: the ``out=`` buffer contract and empty means.
 
-``compute_daily_metrics`` flattens several days into one kernel call;
-the historical day-at-a-time loop survives behind
-``REPRO_ANALYSIS_NAIVE=1`` as the differential oracle.  Because the
-kernels are strictly row-independent, every batch size must reproduce
-the loop *bitwise* — not approximately.  Also covers the ``out=``
-buffer contract of :func:`top_tower_filter` and the empty-mask NaN
-behavior of the aggregate means.
+Covers the ``out=`` buffer contract of :func:`top_tower_filter` (the
+per-day metric kernel filters into one reused buffer) and the
+empty-mask NaN behavior of the aggregate means.  The equivalence of
+the in-memory and sharded metric walks lives in
+``tests/analysis/test_associativity.py``.
 """
 
 import warnings
@@ -14,53 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.statistics import (
-    MobilityDailyMetrics,
-    _compute_daily_metrics_loop,
-    compute_daily_metrics,
-    top_tower_filter,
-)
-
-
-@pytest.fixture(scope="module")
-def oracle(feeds):
-    return _compute_daily_metrics_loop(feeds, "weighted", 20)
-
-
-def assert_bitwise(actual: MobilityDailyMetrics, expected: MobilityDailyMetrics):
-    assert actual.entropy.dtype == expected.entropy.dtype
-    assert np.array_equal(actual.entropy, expected.entropy)
-    assert np.array_equal(actual.gyration_km, expected.gyration_km)
-    assert np.array_equal(actual.user_ids, expected.user_ids)
-
-
-class TestBatchedEqualsLoop:
-    @pytest.mark.parametrize("batch_days", [1, 3, 17, None])
-    def test_bitwise_across_batch_sizes(self, feeds, oracle, batch_days):
-        batched = compute_daily_metrics(feeds, batch_days=batch_days)
-        assert_bitwise(batched, oracle)
-
-    def test_paper_gyration_mode(self, feeds):
-        batched = compute_daily_metrics(feeds, gyration_mode="paper")
-        loop = _compute_daily_metrics_loop(feeds, "paper", 20)
-        assert_bitwise(batched, loop)
-
-    def test_oversized_batch_clamps_to_study(self, feeds, oracle):
-        batched = compute_daily_metrics(feeds, batch_days=10_000)
-        assert_bitwise(batched, oracle)
-
-    def test_naive_env_gate_selects_the_loop(self, feeds, oracle, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS_NAIVE", "1")
-        assert_bitwise(compute_daily_metrics(feeds), oracle)
-
-    def test_tight_top_towers_cut(self, feeds):
-        # Exercise the argpartition branch: a cut below the anchor
-        # count zeroes entries in both paths identically.
-        k = feeds.mobility.anchor_sites.shape[1]
-        cut = max(1, k - 2)
-        batched = compute_daily_metrics(feeds, top_towers=cut, batch_days=5)
-        loop = _compute_daily_metrics_loop(feeds, "weighted", cut)
-        assert_bitwise(batched, loop)
+from repro.core.statistics import MobilityDailyMetrics, top_tower_filter
 
 
 class TestTopTowerFilterOut:

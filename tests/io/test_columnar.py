@@ -4,7 +4,7 @@ The out-of-core layout (:mod:`repro.io.columnar`) promises that nothing
 observable changes when the mobility feed lives on disk instead of in
 RAM: a save → load round-trip is *bitwise* identical for every shard
 count, the streamed ``compute_daily_metrics`` path reproduces the
-in-memory batch path byte for byte, and the ``REPRO_STORE_NAIVE=1``
+in-memory feed byte for byte, and the ``REPRO_STORE_NAIVE=1``
 oracle forces the historical eager path everywhere so the two can be
 diffed.  This module pins each of those promises, plus the degenerate
 populations (zero and one filtered user) and the ``store.*`` telemetry

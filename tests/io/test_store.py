@@ -398,7 +398,7 @@ class TestAtomicPersistence:
 
 
 class TestFormatV1Compat:
-    """Runs saved by the pre-columnar store (mobility.npz) still load."""
+    """Runs saved by the pre-columnar store (mobility.npz) are refused."""
 
     @pytest.fixture
     def v1_dir(self, run_feeds, tmp_path):
@@ -438,29 +438,10 @@ class TestFormatV1Compat:
         (path / "manifest.json").write_text(json.dumps(manifest))
         return path
 
-    def test_v1_run_loads_identically(self, run_feeds, v1_dir):
-        feeds = load_feeds(v1_dir)
-        assert np.array_equal(
-            feeds.mobility.user_ids, run_feeds.mobility.user_ids
-        )
-        for day in (0, run_feeds.mobility.num_days - 1):
-            assert np.array_equal(
-                feeds.mobility.dwell(day), run_feeds.mobility.dwell(day)
-            )
-
-    def test_v1_missing_archive_is_precise(self, v1_dir):
-        import json
-
-        manifest = json.loads((v1_dir / "manifest.json").read_text())
-        del manifest["feeds_sha256"]
-        (v1_dir / "manifest.json").write_text(json.dumps(manifest))
-        (v1_dir / "mobility.npz").unlink()
-        with pytest.raises(RunStoreError, match="mobility.npz"):
+    def test_v1_run_is_refused_by_version(self, v1_dir):
+        manifest = v1_dir / "manifest.json"
+        with pytest.raises(
+            RunStoreError, match=r"version 1 in .*manifest\.json"
+        ) as exc:
             load_feeds(v1_dir)
-
-    def test_v1_deleted_digested_file_is_refused(self, v1_dir):
-        target = v1_dir / "mobility.npz"
-        target.unlink()
-        with pytest.raises(RunStoreError, match="mobility.npz") as exc:
-            load_feeds(v1_dir)
-        assert exc.value.path == target
+        assert exc.value.path == manifest

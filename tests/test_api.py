@@ -81,22 +81,6 @@ class TestRunHandle:
         with pytest.raises(ValueError):
             api.Run(None)
 
-    def test_deprecated_aliases_still_work(self, tmp_path):
-        rundir = tmp_path / "run"
-        with pytest.warns(DeprecationWarning, match="directory"):
-            api.simulate(_config(), out=rundir)
-        with pytest.warns(DeprecationWarning, match="Run.open"):
-            assert api.load(rundir).directory == rundir
-        with pytest.warns(DeprecationWarning, match="Run.open"):
-            assert api.Run.load(rundir).directory == rundir
-
-    def test_out_and_directory_together_rejected(self, tmp_path):
-        with pytest.raises(TypeError, match="out"):
-            with pytest.warns(DeprecationWarning):
-                api.simulate(
-                    _config(), tmp_path / "a", out=tmp_path / "b"
-                )
-
 
 class TestStudyCache:
     """study() auto-attaches the run's artifact cache when persisted."""

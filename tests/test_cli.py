@@ -229,46 +229,6 @@ class TestAnalysisCache:
         assert recovered == cold
 
 
-class TestFeedsAlias:
-    """--feeds still works everywhere, but deprecated and warning."""
-
-    @pytest.fixture(scope="class")
-    def run_dir(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("alias") / "run"
-        out = io.StringIO()
-        assert main(
-            [
-                "simulate", "--preset", "tiny", "--seed", "13",
-                "--users", "600", "--out", str(path),
-            ],
-            out=out,
-        ) == 0
-        return path
-
-    def test_alias_warns_and_works(self, run_dir, capsys):
-        out = io.StringIO()
-        with pytest.warns(DeprecationWarning, match="positional"):
-            assert main(["summary", "--feeds", str(run_dir)], out=out) == 0
-        assert "gyration_change_lockdown_pct" in out.getvalue()
-        assert "deprecated" in capsys.readouterr().err
-
-    def test_positional_does_not_warn(self, run_dir):
-        import warnings
-
-        out = io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert main(["summary", str(run_dir)], out=out) == 0
-
-    def test_both_forms_rejected(self, run_dir):
-        out = io.StringIO()
-        code = main(
-            ["summary", str(run_dir), "--feeds", str(run_dir)], out=out
-        )
-        assert code == 2
-        assert "once" in out.getvalue()
-
-
 class TestErrorPaths:
     def test_rundir_required(self):
         for command in ("analyze", "summary", "verdict"):

@@ -286,12 +286,18 @@ def _run_cell(
 def _cell_intact(directory: Path) -> bool:
     """Whether the cell directory looks like a complete run store.
 
-    A readable manifest is the cheap completeness signal — it is the
-    last file a simulation writes, so an interrupted cell fails this
-    check and is rebuilt rather than trusted.
+    A manifest the store accepts is the cheap completeness signal — it
+    is the last file a simulation writes, so an interrupted cell fails
+    this check, and so does one saved in a format version the store
+    refuses; both are rebuilt rather than trusted.
     """
     from repro.analysis.cache import ArtifactCache
+    from repro.io.store import RunStoreError, _read_manifest
 
+    try:
+        _read_manifest(directory)
+    except RunStoreError:
+        return False
     return ArtifactCache.open(directory) is not None
 
 

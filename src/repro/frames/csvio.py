@@ -1,7 +1,7 @@
 """CSV round-trip for frames.
 
-Feeds produced by the simulator can be persisted so the analysis stage
-(or an external tool) can be run without re-simulating. The format is
+Analysis tables are exported as CSV for external tools
+(:mod:`repro.io.export`, ``python -m repro export``). The format is
 plain RFC-4180-ish CSV with a header row; dtypes are inferred on read
 (int, then float, then string).
 

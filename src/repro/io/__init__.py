@@ -3,10 +3,10 @@
 A full simulation takes tens of seconds at study scale; the analysis
 often wants to iterate on the same run (or share it). :func:`save_feeds`
 writes everything measured to a directory — KPI and RAT-time feeds as
-CSV, the mobility dwell aggregates as a shard-partitioned columnar
-store of memory-mappable arrays (:mod:`repro.io.columnar`), the
-configuration as a pickle plus a human-readable manifest — and
-:func:`load_feeds` reconstructs a
+one ``.npy`` structured array each, the mobility dwell aggregates as a
+shard-partitioned columnar store of memory-mappable arrays
+(:mod:`repro.io.columnar`), the configuration as a pickle plus a
+human-readable manifest — and :func:`load_feeds` reconstructs a
 :class:`~repro.simulation.feeds.DataFeeds` by rebuilding the
 deterministic world from the configuration and attaching the stored
 measurements, either eagerly or (``lazy=True``) mapping the mobility

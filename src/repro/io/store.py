@@ -1,12 +1,12 @@
 """Directory layout and (de)serialization for data feeds.
 
-Layout of a saved run (format version 2)::
+Layout of a saved run (format version 3)::
 
     <dir>/
       manifest.json        # provenance: sizes, window, versions (commit point)
       config.pkl           # exact SimulationConfig (nested dataclasses)
-      radio_kpis.csv       # daily per-cell KPI medians
-      rat_time.csv         # RAT connected-time feed
+      radio_kpis.npy       # daily per-cell KPI medians
+      rat_time.npy         # RAT connected-time feed
       feeds/               # shard-partitioned columnar mobility store
         shard-0000/
           rows.npy user_ids.npy anchor_sites.npy
@@ -19,12 +19,15 @@ The mobility feed — by far the largest payload — is partitioned by the
 engine's deterministic user sharding into one memory-mappable ``.npy``
 file per shard × column (:mod:`repro.io.columnar`), so
 ``load_feeds(..., lazy=True)`` can map a million-agent run without
-materializing it.  Any other format version (such as version 1, a
-single ``mobility.npz``) is refused at the manifest, naming the
-version.  The world (geography, topology, subscriber base, agents) is
-*not* stored: it is a pure function of the configuration and is
-rebuilt on load, which keeps saved runs small and guarantees the
-reloaded bundle is exactly what the simulator produced.
+materializing it.  The KPI and RAT tables are one ``.npy`` file each:
+a structured array with one field per column, in column order and
+with the frame's own dtypes, so a load returns exactly the saved
+columns (and never unpickles: an object column is refused at save
+time).  Any other format version is refused at the manifest, naming
+the version.  The world (geography, topology, subscriber base,
+agents) is *not* stored: it is a pure function of the configuration
+and is rebuilt on load, which keeps saved runs small and guarantees
+the reloaded bundle is exactly what the simulator produced.
 
 Persistence is atomic: every file is written under a temporary name and
 ``os.replace``d into place, and ``manifest.json`` is written last as
@@ -58,8 +61,10 @@ import os
 import pickle
 from pathlib import Path
 
+import numpy as np
+
 from repro import telemetry
-from repro.frames import read_csv, write_csv
+from repro.frames import Frame
 from repro.geo.nspl import PostcodeLookup
 from repro.io import columnar
 from repro.io.columnar import (
@@ -75,8 +80,8 @@ __all__ = ["RunStoreError", "append_feeds", "save_feeds", "load_feeds"]
 
 _MANIFEST = "manifest.json"
 _CONFIG = "config.pkl"
-_KPIS = "radio_kpis.csv"
-_RAT = "rat_time.csv"
+_KPIS = "radio_kpis.npy"
+_RAT = "rat_time.npy"
 
 #: Small files whose SHA-256 payload digests are recorded in the
 #: manifest at save time and verified on load; the per-shard columnar
@@ -86,7 +91,7 @@ _RAT = "rat_time.csv"
 #: artifact).
 _DIGESTED_FILES = (_KPIS, _RAT, _CONFIG)
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _SUPPORTED_VERSIONS = {_FORMAT_VERSION}
 
 
@@ -115,9 +120,23 @@ def _replace_into_place(tmp: Path, final: Path) -> None:
     os.replace(tmp, final)
 
 
-def _atomic_csv(frame, final: Path) -> None:
+def _atomic_table(frame: Frame, final: Path) -> None:
+    """Write ``frame`` as one ``.npy`` structured array, a field per column."""
+    for name in frame.column_names:
+        if frame[name].dtype.hasobject:
+            raise TypeError(
+                f"column {name!r} of {final.name} has dtype object, which "
+                "the store cannot write without pickling"
+            )
+    table = np.empty(
+        len(frame),
+        dtype=[(name, frame[name].dtype) for name in frame.column_names],
+    )
+    for name in frame.column_names:
+        table[name] = frame[name]
     tmp = final.with_name(final.name + ".tmp")
-    write_csv(frame, tmp)
+    with open(tmp, "wb") as handle:
+        np.save(handle, table, allow_pickle=False)
     _replace_into_place(tmp, final)
 
 
@@ -240,8 +259,8 @@ def save_feeds(feeds: DataFeeds, directory: str | Path) -> Path:
         mobility = feeds.mobility
         shard_files, num_shards = _commit_mobility(feeds, path)
         event_files = _commit_events(feeds, path, num_shards)
-        _atomic_csv(feeds.radio_kpis, path / _KPIS)
-        _atomic_csv(feeds.rat_time, path / _RAT)
+        _atomic_table(feeds.radio_kpis, path / _KPIS)
+        _atomic_table(feeds.rat_time, path / _RAT)
         _atomic_pickle(feeds.config, path / _CONFIG)
 
         from repro.simulation.sharding import parallelism_of
@@ -417,7 +436,7 @@ def append_feeds(feeds: DataFeeds, chunk: DataFeeds, directory: str | Path) -> P
             )
 
         # 2. Full table rewrite under versioned names (tables are small
-        # and CSV floats round-trip exactly, so the combined file is
+        # and round-trip bit for bit, so the combined file is
         # byte-identical to a batch run's prefix + new rows).
         from repro.frames import concat
 
@@ -428,8 +447,8 @@ def append_feeds(feeds: DataFeeds, chunk: DataFeeds, directory: str | Path) -> P
         new_rat = _table_name(_RAT, new_days)
         combined_kpis = concat([feeds.radio_kpis, chunk.radio_kpis])
         combined_rat = concat([feeds.rat_time, chunk.rat_time])
-        _atomic_csv(combined_kpis, path / new_kpis)
-        _atomic_csv(combined_rat, path / new_rat)
+        _atomic_table(combined_kpis, path / new_kpis)
+        _atomic_table(combined_rat, path / new_rat)
 
         # 3. Digest map: drop the superseded tables, add the new files.
         digests = {
@@ -604,18 +623,35 @@ def _read_segments(path: Path, block: dict) -> list[tuple[int, int]] | None:
     return spans or None
 
 
-def _read_frame(path: Path, name: str):
+def _read_frame(path: Path, name: str) -> Frame:
     frame_path = path / name
     if not frame_path.exists():
         raise RunStoreError(
             f"saved run {path} is missing {frame_path}", path=frame_path
         )
     try:
-        return read_csv(frame_path)
-    except Exception as err:
+        with open(frame_path, "rb") as handle:
+            table = np.load(handle, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as err:
         raise RunStoreError(
             f"corrupt feed {frame_path}: {err}", path=frame_path
         ) from err
+    if (
+        not isinstance(table, np.ndarray)
+        or table.dtype.names is None
+        or table.ndim != 1
+    ):
+        raise RunStoreError(
+            f"corrupt feed {frame_path}: not a one-dimensional structured "
+            "array",
+            path=frame_path,
+        )
+    return Frame(
+        {
+            column: np.ascontiguousarray(table[column])
+            for column in table.dtype.names
+        }
+    )
 
 
 @telemetry.timed("load_feeds")

@@ -190,6 +190,31 @@ class TestPersistentGrid:
             "second_wave", 1
         ).digest
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_refused_store_version_rebuilds_the_cell(
+        self, cold, workdir, version
+    ):
+        result, _ = cold
+        fresh_report = result.report()
+        directory = result.cell("no_intervention", 1).directory
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = version
+        manifest_path.write_text(json.dumps(manifest))
+        clear_memo()
+        actions = []
+        again = run_grid(
+            micro_spec(workdir=workdir),
+            progress=lambda s, seed, action: actions.append(action),
+        )
+        assert actions == ["reused", "simulated", "reused"]
+        rebuilt = again.cell("no_intervention", 1)
+        assert not rebuilt.reused
+        assert json.loads(manifest_path.read_text())["format_version"] == 3
+        assert again.report() == fresh_report
+        # The rebuilt directory is one the store loads again.
+        assert api.Run.open(directory).days == rebuilt.run.days
+
     def test_compare_runs_over_cell_directories(self, cold):
         result, _ = cold
         directories = [

@@ -77,9 +77,10 @@ class TestRoundTrip:
         path = save_feeds(run_feeds, tmp_path / "m")
         assert (path / "manifest.json").exists()
         assert (path / "config.pkl").exists()
-        assert (path / "radio_kpis.csv").exists()
+        assert (path / "radio_kpis.npy").exists()
+        assert (path / "rat_time.npy").exists()
         manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert manifest["feeds"]["layout"] == "columnar"
         shards = manifest["feeds"]["num_shards"]
         assert shards >= 1
@@ -242,23 +243,23 @@ class TestPreciseErrors:
             load_feeds(saved)
 
     def test_missing_kpis(self, saved):
-        (saved / "radio_kpis.csv").unlink()
-        with pytest.raises(RunStoreError, match="radio_kpis.csv"):
+        (saved / "radio_kpis.npy").unlink()
+        with pytest.raises(RunStoreError, match="radio_kpis.npy"):
             load_feeds(saved)
 
     def test_error_carries_the_path(self, saved):
-        (saved / "rat_time.csv").unlink()
+        (saved / "rat_time.npy").unlink()
         with pytest.raises(RunStoreError) as excinfo:
             load_feeds(saved)
-        assert excinfo.value.path == saved / "rat_time.csv"
+        assert excinfo.value.path == saved / "rat_time.npy"
 
 
 class TestFeedDigests:
     """save_feeds records per-feed SHA-256; load_feeds verifies them."""
 
     FILES = (
-        "radio_kpis.csv",
-        "rat_time.csv",
+        "radio_kpis.npy",
+        "rat_time.npy",
         "config.pkl",
         "feeds/shard-0000/rows.npy",
         "feeds/shard-0000/user_ids.npy",
@@ -296,8 +297,8 @@ class TestFeedDigests:
     @pytest.mark.parametrize(
         "name",
         [
-            "radio_kpis.csv",
-            "rat_time.csv",
+            "radio_kpis.npy",
+            "rat_time.npy",
             "config.pkl",
             "feeds/shard-0000/daily_dwell.npy",
         ],
@@ -398,7 +399,8 @@ class TestAtomicPersistence:
 
 
 class TestFormatV1Compat:
-    """Runs saved by the pre-columnar store (mobility.npz) are refused."""
+    """Runs saved by earlier store formats are refused at the manifest:
+    version 1 (mobility.npz) and version 2 (CSV tables)."""
 
     @pytest.fixture
     def v1_dir(self, run_feeds, tmp_path):
@@ -431,7 +433,7 @@ class TestFormatV1Compat:
                 (path / name).read_bytes()
             ).hexdigest()
             for name in (
-                "radio_kpis.csv", "rat_time.csv", "config.pkl",
+                "radio_kpis.npy", "rat_time.npy", "config.pkl",
                 "mobility.npz",
             )
         }
@@ -445,3 +447,140 @@ class TestFormatV1Compat:
         ) as exc:
             load_feeds(v1_dir)
         assert exc.value.path == manifest
+
+    @pytest.fixture
+    def v2_dir(self, run_feeds, tmp_path):
+        import hashlib
+        import json
+
+        from repro.frames import write_csv
+
+        path = save_feeds(run_feeds, tmp_path / "v2")
+        # Rebuild the version-2 layout: the KPI and RAT tables as CSV.
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["format_version"] = 2
+        digests = manifest["feeds_sha256"]
+        for table in ("radio_kpis", "rat_time"):
+            (path / f"{table}.npy").unlink()
+            del digests[f"{table}.npy"]
+            write_csv(getattr(run_feeds, table), path / f"{table}.csv")
+            digests[f"{table}.csv"] = hashlib.sha256(
+                (path / f"{table}.csv").read_bytes()
+            ).hexdigest()
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        return path
+
+    def test_v2_run_is_refused_by_version(self, v2_dir):
+        manifest = v2_dir / "manifest.json"
+        with pytest.raises(
+            RunStoreError, match=r"version 2 in .*manifest\.json"
+        ) as exc:
+            load_feeds(v2_dir)
+        assert exc.value.path == manifest
+
+
+def _assert_same_table(back, saved):
+    """Same column names and order, dtype strings and bytes."""
+    assert back.column_names == saved.column_names
+    for name in saved.column_names:
+        assert back[name].dtype.str == saved[name].dtype.str, name
+        assert back[name].flags.c_contiguous, name
+        assert back[name].tobytes() == saved[name].tobytes(), name
+
+
+class TestTableCodec:
+    """The KPI and RAT tables load back exactly as they were saved."""
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_simulated_tables_round_trip(self, run_feeds, tmp_path, lazy):
+        path = save_feeds(run_feeds, tmp_path / "run")
+        back = load_feeds(path, lazy=lazy)
+        _assert_same_table(back.radio_kpis, run_feeds.radio_kpis)
+        _assert_same_table(back.rat_time, run_feeds.rat_time)
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_append_grown_tables_match_a_fresh_run(self, tmp_path, lazy):
+        import datetime as dt
+        import json
+
+        from repro import api
+        from repro.simulation.clock import StudyCalendar
+
+        config = SimulationConfig.tiny(seed=23).with_overrides(
+            num_users=96,
+            target_site_count=30,
+            calendar=StudyCalendar(
+                first_day=dt.date(2020, 2, 24), num_days=12
+            ),
+        )
+        grown = api.simulate(config, tmp_path / "grown", days=3)
+        grown.advance(2).advance(2)
+        fresh = api.simulate(config, tmp_path / "fresh", days=7)
+        tables = json.loads(
+            (tmp_path / "grown" / "manifest.json").read_text()
+        )["feeds"]["tables"]
+        assert tables == {
+            "radio_kpis": "radio_kpis.00007.npy",
+            "rat_time": "rat_time.00007.npy",
+        }
+        back = load_feeds(tmp_path / "grown", lazy=lazy)
+        _assert_same_table(back.radio_kpis, fresh.feeds.radio_kpis)
+        _assert_same_table(back.rat_time, fresh.feeds.rat_time)
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_all_nan_column_and_zero_row_table(
+        self, run_feeds, tmp_path, lazy
+    ):
+        import dataclasses
+
+        from repro.frames import Frame
+
+        columns = run_feeds.radio_kpis.to_dict()
+        columns["unmeasured"] = np.full(len(run_feeds.radio_kpis), np.nan)
+        rat = run_feeds.rat_time
+        odd = dataclasses.replace(
+            run_feeds,
+            radio_kpis=Frame(columns),
+            rat_time=rat.filter(np.zeros(len(rat), dtype=bool)),
+        )
+        path = save_feeds(odd, tmp_path / "odd")
+        back = load_feeds(path, lazy=lazy)
+        assert back.radio_kpis["unmeasured"].dtype.str == "<f8"
+        assert len(back.rat_time) == 0
+        _assert_same_table(back.radio_kpis, odd.radio_kpis)
+        _assert_same_table(back.rat_time, odd.rat_time)
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_structured"])
+    def test_corrupt_table_names_the_file(self, run_feeds, tmp_path, damage):
+        import json
+
+        path = save_feeds(run_feeds, tmp_path / "run")
+        # Without digests the damaged table reaches the reader itself.
+        manifest = json.loads((path / "manifest.json").read_text())
+        del manifest["feeds_sha256"]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        target = path / "rat_time.npy"
+        if damage == "truncated":
+            blob = target.read_bytes()
+            target.write_bytes(blob[: len(blob) // 2])
+        else:
+            with open(target, "wb") as handle:
+                np.save(handle, np.arange(4.0))
+        with pytest.raises(RunStoreError, match="rat_time.npy") as exc:
+            load_feeds(path)
+        assert exc.value.path == target
+
+    def test_object_column_is_refused_by_name(self, run_feeds, tmp_path):
+        import dataclasses
+
+        from repro.frames import Frame
+
+        columns = run_feeds.radio_kpis.to_dict()
+        columns["note"] = np.array(
+            [None] * len(run_feeds.radio_kpis), dtype=object
+        )
+        bad = dataclasses.replace(run_feeds, radio_kpis=Frame(columns))
+        with pytest.raises(TypeError, match="'note'"):
+            save_feeds(bad, tmp_path / "bad")
+        assert not list((tmp_path / "bad").glob("radio_kpis*"))
+        assert not (tmp_path / "bad" / "manifest.json").exists()

@@ -20,6 +20,11 @@ Three sizes share the machinery: a CI smoke at 30k agents, the full
 ``-m slow`` events run whose signalling partition dwarfs RAM budgets —
 its analyze phase streams day sessionization through windowed shard
 maps and must peak *below the event payload itself*.
+
+The smoke also simulates the same population over 28 and 56 days, each
+in its own subprocess: the engine streams (shard, window) tasks and
+writes the partition through the file, so simulate's peak RSS must not
+grow with the study length (gated at 1.10x from 28 to 56 days).
 Results land as JSON in ``benchmarks/results/scale.json``.
 
 Run with::
@@ -92,6 +97,13 @@ SIZES = {
     },
 }
 
+#: The simulate-only pair: the smoke population over two study lengths,
+#: and the most the longer one's peak RSS may exceed the shorter one's.
+DAYS_PAIR = {
+    "days": (28, 56),
+    "max_rss_growth": 1.10,
+}
+
 BENCH_SEED = 7
 
 
@@ -135,6 +147,24 @@ def _peak_rss_bytes() -> int:
     return int(usage.ru_maxrss) * 1024  # Linux reports KiB
 
 
+def _own_peak_rss_bytes() -> int:
+    """Peak RSS of this process image alone (Linux ``VmHWM``).
+
+    Linux carries the launching process's RSS into ``ru_maxrss`` at
+    ``exec``, so a phase started from a large pytest process never
+    reports less than its launcher; ``VmHWM`` starts afresh at
+    ``exec``.  Falls back to ``ru_maxrss`` where it is unavailable.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return _peak_rss_bytes()
+
+
 def _session_bytes(frame) -> bytes:
     import numpy as np
 
@@ -176,6 +206,7 @@ def _phase_simulate(rundir: Path, size: dict) -> dict:
         "feed_payload_bytes": payload,
         "event_payload_bytes": events,
         "peak_rss_bytes": _peak_rss_bytes(),
+        "own_peak_rss_bytes": _own_peak_rss_bytes(),
     }
 
 
@@ -357,6 +388,50 @@ def _bench(label: str, tmp_path: Path) -> None:
 
 def test_scale_smoke(tmp_path):
     _bench("smoke", tmp_path)
+
+
+def test_simulate_rss_flat_in_days(tmp_path):
+    short_days, long_days = DAYS_PAIR["days"]
+    smoke = SIZES["smoke"]
+    reports = {
+        days: _run_phase(
+            "simulate", tmp_path / f"run-{days}", {**smoke, "days": days}
+        )
+        for days in (short_days, long_days)
+    }
+    # The phase's own peak: under pytest, ru_maxrss would report the
+    # launching pytest process's RSS for both lengths.
+    growth = (
+        reports[long_days]["own_peak_rss_bytes"]
+        / reports[short_days]["own_peak_rss_bytes"]
+    )
+    _record(
+        "smoke_days",
+        {
+            "config": {
+                "users": smoke["users"],
+                "shards": smoke["shards"],
+                "days": list(DAYS_PAIR["days"]),
+            },
+            "simulate": {
+                str(days): report for days, report in reports.items()
+            },
+            "rss_growth_ratio": growth,
+            "max_rss_growth": DAYS_PAIR["max_rss_growth"],
+        },
+    )
+    print("\nScale benchmark [smoke_days]")
+    for days, report in reports.items():
+        print(
+            f"  simulate {smoke['users']} agents x {days} days: "
+            f"{report['simulate_seconds']:.1f}s, peak RSS "
+            f"{report['own_peak_rss_bytes'] / 2**20:.1f} MiB"
+        )
+    print(f"  peak RSS {long_days} / {short_days} days: {growth:.3f}")
+    assert growth <= DAYS_PAIR["max_rss_growth"], (
+        f"simulate peak RSS grew {growth:.2f}x from {short_days} to "
+        f"{long_days} days (budget {DAYS_PAIR['max_rss_growth']:g}x)"
+    )
 
 
 @pytest.mark.slow

@@ -481,10 +481,12 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
                 stream_dir=target,
             )
     except ShardExecutionError as err:
-        raise _CliError(
-            f"{err}\nresume with: python -m repro simulate --resume "
-            f"{target}"
-        ) from err
+        hint = (
+            f"\nresume with: python -m repro simulate --resume {target}"
+            if err.checkpointed
+            else ""
+        )
+        raise _CliError(f"{err}{hint}") from err
     except RunStoreError as err:
         raise _CliError(str(err)) from err
 

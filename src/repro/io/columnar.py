@@ -348,18 +348,55 @@ def _save_npy(path: Path, array: np.ndarray) -> None:
         np.save(handle, array)
 
 
-def _create_stack(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    """A float32 output array backed by ``path`` when it has any bytes.
+class _StackFile:
+    """One float32 ``(num_days, rows, anchors)`` ``.npy`` written by day.
 
-    Zero-size stacks (empty shards, zero-day calendars) cannot be
-    memory-mapped, so they are held in RAM (they are free) and written
-    by ``np.save`` at commit time.
+    Each day's rows go through the file at that day's offset rather
+    than into a writable map of the whole stack, so written days sit in
+    the page cache, not in the writer's resident memory.  Days never
+    written read back as zeros, as from a fresh map.
     """
-    if int(np.prod(shape)) == 0:
-        return np.zeros(shape, dtype=np.float32)
-    from numpy.lib.format import open_memmap
 
-    return open_memmap(path, mode="w+", dtype=np.float32, shape=shape)
+    def __init__(self, path: Path, shape: tuple[int, int, int]) -> None:
+        self.path = path
+        self.shape = tuple(int(size) for size in shape)
+        self._day_bytes = self.shape[1] * self.shape[2] * 4
+        self._handle = open(path, "wb+")
+        np.lib.format.write_array_header_1_0(
+            self._handle,
+            {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(np.float32)),
+                "fortran_order": False,
+                "shape": self.shape,
+            },
+        )
+        self._data_offset = self._handle.tell()
+        self._handle.truncate(
+            self._data_offset + self.shape[0] * self._day_bytes
+        )
+
+    def write(self, day: int, rows: np.ndarray) -> None:
+        block = np.ascontiguousarray(rows, dtype=np.float32)
+        # A stray write would land past the header's shape or in a
+        # neighbouring day; a map would have refused it.
+        if not 0 <= day < self.shape[0] or block.shape != self.shape[1:]:
+            raise ValueError(
+                f"cannot write a {block.shape} block as day {day} of the "
+                f"{self.shape} stack {self.path}"
+            )
+        self._handle.seek(self._data_offset + day * self._day_bytes)
+        self._handle.write(block.data)
+
+    def close(self) -> None:
+        self._handle.close()
+
+    def read_only(self) -> np.ndarray:
+        """The stack as written so far, mapped read-only."""
+        self._handle.flush()
+        if self._day_bytes * self.shape[0] == 0:
+            # Zero-size stacks cannot be mapped (and cost nothing).
+            return np.zeros(self.shape, dtype=np.float32)
+        return np.load(self.path, mmap_mode="r")
 
 
 class ColumnarWriter:
@@ -367,11 +404,14 @@ class ColumnarWriter:
 
     ``shard_indices`` follows the engine's convention: a list of
     population row-index arrays, or ``[None]`` for the serial
-    whole-population shard.  Dwell stacks stream straight into
-    ``*.npy.tmp`` memory maps as :meth:`write_day` is called;
-    :meth:`commit` flushes, writes the small identity columns, and
-    atomically renames everything into place.  Until commit, a crash
-    leaves only ``*.tmp`` files — a reader never half-accepts them.
+    whole-population shard.  Each :meth:`write_day` writes the day's
+    rows of every shard through its ``*.npy.tmp`` dwell files at that
+    day's offset (no writable map, so written days do not stay
+    resident); :meth:`finish` maps the tmp files read-only for the
+    feed view, and :meth:`commit` closes them, writes the small
+    identity columns, and atomically renames everything into place.
+    Until commit, a crash leaves only ``*.tmp`` files — a reader never
+    half-accepts them.
 
     With ``day_offset > 0`` the writer runs in *append* mode for a live
     run: it lands days ``[day_offset, day_offset + num_days)`` in a new
@@ -404,18 +444,18 @@ class ColumnarWriter:
         ]
         self._user_ids = user_ids
         self._anchor_sites = anchor_sites
-        self._daily: list[np.ndarray] = []
-        self._night: list[np.ndarray] = []
+        self._daily: list[_StackFile] = []
+        self._night: list[_StackFile] = []
         num_anchors = anchor_sites.shape[1]
         for index, rows in enumerate(self._rows):
             shard_dir = self.feeds_directory / shard_dir_name(index)
             shard_dir.mkdir(parents=True, exist_ok=True)
             shape = (self.num_days, rows.shape[0], num_anchors)
             self._daily.append(
-                _create_stack(self._tmp(index, "daily_dwell"), shape)
+                _StackFile(self._tmp(index, "daily_dwell"), shape)
             )
             self._night.append(
-                _create_stack(self._tmp(index, "night_dwell"), shape)
+                _StackFile(self._tmp(index, "night_dwell"), shape)
             )
 
     @property
@@ -443,8 +483,8 @@ class ColumnarWriter:
             self._rows, self._daily, self._night
         ):
             if rows.size:
-                daily_out[offset] = daily[rows]
-                night_out[offset] = night[rows]
+                daily_out.write(offset, daily[rows])
+                night_out.write(offset, night[rows])
 
     def write_all(self, mobility) -> None:
         """Stream every day of an existing feed through the writer."""
@@ -463,8 +503,8 @@ class ColumnarWriter:
                 rows=rows,
                 user_ids=self._user_ids[rows],
                 anchor_sites=self._anchor_sites[rows],
-                daily_dwell=daily,
-                night_dwell=night,
+                daily_dwell=daily.read_only(),
+                night_dwell=night.read_only(),
             )
             for index, (rows, daily, night) in enumerate(
                 zip(self._rows, self._daily, self._night)
@@ -497,15 +537,8 @@ class ColumnarWriter:
                         ("anchor_sites", self._anchor_sites[rows]),
                     ):
                         _save_npy(self._tmp(index, column), array)
-                for column, stack in (
-                    ("daily_dwell", self._daily[index]),
-                    ("night_dwell", self._night[index]),
-                ):
-                    tmp = self._tmp(index, column)
-                    if isinstance(stack, np.memmap):
-                        stack.flush()
-                    else:
-                        _save_npy(tmp, stack)
+                self._daily[index].close()
+                self._night[index].close()
                 for column in columns:
                     tmp = self._tmp(index, column)
                     os.replace(tmp, self._final(index, column))

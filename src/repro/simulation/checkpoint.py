@@ -31,9 +31,11 @@ Layout::
 
 Safety properties:
 
-- **atomic** — day files are written to a ``*.tmp`` name and
-  ``os.replace``d into place; a crash mid-write leaves no file under
-  the final name, so a partial day is recomputed, never trusted;
+- **atomic** — day files, ``config.pkl`` and ``state.json`` (last)
+  are written to a ``*.tmp`` name and ``os.replace``d into place; a
+  crash mid-write leaves no file under the final name, so a partial
+  day is recomputed, never trusted, and a torn ``attach`` leaves no
+  store at all;
 - **validated** — every day file embeds a SHA-256 over its payload
   arrays plus its (shard, day) identity; corruption or a misplaced
   file raises :class:`CheckpointError` naming the offending file;
@@ -61,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.io.store import RunStoreError
+from repro.io.store import RunStoreError, _atomic_pickle, _atomic_text
 from repro.simulation.sharding import ShardDayLoad, parallelism_of
 
 __all__ = ["CheckpointError", "CheckpointStore", "config_digest"]
@@ -165,8 +167,7 @@ class CheckpointStore:
             return store
         directory = Path(run_directory) / _SUBDIR
         directory.mkdir(parents=True, exist_ok=True)
-        with open(directory / _CONFIG, "wb") as handle:
-            pickle.dump(config, handle)
+        _atomic_pickle(config, directory / _CONFIG)
         state = {
             "format_version": FORMAT_VERSION,
             "config_digest": digest,
@@ -174,9 +175,9 @@ class CheckpointStore:
             "num_days": int(config.calendar.num_days),
             "num_users": int(config.num_users),
         }
-        (directory / _STATE).write_text(
-            json.dumps(state, indent=2), encoding="utf-8"
-        )
+        # Last: state.json is what present() looks for, so a crash
+        # before this replace leaves no store rather than a torn one.
+        _atomic_text(json.dumps(state, indent=2), directory / _STATE)
         return cls(run_directory, state)
 
     @classmethod

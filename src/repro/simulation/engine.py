@@ -23,15 +23,21 @@ The per-user part of the day loop (dwell assembly and the bincount
 scatters) is embarrassingly parallel across agents.  When the
 configuration's ``parallelism`` block asks for it, the engine
 partitions the population into ``num_shards`` deterministic shards
-(:mod:`repro.simulation.sharding`), runs the shard day loops — in
-process for ``workers=1``, on a ``ProcessPoolExecutor`` otherwise —
-and reduces the shard payloads back into the exact arrays the serial
-loop produces.  Everything with global coupling (the voice
-interconnect, the load proxy, the per-cell scheduler, the daily-median
-KPI reduction, the nighttime-observability dropout) runs in the
-coordinator on the merged accumulators, so KPIs are exact rather than
-approximated.  See :mod:`repro.simulation.sharding` for the
-bitwise-vs-allclose determinism contract.
+(:mod:`repro.simulation.sharding`) and reduces the shard payloads back
+into the exact arrays the serial loop produces.  The work unit is one
+(shard, window) task: one shard over :data:`WINDOW_DAYS` consecutive
+days.  The coordinator keeps tasks submitted at most
+:data:`LOOKAHEAD_WINDOWS` windows ahead of the window it is reducing,
+on one ``ProcessPoolExecutor`` per run (in process, in submission
+order, for one shard or ``workers=1``), takes each day's loads in
+shard order and drops them once merged.  Its memory is therefore
+bounded by a few windows per shard, not by the study length.
+Everything with global coupling (the voice interconnect, the load
+proxy, the per-cell scheduler, the daily-median KPI reduction, the
+nighttime-observability dropout) runs in the coordinator on the merged
+accumulators, so KPIs are exact rather than approximated.  See
+:mod:`repro.simulation.sharding` for the bitwise-vs-allclose
+determinism contract.
 
 Fault tolerance
 ---------------
@@ -42,23 +48,26 @@ persisted through :mod:`repro.simulation.checkpoint` as it is produced;
 an interrupted run restarted over the same directory
 (:meth:`Simulator.resume`, CLI ``simulate --resume``) restores the
 completed days and computes only the missing ones, bitwise-identical
-to an uninterrupted run.  Failed shards are retried with capped
-exponential backoff (the configuration's ``recovery`` block), a broken
-process pool degrades to in-process execution instead of aborting, and
-a shard that keeps failing raises
-:class:`~repro.simulation.faults.ShardExecutionError` with its
-completed days already checkpointed.  All of it is testable through
-the deterministic fault plan of :mod:`repro.simulation.faults`.
+to an uninterrupted run.  Failed (shard, window) tasks are retried
+with capped exponential backoff (the configuration's ``recovery``
+block), a broken process pool degrades to in-process execution
+instead of aborting (windows the pool finished are kept), and a task
+that keeps failing raises
+:class:`~repro.simulation.faults.ShardExecutionError` — with its
+completed days already checkpointed when a store is attached — after
+cancelling the tasks that have not started.  All of it is testable
+through the deterministic fault plan of :mod:`repro.simulation.faults`.
 
 Observability
 -------------
 With :mod:`repro.telemetry` enabled, a run records a ``simulate`` span
-tree — world build, run-context derivation, shard execution (with
-per-shard dwell-assembly and scatter spans, merged across the process
-pool), the per-day reductions (shard merge, voice interconnect,
-scheduler, signalling) and the final KPI reduction — and attaches the
-snapshot to ``feeds.telemetry``.  Recovery events land in counters:
-``engine.shard_retries``, ``engine.pool_degradations``,
+tree — world build, run-context derivation, shard execution (the
+coordinator's wait for each window, with one ``shard`` span per
+(shard, window) task and its dwell-assembly and scatter spans, merged
+across the process pool), the per-day reductions (shard merge, voice
+interconnect, scheduler, signalling) and the final KPI reduction — and
+attaches the snapshot to ``feeds.telemetry``.  Recovery events land in
+counters: ``engine.shard_retries``, ``engine.pool_degradations``,
 ``engine.checkpoint_days_saved`` / ``_restored`` and
 ``engine.faults_injected``.  Telemetry never influences results: every
 span is a pure timer around unchanged code, and a disabled run pays
@@ -68,10 +77,12 @@ one ``None`` check per instrumented site.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-
-from dataclasses import dataclass
 
 from repro import telemetry
 from repro.frames import Frame
@@ -120,7 +131,21 @@ from repro.traffic.profiles import (
 )
 from repro.traffic.voice import VoiceModel
 
-__all__ = ["Simulator", "World", "build_world"]
+__all__ = [
+    "LOOKAHEAD_WINDOWS",
+    "WINDOW_DAYS",
+    "Simulator",
+    "World",
+    "build_world",
+]
+
+#: Study days per shard task: a shard runs its part of the day loop one
+#: window at a time, so its loads reach the coordinator in pieces.
+WINDOW_DAYS = 7
+#: Windows of tasks kept submitted ahead of the window being reduced —
+#: enough to keep a pool busy while the coordinator merges, and the
+#: bound (1 + LOOKAHEAD_WINDOWS windows per shard) on what it holds.
+LOOKAHEAD_WINDOWS = 2
 
 # Anchors at which the user is "at home" (WiFi available): the home
 # tower and the relocation residence.
@@ -272,7 +297,7 @@ def _compute_shard(
     day_start: int = 0,
     day_stop: int | None = None,
 ) -> ShardResult:
-    """Run the per-user part of the day loop for one shard.
+    """Run the per-user part of the day loop for one (shard, window) task.
 
     ``indices`` selects the shard's rows of the agent population
     (``None`` = all users, the serial path).  Everything here is either
@@ -280,12 +305,11 @@ def _compute_shard(
     partition) or a ``np.bincount`` scatter onto sites (reduced across
     shards by summation).
 
-    ``day_start``/``day_stop`` restrict the loop to a window of
-    absolute day indices (the live-run advance path).  Each shard-day
-    is a pure function of the configuration and its absolute day, so a
-    windowed run computes exactly the bytes the full run would for
-    those days; ``ShardResult.days`` is indexed relative to
-    ``day_start``.
+    ``day_start``/``day_stop`` are the window's absolute day indices.
+    Each shard-day is a pure function of the configuration and its
+    absolute day, so any split of a run into windows computes exactly
+    the bytes of one whole-run loop; ``ShardResult.days`` is indexed
+    relative to ``day_start``.
 
     With a ``checkpoint`` store attached, days already persisted for
     ``shard_index`` are restored instead of recomputed (bitwise
@@ -295,11 +319,12 @@ def _compute_shard(
     fault-injection hook; ``attempt`` is the retry ordinal the
     ``flaky`` fault counts against.
 
-    Telemetry: the whole loop runs under a ``shard`` span (counting the
-    shard's users and days), with the dwell assembly and the bincount
-    scatters timed per day.  Summed across shards, the counters equal
-    the serial run's — the merge contract telemetry shares with the
-    data itself.
+    Telemetry: the window runs under a ``shard`` span (counting the
+    shard's users and the window's days), with the dwell assembly and
+    the bincount scatters timed per day.  Summed over a run's tasks,
+    ``users`` and ``dwell_cells`` equal the serial run's and ``days`` is
+    the shard count times the window days — the merge contract
+    telemetry shares with the data itself.
     """
     world = context.world
     config = world.config
@@ -516,25 +541,21 @@ def _compute_shard_day(
     return load
 
 
-# -- process-pool plumbing --------------------------------------------------
-# Workers rebuild the (deterministic) world once per process via the
-# pool initializer, then serve any number of shards from it.  When the
-# coordinator has telemetry enabled, each worker records into its own
-# recorder and ships a snapshot back on every ShardResult; the recorder
-# is reset at the start of every task, so partial telemetry from a
-# failed attempt is discarded instead of riding home on whichever shard
-# that worker happens to complete next (scheduling-dependent).  Fault
-# injections are therefore counted by the coordinator when the failure
-# comes back, never by the worker.
+# -- (shard, window) tasks --------------------------------------------------
+# Pool workers rebuild the (deterministic) world once per process via
+# the pool initializer, then serve any number of tasks from it.  When
+# the coordinator has telemetry enabled, each worker records into its
+# own recorder and ships a snapshot back on every ShardResult; the
+# recorder is reset at the start of every task, so partial telemetry
+# from a failed attempt is discarded instead of riding home on whichever
+# task that worker happens to complete next (scheduling-dependent).
+# Fault injections are therefore counted by the coordinator when the
+# failure comes back, never where the task ran.
 _WORKER_CONTEXT: _RunContext | None = None
 
 #: Sleep used between retry attempts; module-level so recovery tests
 #: can monkeypatch it with a fake clock.
 _RETRY_SLEEP = time.sleep
-
-
-class _PoolLost(Exception):
-    """Internal: the process pool died or never started — degrade."""
 
 
 def _pool_init(
@@ -547,7 +568,7 @@ def _pool_init(
 
 
 def _pool_compute(task: tuple) -> ShardResult:  # pragma: no cover
-    """Run one shard task in a pool worker.
+    """Run one (shard, window) task in a pool worker.
 
     ``task`` is ``(shard_index, indices, attempt, run_directory,
     day_start, day_stop)`` — plain picklable pieces; the worker reopens
@@ -579,6 +600,195 @@ def _pool_compute(task: tuple) -> ShardResult:  # pragma: no cover
         result.telemetry = recorder.snapshot()
         recorder.reset()
     return result
+
+
+class _InProcess:
+    """A task the coordinator runs itself when its result is read.
+
+    Stands in for a pool future, so in-process tasks run in submission
+    order but only once the coordinator reaches them: without a pool,
+    look-ahead would buy no parallelism, only memory.
+    """
+
+    __slots__ = ("result",)
+
+    def __init__(self, run) -> None:
+        self.result = run
+
+
+class _ShardWindows:
+    """One run's stream of (shard, window) tasks, reduced in day order.
+
+    The run's days split into windows of :data:`WINDOW_DAYS`; each
+    window has one task per shard.  :meth:`day` hands over a day's
+    shard loads in shard order, exactly once.  Entering a window first
+    tops the submissions up to :data:`LOOKAHEAD_WINDOWS` windows ahead,
+    then collects the window's tasks — both under the
+    ``shard_execution`` span, so that span is the coordinator's wait for
+    shard windows.
+
+    Tasks run on one ``ProcessPoolExecutor`` for the whole run when the
+    parallelism block asks for workers, in process otherwise.  A failed
+    task is resubmitted with capped exponential backoff until its retry
+    budget runs out (then :class:`~repro.simulation.faults.
+    ShardExecutionError`); a :class:`~repro.simulation.checkpoint.
+    CheckpointError` is never retried; a pool that cannot start or
+    breaks degrades to in process, keeping the tasks it finished.
+    Leaving the ``with`` block cancels the tasks that have not started
+    and waits for the running ones, so no worker writes checkpoints
+    after the run returns or raises.
+    """
+
+    def __init__(
+        self,
+        config: SimulationConfig,
+        context: _RunContext,
+        shard_indices: list[np.ndarray | None],
+        checkpoint: CheckpointStore | None,
+        *,
+        day_start: int,
+        day_stop: int,
+    ) -> None:
+        self._context = context
+        self._shard_indices = shard_indices
+        self._checkpoint = checkpoint
+        self._run_directory = (
+            None if checkpoint is None else str(checkpoint.run_directory)
+        )
+        self._faults = FaultPlan.active(config)
+        self._recovery = recovery_of(config)
+        self._day_start = day_start
+        self._windows = [
+            (start, min(start + WINDOW_DAYS, day_stop))
+            for start in range(day_start, day_stop, WINDOW_DAYS)
+        ]
+        self._submitted = 0
+        # (window, shard) -> (future, attempt) of every task not yet
+        # collected.
+        self._tasks: dict[tuple[int, int], tuple] = {}
+        self._current: list[ShardResult] = []
+        self._pool = None
+        parallelism = parallelism_of(config)
+        if parallelism.uses_pool:
+            try:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=min(parallelism.workers, len(shard_indices)),
+                    initializer=_pool_init,
+                    initargs=(config, telemetry.enabled()),
+                )
+            except (OSError, ValueError, RuntimeError, ImportError):
+                # No usable process pool (sandboxed platform, missing
+                # semaphores, ...): in process gives identical results.
+                telemetry.count("engine.pool_degradations")
+
+    def __enter__(self) -> "_ShardWindows":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._tasks.clear()
+        self._current = []
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
+    def day(self, day: int) -> list[ShardDayLoad]:
+        """``day``'s shard loads in shard order, handed over once."""
+        window, offset = divmod(day - self._day_start, WINDOW_DAYS)
+        if offset == 0:
+            with telemetry.span("shard_execution") as span:
+                last = min(window + LOOKAHEAD_WINDOWS, len(self._windows) - 1)
+                while self._submitted <= last:
+                    for shard in range(len(self._shard_indices)):
+                        self._tasks[(self._submitted, shard)] = (
+                            self._submit(self._submitted, shard, 0), 0
+                        )
+                    self._submitted += 1
+                self._current = [
+                    self._collect(window, shard, span.path)
+                    for shard in range(len(self._shard_indices))
+                ]
+        loads = []
+        for result in self._current:
+            loads.append(result.days[offset])
+            result.days[offset] = None
+        return loads
+
+    def _submit(self, window: int, shard: int, attempt: int):
+        day_start, day_stop = self._windows[window]
+        indices = self._shard_indices[shard]
+        if self._pool is not None:
+            try:
+                return self._pool.submit(
+                    _pool_compute,
+                    (shard, indices, attempt, self._run_directory,
+                     day_start, day_stop),
+                )
+            except (OSError, ValueError, RuntimeError):
+                # The pool itself is unusable (lost its semaphores,
+                # broke between tasks, ...) — not a task failure.
+                self._degrade()
+        return _InProcess(
+            partial(
+                _compute_shard, self._context, indices,
+                shard_index=shard,
+                checkpoint=self._checkpoint,
+                faults=self._faults,
+                attempt=attempt,
+                day_start=day_start,
+                day_stop=day_stop,
+            )
+        )
+
+    def _degrade(self) -> None:
+        """Rerun in process every task the pool did not finish."""
+        telemetry.count("engine.pool_degradations")
+        pool, self._pool = self._pool, None
+        pool.shutdown(wait=True, cancel_futures=True)
+        for key, (future, attempt) in self._tasks.items():
+            if (
+                not future.done()
+                or future.cancelled()
+                or future.exception() is not None
+            ):
+                self._tasks[key] = (self._submit(*key, attempt), attempt)
+
+    def _collect(self, window: int, shard: int, prefix) -> ShardResult:
+        key = (window, shard)
+        while True:
+            future, attempt = self._tasks[key]
+            try:
+                result = future.result()
+            except BrokenProcessPool:
+                # A worker died (OOM kill, hard crash): degrade to the
+                # in-process path, which produces identical results.
+                self._degrade()
+                continue
+            except CheckpointError:
+                # A corrupt checkpoint never heals by retrying; surface
+                # the precise file immediately.
+                raise
+            except Exception as err:
+                if isinstance(err, InjectedFault):
+                    telemetry.count("engine.faults_injected")
+                if attempt >= self._recovery.max_retries:
+                    raise ShardExecutionError(
+                        shard,
+                        attempt + 1,
+                        checkpointed=self._checkpoint is not None,
+                    ) from err
+                telemetry.count("engine.shard_retries")
+                _RETRY_SLEEP(self._recovery.delay(attempt))
+                self._tasks[key] = (
+                    self._submit(window, shard, attempt + 1), attempt + 1
+                )
+                continue
+            del self._tasks[key]
+            # Pool workers record into their own process; their
+            # snapshots merge under the span that waited for them.
+            # (In-process tasks recorded into the active recorder.)
+            if result.telemetry is not None:
+                telemetry.absorb(result.telemetry, prefix=prefix)
+            return result
 
 
 class Simulator:
@@ -645,10 +855,10 @@ class Simulator:
 
         ``stream_dir``, if given, lands each merged day of the mobility
         feed directly in that run directory's columnar partition
-        (:mod:`repro.io.columnar`) instead of accumulating the full
-        dwell stacks in RAM — shard payloads are released as they are
-        consumed, so peak memory no longer scales with
-        ``num_users × num_days``.  The returned bundle's ``mobility``
+        (:mod:`repro.io.columnar`, written through the files) instead
+        of accumulating the full dwell stacks in RAM; with shard loads
+        dropped once merged, peak memory then no longer grows with
+        ``num_days``.  The returned bundle's ``mobility``
         is a lazily assembled view over the (uncommitted) partition;
         :func:`repro.io.save_feeds` to the same directory commits it
         in place without rewriting.  Identical bytes and results to
@@ -700,209 +910,34 @@ class Simulator:
                     )
                 )
             run_span.add("shards", len(shard_indices))
-            with telemetry.span("shard_execution") as shard_span:
-                results = self._execute_shards(
-                    context, shard_indices, parallelism, checkpoint,
-                    day_start=day_start, day_stop=day_stop,
+            with _ShardWindows(
+                config, context, shard_indices, checkpoint,
+                day_start=day_start, day_stop=day_stop,
+            ) as shard_windows:
+                feeds = self._assemble_feeds(
+                    context, shard_indices, shard_windows, progress,
+                    stream_dir=stream_dir,
+                    day_start=day_start, day_stop=day_stop, live=live,
                 )
-            # Pool workers record into their own process; their
-            # snapshots ride home on the ShardResult and merge under
-            # the span that dispatched them.  (In-process shards
-            # recorded straight into the active recorder instead.)
-            for result in results:
-                if result.telemetry is not None:
-                    telemetry.absorb(
-                        result.telemetry, prefix=shard_span.path
-                    )
-            feeds = self._assemble_feeds(
-                context, shard_indices, results, progress,
-                stream_dir=stream_dir,
-                day_start=day_start, day_stop=day_stop, live=live,
-            )
         if telemetry.enabled():
             feeds.telemetry = telemetry.snapshot()
         return feeds
-
-    # -- shard execution ---------------------------------------------------
-    def _execute_shards(
-        self,
-        context: _RunContext,
-        shard_indices: list[np.ndarray | None],
-        parallelism,
-        checkpoint: CheckpointStore | None = None,
-        *,
-        day_start: int = 0,
-        day_stop: int | None = None,
-    ) -> list[ShardResult]:
-        """Run every shard, surviving worker failures.
-
-        Transient failures are retried with the configuration's capped
-        exponential backoff (in the pool and in process alike).  A pool
-        that dies — or never starts on a sandboxed platform — degrades
-        to the in-process path, which produces identical results;
-        shards the pool already finished are kept.  A shard that fails
-        beyond its retry budget raises
-        :class:`~repro.simulation.faults.ShardExecutionError`; with a
-        checkpoint store attached its completed days survive for
-        ``--resume``.
-        """
-        recovery = recovery_of(self._config)
-        faults = FaultPlan.active(self._config)
-        results: dict[int, ShardResult] = {}
-        if parallelism.uses_pool and len(shard_indices) > 1:
-            try:
-                self._execute_pool(
-                    shard_indices, results, parallelism, recovery,
-                    checkpoint, day_start=day_start, day_stop=day_stop,
-                )
-            except _PoolLost:
-                # No usable process pool (sandboxed platform, missing
-                # semaphores, a worker hard-crashed, ...): degrade to
-                # the in-process path, which produces identical
-                # results.
-                telemetry.count("engine.pool_degradations")
-        for shard_index, indices in enumerate(shard_indices):
-            if shard_index in results:
-                continue
-            results[shard_index] = self._compute_with_retries(
-                context, shard_index, indices, recovery, checkpoint,
-                faults, day_start=day_start, day_stop=day_stop,
-            )
-        return [results[index] for index in range(len(shard_indices))]
-
-    def _compute_with_retries(
-        self,
-        context: _RunContext,
-        shard_index: int,
-        indices: np.ndarray | None,
-        recovery,
-        checkpoint: CheckpointStore | None,
-        faults: FaultPlan | None,
-        *,
-        day_start: int = 0,
-        day_stop: int | None = None,
-    ) -> ShardResult:
-        attempt = 0
-        while True:
-            try:
-                return _compute_shard(
-                    context, indices,
-                    shard_index=shard_index,
-                    checkpoint=checkpoint,
-                    faults=faults,
-                    attempt=attempt,
-                    day_start=day_start,
-                    day_stop=day_stop,
-                )
-            except CheckpointError:
-                # A corrupt checkpoint never heals by retrying; surface
-                # the precise file immediately.
-                raise
-            except Exception as err:
-                if attempt >= recovery.max_retries:
-                    raise ShardExecutionError(
-                        shard_index, attempt + 1
-                    ) from err
-                telemetry.count("engine.shard_retries")
-                _RETRY_SLEEP(recovery.delay(attempt))
-                attempt += 1
-
-    def _execute_pool(
-        self,
-        shard_indices: list[np.ndarray | None],
-        results: dict[int, ShardResult],
-        parallelism,
-        recovery,
-        checkpoint: CheckpointStore | None,
-        *,
-        day_start: int = 0,
-        day_stop: int | None = None,
-    ) -> None:
-        """Fan shard tasks over a process pool, retrying failed ones.
-
-        Fills ``results`` in place so shards finished before a pool
-        loss are kept by the degraded path.  Raises :class:`_PoolLost`
-        when the pool cannot be created or breaks mid-run.
-        """
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        run_directory = (
-            None if checkpoint is None else str(checkpoint.run_directory)
-        )
-        workers = min(parallelism.workers, len(shard_indices))
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pool_init,
-                initargs=(self._config, telemetry.enabled()),
-            ) as pool:
-                tasks = {
-                    pool.submit(
-                        _pool_compute,
-                        (index, indices, 0, run_directory,
-                         day_start, day_stop),
-                    ): (index, indices, 0)
-                    for index, indices in enumerate(shard_indices)
-                }
-                while tasks:
-                    done, _ = wait(
-                        set(tasks), return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        index, indices, attempt = tasks.pop(future)
-                        try:
-                            results[index] = future.result()
-                        except BrokenProcessPool as err:
-                            raise _PoolLost from err
-                        except CheckpointError:
-                            raise
-                        except Exception as err:
-                            # The worker that raised discards its
-                            # partial telemetry, so account for the
-                            # injection here, where the failure lands.
-                            if isinstance(err, InjectedFault):
-                                telemetry.count("engine.faults_injected")
-                            if attempt >= recovery.max_retries:
-                                raise ShardExecutionError(
-                                    index, attempt + 1
-                                ) from err
-                            telemetry.count("engine.shard_retries")
-                            _RETRY_SLEEP(recovery.delay(attempt))
-                            retry = (index, indices, attempt + 1)
-                            tasks[
-                                pool.submit(
-                                    _pool_compute,
-                                    (*retry, run_directory,
-                                     day_start, day_stop),
-                                )
-                            ] = retry
-        except (_PoolLost, ShardExecutionError, CheckpointError):
-            raise
-        except (OSError, ValueError, RuntimeError, ImportError) as err:
-            # The pool itself is unusable (could not start, lost its
-            # semaphores, ...) — not a task failure.
-            raise _PoolLost from err
 
     # -- merge + global stages ---------------------------------------------
     def _assemble_feeds(
         self,
         context: _RunContext,
         shard_indices: list[np.ndarray | None],
-        results: list[ShardResult],
+        shard_windows: _ShardWindows,
         progress,
-        stream_dir=None,
-        day_start: int = 0,
-        day_stop: int | None = None,
-        live=None,
+        stream_dir,
+        day_start: int,
+        day_stop: int,
+        live,
     ) -> DataFeeds:
         config = self._config
         world = context.world
         calendar = config.calendar
-        if day_stop is None:
-            day_stop = int(calendar.num_days)
         geography = world.geography
         topology = world.topology
         agents = world.agents
@@ -1056,12 +1091,12 @@ class Simulator:
 
         for day in range(day_start, day_stop):
             date = calendar.date_of(day)
+            loads = shard_windows.day(day)
             with telemetry.span("merge_shards"):
                 merged: MergedDay = merge_day_loads(
-                    num_users,
-                    shard_indices,
-                    [result.days[day - day_start] for result in results],
+                    num_users, shard_indices, loads
                 )
+            del loads
             # Nighttime observability: phones that stay idle all night
             # produce no signalling, so the probes cannot place them.
             night = merged.night_dwell
@@ -1072,10 +1107,6 @@ class Simulator:
             night[unobserved] = 0.0
             if stream_writer is not None:
                 stream_writer.write_day(day, merged.daily_dwell, night)
-                # Consumed shard payloads are released day by day so
-                # peak memory stays bounded by one day's arrays.
-                for result in results:
-                    result.days[day - day_start] = None
             else:
                 mobility.daily_dwell.append(merged.daily_dwell)
                 mobility.night_dwell.append(night)

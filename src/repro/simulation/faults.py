@@ -9,9 +9,9 @@ engine's answer to all of them:
   failed shard is retried and the capped exponential backoff between
   attempts (``delay(attempt) = min(base * 2**attempt, cap)``);
 - :class:`ShardExecutionError` — raised by the engine when a shard
-  exhausts its retries; the message points at ``--resume`` because
-  every completed day is already checkpointed
-  (:mod:`repro.simulation.checkpoint`);
+  task exhausts its retries; when a checkpoint store is attached the
+  message points at ``--resume``, because every completed day is
+  already checkpointed (:mod:`repro.simulation.checkpoint`);
 - :class:`FaultPlan` — a deterministic fault-injection hook, parsed
   from ``SimulationConfig.fault_spec`` or the ``REPRO_FAULTS``
   environment variable, that makes every recovery path testable in CI
@@ -73,19 +73,32 @@ class InjectedFault(Exception):
 class ShardExecutionError(Exception):
     """A shard kept failing after every configured retry.
 
-    Carries the shard index and attempt count; the original failure is
-    chained as ``__cause__``.  Completed days survive in the checkpoint
-    store, so the run can be completed with ``--resume``.
+    Carries the shard index, the attempt count and whether a checkpoint
+    store was attached; the original failure is chained as
+    ``__cause__``.  With a store, completed days survive in it and the
+    run can be completed with ``--resume``; without one nothing was
+    saved, and the message says so instead.
     """
 
-    def __init__(self, shard: int, attempts: int) -> None:
+    def __init__(
+        self, shard: int, attempts: int, *, checkpointed: bool
+    ) -> None:
+        if checkpointed:
+            advice = (
+                "completed days are checkpointed — finish the run with "
+                "'python -m repro simulate --resume <run-dir>'"
+            )
+        else:
+            advice = (
+                "no checkpoint store was attached, so no day was saved "
+                "— rerun it from the start"
+            )
         super().__init__(
-            f"shard {shard} failed after {attempts} attempt(s); "
-            "completed days are checkpointed — finish the run with "
-            "'python -m repro simulate --resume <run-dir>'"
+            f"shard {shard} failed after {attempts} attempt(s); {advice}"
         )
         self.shard = shard
         self.attempts = attempts
+        self.checkpointed = checkpointed
 
 
 @dataclass(frozen=True)
@@ -219,9 +232,7 @@ class FaultPlan:
             if rule.action == "kill" or (
                 rule.action == "flaky" and attempt < rule.times
             ):
-                from repro import telemetry
-
-                telemetry.count("engine.faults_injected")
+                # Counted by the engine where the failure lands.
                 raise InjectedFault(
                     f"injected {rule.action} fault: shard {shard}, "
                     f"day {day}, attempt {attempt}"

@@ -14,7 +14,7 @@ This module owns everything that makes that decomposition safe:
 - :func:`shard_seed_sequences` — per-shard ``SeedSequence.spawn``
   streams for shard-local scratch randomness;
 - :class:`ShardDayLoad` / :class:`ShardResult` — the per-day
-  accumulators a shard worker ships back to the coordinator;
+  accumulators one (shard, window) task ships back to the coordinator;
 - :func:`merge_day_loads` — the associative reduction that combines
   shard payloads into the exact arrays the serial engine produces.
 
@@ -182,17 +182,23 @@ class ShardDayLoad:
 
 @dataclass
 class ShardResult:
-    """Everything one shard produced: its row indices and its days.
+    """What one (shard, window) task produced.
+
+    ``indices`` are the shard's population rows; ``days`` holds one
+    :class:`ShardDayLoad` per day of the window, indexed from the
+    window's first day.  The coordinator hands each day over to the
+    merge exactly once and sets its slot to ``None``, so a day's loads
+    are dropped once merged.
 
     ``telemetry`` carries a :mod:`repro.telemetry` snapshot when the
-    shard ran in a pool worker with telemetry enabled — the plain-dict
+    task ran in a pool worker with telemetry enabled — the plain-dict
     form crosses the process boundary and is absorbed into the
-    coordinator's recorder (in-process shards record directly and leave
+    coordinator's recorder (in-process tasks record directly and leave
     it ``None``).
     """
 
     indices: np.ndarray | None  # None = the whole population
-    days: list[ShardDayLoad] = field(default_factory=list)
+    days: list[ShardDayLoad | None] = field(default_factory=list)
     telemetry: dict | None = None
 
 

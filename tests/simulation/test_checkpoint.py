@@ -10,10 +10,12 @@ offending file, and partial writes (the ``.tmp`` of a crashed
 """
 
 import datetime as dt
+import pathlib
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.simulation.checkpoint import (
     CheckpointError,
     CheckpointStore,
@@ -23,6 +25,8 @@ from repro.simulation.clock import StudyCalendar
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import _compute_shard, _RunContext, build_world
 from repro.simulation.faults import RecoverySettings, corrupt_file
+
+from tests.simulation.harness import assert_feeds_equivalent
 
 _CALENDAR = StudyCalendar(first_day=dt.date(2020, 2, 24), num_days=7)
 
@@ -128,6 +132,31 @@ class TestRejection:
         assert store.completed_days(0) == []
         store.save_day(0, 0, days[0])
         assert store.load_day(0, 0) is not None
+
+    def test_torn_state_write_leaves_no_store(self, tmp_path, monkeypatch):
+        # A crash halfway through writing state.json must not leave a
+        # store that present() reports and open() cannot read: the
+        # directory has to stay usable for a fresh simulate.
+        config = _config()
+        write_text = pathlib.Path.write_text
+
+        def crash_halfway(path, text, *args, **kwargs):
+            if path.name.startswith("state.json"):
+                write_text(path, text[: len(text) // 2], *args, **kwargs)
+                raise OSError("simulated crash mid-write")
+            return write_text(path, text, *args, **kwargs)
+
+        rundir = tmp_path / "run"
+        monkeypatch.setattr(pathlib.Path, "write_text", crash_halfway)
+        with pytest.raises(OSError, match="mid-write"):
+            api.simulate(config, rundir)
+        monkeypatch.undo()
+        assert not CheckpointStore.present(rundir)
+
+        run = api.simulate(config, rundir)
+        assert_feeds_equivalent(
+            api.simulate(config).feeds, run.feeds, bitwise=True
+        )
 
     def test_foreign_config_rejected(self, day_loads, tmp_path):
         config, _ = day_loads

@@ -20,6 +20,7 @@ import pytest
 
 from repro.simulation.clock import StudyCalendar
 from repro.simulation.config import SimulationConfig
+from repro.simulation.engine import build_world
 from repro.simulation.sharding import (
     ParallelismSettings,
     shard_seed_sequences,
@@ -82,6 +83,26 @@ class TestSerialEquivalence:
         assert_feeds_equivalent(
             _run(2, workers=1), _run(2, workers=2), bitwise=True
         )
+        # 10 days end in a partial (shard, window) task; 28 do not.
+        short = _CONFIG.with_overrides(
+            calendar=StudyCalendar(
+                first_day=_CALENDAR.first_day, num_days=10
+            )
+        )
+        in_process = run_config(short.with_parallelism(2, workers=1))
+        pooled = run_config(short.with_parallelism(2, workers=2))
+        assert in_process.mobility.num_days == 10
+        assert np.array_equal(
+            np.unique(in_process.radio_kpis["day"]), np.arange(10)
+        )
+        # The partial window's days hold their own days' dwell.
+        trajectories = build_world(short).trajectories
+        for day in (7, 9):
+            assert np.array_equal(
+                in_process.mobility.daily_dwell[day],
+                trajectories.day_dwell(day).daily_dwell().astype(np.float32),
+            )
+        assert_feeds_equivalent(in_process, pooled, bitwise=True)
 
 
 class TestShardPartition:

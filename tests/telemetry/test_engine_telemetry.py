@@ -9,6 +9,7 @@ a disabled run records nothing.
 
 import datetime as dt
 import json
+import math
 
 import pytest
 
@@ -16,9 +17,11 @@ from repro import telemetry
 from repro.io import load_feeds, save_feeds
 from repro.simulation.clock import StudyCalendar
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import WINDOW_DAYS, Simulator
 
 _CALENDAR = StudyCalendar(first_day=dt.date(2020, 2, 24), num_days=14)
+#: Each shard runs the study as this many (shard, window) tasks.
+_WINDOWS = math.ceil(_CALENDAR.num_days / WINDOW_DAYS)
 _CONFIG = SimulationConfig(
     num_users=240,
     target_site_count=40,
@@ -47,9 +50,12 @@ def test_shard_spans_merge_to_serial_totals(shards):
         _CONFIG.with_parallelism(shards)
     ).telemetry
 
+    # The coordinator waits once per window, directly under simulate;
+    # each (shard, window) task is one shard span.
+    assert sharded["spans"]["simulate/shard_execution"]["calls"] == _WINDOWS
     shard_path = "simulate/shard_execution/shard"
     stats = sharded["spans"][shard_path]
-    assert stats["calls"] == shards
+    assert stats["calls"] == shards * _WINDOWS
     # Integer counters are exact under any shard grouping.
     assert span_counters(sharded, shard_path)["users"] == (
         span_counters(serial, shard_path)["users"]
@@ -70,10 +76,17 @@ def test_pool_workers_ship_spans_home():
     feeds = run_with_telemetry(_CONFIG.with_parallelism(4, workers=2))
     snapshot = feeds.telemetry
     shard_path = "simulate/shard_execution/shard"
-    assert snapshot["spans"][shard_path]["calls"] == 4
+    assert snapshot["spans"][shard_path]["calls"] == 4 * _WINDOWS
     serial = run_with_telemetry(_CONFIG).telemetry
     assert span_counters(snapshot, shard_path)["users"] == (
         span_counters(serial, shard_path)["users"]
+    )
+    assert span_counters(snapshot, shard_path)["days"] == (
+        4 * _CALENDAR.num_days
+    )
+    day_path = shard_path + "/dwell_assembly"
+    assert span_counters(snapshot, day_path)["dwell_cells"] == (
+        span_counters(serial, day_path)["dwell_cells"]
     )
 
 

@@ -4,13 +4,16 @@ Not a paper figure — tracks the cost of the substrate itself so that
 regressions in the simulator show up alongside the analysis numbers.
 """
 
+from repro.simulation import engine
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator, build_world
 
 
 def test_build_world(benchmark):
+    # The uncached builder: build_world hands back the world it last
+    # built, so after the first round it would time a memo hit.
     config = SimulationConfig.tiny(seed=2020)
-    world = benchmark(build_world, config)
+    world = benchmark(engine._build_world, config)
     assert world.agents.num_users > 1000
 
 

@@ -425,6 +425,9 @@ def walk_shards(
 # so every artifact a worker computes lands in the shared on-disk store
 # and the coordinator's accessors read it back as cache hits (bitwise
 # identical to computing in-process, by the cache round-trip contract).
+# The load verifies the run's digests in each worker, but a worker
+# forked after the coordinator loaded the run inherits its world
+# (build_world's memo) instead of building it again.
 
 _FIGURE_STUDY = None
 

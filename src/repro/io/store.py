@@ -25,9 +25,12 @@ with the frame's own dtypes, so a load returns exactly the saved
 columns (and never unpickles: an object column is refused at save
 time).  Any other format version is refused at the manifest, naming
 the version.  The world (geography, topology, subscriber base,
-agents) is *not* stored: it is a pure function of the configuration
-and is rebuilt on load, which keeps saved runs small and guarantees
-the reloaded bundle is exactly what the simulator produced.
+agents) is *not* stored: it is a pure function of the configuration,
+which keeps saved runs small and guarantees the reloaded bundle is
+exactly what the simulator produced.  A load takes it from
+:func:`repro.simulation.engine.build_world`, which builds it once per
+process and configuration: reloading a run whose world the process
+already holds (a live advance, a reopen) builds nothing.
 
 Persistence is atomic: every file is written under a temporary name and
 ``os.replace``d into place, and ``manifest.json`` is written last as
@@ -654,6 +657,12 @@ def _read_frame(path: Path, name: str) -> Frame:
     )
 
 
+#: Loads a reader attempts when the manifest changes under it (a live
+#: writer committed an advance and removed the tables the load began
+#: from).
+_LOAD_ATTEMPTS = 3
+
+
 @telemetry.timed("load_feeds")
 def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
     """Reload a run saved by :func:`save_feeds`.
@@ -666,6 +675,10 @@ def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
     than the whole population.  ``REPRO_STORE_NAIVE=1`` forces
     the eager in-memory path regardless (the differential oracle).
 
+    A live run may advance while it is read: when the load fails and
+    ``manifest.json`` is no longer the one it began from, it loads
+    again from the new manifest (at most :data:`_LOAD_ATTEMPTS` times).
+
     Raises :class:`RunStoreError` naming the offending file when the
     directory is missing, interrupted, partial, or corrupt.
     """
@@ -674,7 +687,18 @@ def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
         raise RunStoreError(
             f"run directory {path} does not exist", path=path
         )
-    manifest = _read_manifest(path)
+    for _ in range(_LOAD_ATTEMPTS - 1):
+        manifest = _read_manifest(path)
+        try:
+            return _load(path, manifest, lazy=lazy)
+        except RunStoreError:
+            if _read_manifest(path) == manifest:
+                raise
+    return _load(path, _read_manifest(path), lazy=lazy)
+
+
+def _load(path: Path, manifest: dict, *, lazy: bool) -> DataFeeds:
+    """The feeds one manifest describes (see :func:`load_feeds`)."""
     digests = _verify_digests(path, manifest)
     config = _read_config(path)
 

@@ -39,8 +39,17 @@ class KeyDates:
     lockdown: dt.date = dt.date(2020, 3, 23)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class StudyCalendar:
-    """Maps simulation day indices onto the 2020 study window."""
+    """Maps simulation day indices onto the 2020 study window.
+
+    The per-day arrays are cached on first use and read-only: every
+    run and world that shares the calendar reads the same copy.
+    """
 
     def __init__(
         self,
@@ -95,18 +104,20 @@ class StudyCalendar:
     @cached_property
     def weeks(self) -> np.ndarray:
         """ISO week per simulation day."""
-        return np.array(
+        return _read_only(np.array(
             [date.isocalendar().week for date in self.dates], dtype=np.int64
-        )
+        ))
 
     @cached_property
     def weekdays(self) -> np.ndarray:
         """Weekday index per simulation day (0 = Monday)."""
-        return np.array([date.weekday() for date in self.dates], dtype=np.int64)
+        return _read_only(
+            np.array([date.weekday() for date in self.dates], dtype=np.int64)
+        )
 
     @cached_property
     def is_weekend(self) -> np.ndarray:
-        return self.weekdays >= 5
+        return _read_only(self.weekdays >= 5)
 
     def days_in_week(self, week: int) -> np.ndarray:
         """Simulation day indices belonging to an ISO week."""
@@ -130,10 +141,10 @@ class StudyCalendar:
     @cached_property
     def february_days(self) -> np.ndarray:
         """Simulation day indices falling in February 2020 (§2.3)."""
-        return np.array(
+        return _read_only(np.array(
             [index for index, date in enumerate(self.dates) if date.month == 2],
             dtype=np.int64,
-        )
+        ))
 
 
 def default_calendar() -> StudyCalendar:

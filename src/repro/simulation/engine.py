@@ -69,9 +69,10 @@ interconnect, scheduler, signalling) and the final KPI reduction — and
 attaches the snapshot to ``feeds.telemetry``.  Recovery events land in
 counters: ``engine.shard_retries``, ``engine.pool_degradations``,
 ``engine.checkpoint_days_saved`` / ``_restored`` and
-``engine.faults_injected``.  Telemetry never influences results: every
-span is a pure timer around unchanged code, and a disabled run pays
-one ``None`` check per instrumented site.
+``engine.faults_injected``; a world handed back by :func:`build_world`
+instead of built counts ``engine.world_reuses``.  Telemetry never
+influences results: every span is a pure timer around unchanged code,
+and a disabled run pays one ``None`` check per instrumented site.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -162,9 +163,11 @@ class World:
 
     Fully deterministic given the configuration — which is what lets
     :mod:`repro.io` reload persisted feeds without re-running the day
-    loop: the world is rebuilt, the measured arrays are loaded.  The
-    same determinism is what lets every pool worker rebuild an
-    identical world from the configuration alone.
+    loop: the world comes from the configuration, the measured arrays
+    are loaded.  The same determinism lets a process build a world
+    once and hand it to every later run, reload and pool worker of an
+    equal configuration (see :func:`build_world`), so the components
+    are shared and their arrays read-only.
     """
 
     config: SimulationConfig
@@ -182,8 +185,44 @@ class World:
     epidemic: EpidemicCurve
 
 
+#: The last world this process built: ``(config digest, world)``.  One
+#: slot — another configuration replaces it.  Forked pool workers
+#: inherit it.
+_WORLD_MEMO: tuple[str, World] | None = None
+
+
 def build_world(config: SimulationConfig) -> World:
-    """Deterministically build every static simulation object."""
+    """Deterministically build every static simulation object.
+
+    The last world built in this process is kept, keyed on the
+    canonical configuration digest
+    (:func:`repro.datasets.spec.config_digest`): a configuration that
+    digests equal gets the same components back under its own
+    ``config`` (counted as ``engine.world_reuses``), so a live
+    advance, its reload, a reopen and a forked pool worker never build
+    the same world twice.  The components are shared, so every array
+    they hold is read-only.  A configuration the digest cannot
+    canonicalize is built every time.
+    """
+    global _WORLD_MEMO
+    from repro.datasets.spec import config_digest
+
+    try:
+        key = config_digest(config)
+    except TypeError:
+        key = None
+    memo = _WORLD_MEMO
+    if key is not None and memo is not None and memo[0] == key:
+        telemetry.count("engine.world_reuses")
+        return replace(memo[1], config=config)
+    world = _build_world(config)
+    if key is not None:
+        _WORLD_MEMO = (key, world)
+    return world
+
+
+def _build_world(config: SimulationConfig) -> World:
+    """Build a world afresh: :func:`build_world` without its memo."""
     calendar = config.calendar
     geography = build_uk_geography(seed=config.seed)
     topology = build_topology(
@@ -211,7 +250,7 @@ def build_world(config: SimulationConfig) -> World:
         agents, timeline, calendar,
         settings=config.behavior, seed=config.seed + 5,
     )
-    return World(
+    world = World(
         config=config,
         geography=geography,
         topology=topology,
@@ -229,6 +268,53 @@ def build_world(config: SimulationConfig) -> World:
         ),
         scheduler=CellScheduler(config.scheduler),
         epidemic=EpidemicCurve(),
+    )
+    _freeze_arrays(world)
+    return world
+
+
+def _freeze_arrays(world: World) -> None:
+    """Mark every ndarray the world holds read-only.
+
+    Walks containers and the attributes of the package's own objects
+    (not numpy's or the standard library's).  A component's cached
+    properties are computed first, so the arrays it would otherwise
+    build on first use (``topology.site_postcodes``,
+    ``geography.district_lats``, ...) are frozen too.  The
+    configuration's objects (its calendar, timeline and settings) are
+    walked first and frozen as they stand, not evaluated:
+    ``config.pkl`` pickles what the run itself computed on them, and
+    the calendar caches its arrays read-only.
+    """
+    seen: set[int] = set()
+    for root, evaluate in ((world.config, False), (world, True)):
+        stack = [root]
+        while stack:
+            value = stack.pop()
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            elif isinstance(value, dict):
+                stack.extend(value.values())
+            elif isinstance(value, (list, tuple, set, frozenset)):
+                stack.extend(value)
+            elif type(value).__module__.startswith("repro."):
+                if evaluate:
+                    for name in _cached_properties(type(value)):
+                        getattr(value, name)
+                stack.extend(getattr(value, "__dict__", {}).values())
+
+
+@cache
+def _cached_properties(cls: type) -> tuple[str, ...]:
+    """Names of the cached properties ``cls`` defines or inherits."""
+    return tuple(
+        name
+        for klass in cls.__mro__
+        for name, attr in vars(klass).items()
+        if isinstance(attr, cached_property)
     )
 
 
@@ -542,8 +628,10 @@ def _compute_shard_day(
 
 
 # -- (shard, window) tasks --------------------------------------------------
-# Pool workers rebuild the (deterministic) world once per process via
-# the pool initializer, then serve any number of tasks from it.  When
+# The pool initializer gives each worker its run context once, then the
+# worker serves any number of tasks from it.  A worker forked after the
+# coordinator's build_world inherits that world (build_world's memo);
+# one started with spawn or forkserver builds its own.  When
 # the coordinator has telemetry enabled, each worker records into its
 # own recorder and ships a snapshot back on every ShardResult; the
 # recorder is reset at the start of every task, so partial telemetry

@@ -584,3 +584,52 @@ class TestTableCodec:
             save_feeds(bad, tmp_path / "bad")
         assert not list((tmp_path / "bad").glob("radio_kpis*"))
         assert not (tmp_path / "bad" / "manifest.json").exists()
+
+
+class TestLiveReader:
+    """A load that straddles a live advance's commit."""
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_load_during_an_advance_reads_the_new_manifest(
+        self, tmp_path, monkeypatch, lazy
+    ):
+        import datetime as dt
+
+        from repro import api
+        from repro.io import store
+        from repro.simulation.clock import StudyCalendar
+
+        config = SimulationConfig.tiny(seed=25).with_overrides(
+            num_users=96,
+            target_site_count=30,
+            calendar=StudyCalendar(
+                first_day=dt.date(2020, 2, 24), num_days=6
+            ),
+        )
+        path = tmp_path / "live"
+        writer = api.simulate(config, path, days=2).advance(1)
+        read_mobility = store._read_mobility
+        advanced = []
+
+        def advance_mid_load(*args, **kwargs):
+            # The writer commits a day after this load read the manifest
+            # and before it reads the tables that manifest names (which
+            # the commit removes).
+            if not advanced:
+                advanced.append(True)
+                writer.advance(1)
+            return read_mobility(*args, **kwargs)
+
+        monkeypatch.setattr(store, "_read_mobility", advance_mid_load)
+        back = load_feeds(path, lazy=lazy)
+        monkeypatch.undo()
+        fresh = load_feeds(path, lazy=lazy)
+        assert advanced
+        assert back.mobility.num_days == fresh.mobility.num_days == 4
+        assert back.source_digests == fresh.source_digests
+        _assert_same_table(back.radio_kpis, fresh.radio_kpis)
+        _assert_same_table(back.rat_time, fresh.rat_time)
+        for day in range(4):
+            assert np.array_equal(
+                back.mobility.dwell(day), fresh.mobility.dwell(day)
+            )

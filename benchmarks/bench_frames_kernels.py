@@ -1,7 +1,7 @@
 """Frame kernel sweep: vectorized segment kernels vs the naive oracle.
 
-Times the hot frames/baseline reductions — grouped order statistics,
-joins, pivot, weekly percentile deltas — at 1e5–1e6 rows in both modes
+Times the hot frames reductions — grouped order statistics and
+joins — at 1e5–1e6 rows in both modes
 (``REPRO_FRAMES_NAIVE=1`` vs the vectorized default), verifies the
 outputs are bitwise identical, and records seconds + speedups as JSON
 next to ``parallel_scaling.json``.
@@ -11,8 +11,7 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_frames_kernels.py -q
 
 The shapes mirror a country-scale KPI feed: ~rows/10 groups (cells ×
-days), a lookup-table join fanning labels onto every observation, and a
-15-week study window.
+days) and a lookup-table join fanning labels onto every observation.
 """
 
 import json
@@ -23,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.baseline import weekly_median_delta
-from repro.frames import Frame, group_by, join, pivot
+from repro.frames import Frame, group_by, join
 
 SIZES = (100_000, 316_000, 1_000_000)
 RESULTS_PATH = Path(__file__).parent / "results" / "frames_kernels.json"
@@ -69,15 +67,6 @@ def make_feed(rows: int) -> dict:
                 "county": rng.integers(0, 50, num_cells).astype(str),
             }
         ),
-        "weeks": rng.integers(9, 24, rows),
-        "values": rng.lognormal(3.0, 1.0, rows),
-        "pivot": Frame(
-            {
-                "row": rng.integers(0, 1_000, rows),
-                "col": rng.integers(0, 30, rows),
-                "val": rng.normal(size=rows),
-            }
-        ),
     }
 
 
@@ -95,26 +84,18 @@ def operations(feed: dict) -> dict:
         ),
         "join_inner": lambda: join(frame, lookup, on="cell"),
         "join_left": lambda: join(frame, lookup, on="cell", how="left"),
-        "pivot_sum": lambda: pivot(
-            feed["pivot"], index="row", columns="col", values="val"
-        ),
-        "weekly_median_delta": lambda: weekly_median_delta(
-            feed["values"], feed["weeks"]
-        ),
     }
 
 
 def identical(left, right) -> bool:
-    """Bitwise equality for frames or (weeks, values) tuples."""
-    if isinstance(left, Frame):
-        if left.column_names != right.column_names:
-            return False
-        return all(
-            left[name].dtype == right[name].dtype
-            and np.array_equal(left[name], right[name])
-            for name in left.column_names
-        )
-    return all(np.array_equal(a, b) for a, b in zip(left, right))
+    """Bitwise equality of two frames."""
+    if left.column_names != right.column_names:
+        return False
+    return all(
+        left[name].dtype == right[name].dtype
+        and np.array_equal(left[name], right[name])
+        for name in left.column_names
+    )
 
 
 def timed(operation) -> tuple[float, object]:

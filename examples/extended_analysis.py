@@ -1,14 +1,10 @@
 """Beyond the paper: the extended analysis toolkit.
 
-Four analyses the library offers on top of the paper's figures:
+Two analyses the library offers on top of the paper's figures:
 
 1. **Growth framings** — the paper's "rewound one year of data growth"
    and "seven years of voice growth in days" quotes, measured.
-2. **Significance tests** — Mann-Whitney/KS tests per KPI: was each
-   reported shift statistically significant?
-3. **Mobility graphs** — the network-science view: how lockdown shreds
-   the tower co-visitation graph.
-4. **Predictability** — Song-et-al. predictability bounds: how much
+2. **Predictability** — Song-et-al. predictability bounds: how much
    more predictable people became under confinement.
 
     python examples/extended_analysis.py
@@ -20,12 +16,9 @@ import numpy as np
 
 from repro.core import (
     CovidImpactStudy,
-    build_mobility_graph,
     contextualize_summary,
-    graph_summary,
     mobility_entropy,
     predictability_bound,
-    shift_table,
     visited_towers,
 )
 from repro.simulation.config import SimulationConfig
@@ -52,38 +45,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    print("\n2. Distribution-shift significance (lockdown vs week 9)")
-    print("-" * 60)
-    table = shift_table(
-        study.labeled_kpis,
-        (
-            "dl_volume_mb", "ul_volume_mb", "dl_active_users",
-            "radio_load_pct", "voice_volume_mb",
-        ),
-    )
-    print(f"{'metric':<26}{'direction':>10}{'MW p':>12}{'KS p':>12}")
-    for row in table:
-        print(
-            f"{row.metric:<26}{row.direction:>10}"
-            f"{row.mannwhitney_p:>12.2e}{row.ks_p:>12.2e}"
-        )
-
-    # ------------------------------------------------------------------
-    print("\n3. The mobility graph, before vs during lockdown")
-    print("-" * 60)
-    for label, day in (("before", day_before), ("during", day_during)):
-        graph = build_mobility_graph(feeds, day)
-        summary = graph_summary(graph, day)
-        print(
-            f"{label:<8} nodes={summary.num_nodes:>5} "
-            f"edges={summary.num_edges:>6} "
-            f"trips={summary.total_trip_weight:>8.0f} "
-            f"mean edge={summary.mean_edge_length_km:5.1f} km "
-            f"giant comp={summary.largest_component_share:.0%}"
-        )
-
-    # ------------------------------------------------------------------
-    print("\n4. Location predictability (Song et al. bound)")
+    print("\n2. Location predictability (Song et al. bound)")
     print("-" * 60)
     mobility = feeds.mobility
     sites = mobility.anchor_sites

@@ -6,7 +6,7 @@ lockdown changed people's mobility and the radio network's behaviour.
 This package rebuilds the entire stack — a synthetic UK, a cellular
 network, a subscriber base, an agent population living through the
 pandemic timeline — and runs the paper's genuine analysis pipeline on
-top of it.
+top of it.  Its one runtime dependency is numpy.
 
 Packages
 --------
@@ -27,8 +27,8 @@ Packages
     Study calendar, configuration, the engine producing the data feeds.
 ``repro.core``
     The paper's analysis: mobility metrics, home detection, every
-    figure, plus the extended toolkit (significance tests, mobility
-    graphs, predictability bounds, paper-target verdicts).
+    figure, plus a few extensions (growth framings, predictability
+    bounds, paper-target verdicts).
 ``repro.datasets`` / ``repro.io`` / ``repro.cli``
     The declarative scenario catalog and canned builders (incl.
     counterfactuals), run persistence and the ``python -m repro``

@@ -25,7 +25,6 @@ from repro.analysis.mobility import (
 )
 from repro.analysis.parallel import (
     ShardPlan,
-    parallel_sessionize_events,
     plan_for,
     resolve_workers,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "incremental_daily_metrics",
     "incremental_homes",
     "incremental_labeled_kpis",
-    "parallel_sessionize_events",
     "plan_for",
     "report_params",
     "resolve_workers",

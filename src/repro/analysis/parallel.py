@@ -1,9 +1,9 @@
 """Where the per-shard analysis kernels run: in process or in a pool.
 
 The analysis kernels are shard-partitioned by construction: entropy,
-gyration and the night-win counts are strictly row-independent, and
-sessionization never crosses users, so every per-shard partial can be
-computed from *that shard's files alone* and merged associatively.
+gyration and the night-win counts are strictly row-independent, so
+every per-shard partial can be computed from *that shard's files
+alone* and merged associatively.
 :func:`walk_shards` is the one executor choice for the mobility
 kernels: it runs their tasks over the feed's already-open shards in
 process, or fans them across a
@@ -12,15 +12,13 @@ process, or fans them across a
 No feed object ever crosses the process boundary.  A worker receives
 only a :class:`ShardPlan` — the run directory, the shard layout, the
 segment spans — via the pool initializer and calls
-:func:`repro.io.columnar.open_shard` / :func:`~repro.io.columnar.
-open_events` itself, memory-mapping exactly its shard's files.  Both
-executors dispatch to the *same* task functions over the same
-per-shard kernels (:func:`repro.core.statistics.shard_metric_blocks`,
-:func:`repro.core.home.shard_night_win_counts`,
-:func:`repro.core.sessionize.sessionize_events`), so the partials are
+:func:`repro.io.columnar.open_shard` itself, memory-mapping exactly its
+shard's files.  Both executors dispatch to the *same* task functions
+over the same per-shard kernels
+(:func:`repro.core.statistics.shard_metric_blocks`,
+:func:`repro.core.home.shard_night_win_counts`), so the partials are
 bitwise identical by construction for any (shards × workers), and the
-coordinator merge is a scatter into disjoint population rows (metrics,
-homes) or the stable user-partitioned sort (sessions).
+coordinator merge is a scatter into disjoint population rows.
 
 Serial analysis is ``workers=1``.  When the pool cannot start or dies
 (:class:`_PoolLost`), the coordinator degrades to running the
@@ -41,7 +39,6 @@ __all__ = [
     "ShardPlan",
     "map_figure_chains",
     "map_shards",
-    "parallel_sessionize_events",
     "plan_for",
     "resolve_workers",
     "walk_shards",
@@ -75,7 +72,6 @@ class ShardPlan:
     num_shards: int
     num_days: int
     segments: tuple[tuple[int, int], ...] | None
-    has_events: bool
 
 
 def plan_for(feeds) -> ShardPlan | None:
@@ -116,17 +112,11 @@ def plan_for(feeds) -> ShardPlan | None:
         if raw_segments
         else None
     )
-    signaling = getattr(feeds, "signaling", None)
-    has_events = bool(block.get("events")) and signaling is not None
-    if has_events and getattr(signaling, "pending_writer", None) is not None:
-        if not signaling.pending_writer.committed:
-            has_events = False
     return ShardPlan(
         directory=str(directory),
         num_shards=mobility.num_shards,
         num_days=int(manifest.get("num_days", mobility.num_days)),
         segments=segments,
-        has_events=has_events,
     )
 
 
@@ -151,7 +141,6 @@ class _WorkerState:
     site_lats: np.ndarray | None
     site_lons: np.ndarray | None
     shards: dict = field(default_factory=dict)
-    events: object | None = None
 
     def shard(self, index: int):
         from repro.io import columnar
@@ -168,22 +157,6 @@ class _WorkerState:
             )
             self.shards[index] = shard
         return shard
-
-    def event_feed(self):
-        from repro.io import columnar
-
-        if self.events is None:
-            if not self.plan.has_events:
-                raise ValueError(
-                    "shard plan records no committed event partition"
-                )
-            self.events = columnar.open_events(
-                self.plan.directory,
-                self.plan.num_shards,
-                self.plan.num_days,
-                lazy=True,
-            )
-        return self.events
 
 
 _WORKER_STATE: _WorkerState | None = None
@@ -269,20 +242,9 @@ def _task_night_counts(
     return shard.rows, counts
 
 
-def _task_sessionize_events(
-    state: _WorkerState, shard_index: int, *, day: int, day_end_s: float
-):
-    from repro.core.sessionize import sessionize_events
-
-    events = state.event_feed()
-    frame = events.shard_day(shard_index, int(day))
-    return sessionize_events(frame, day_end_s=day_end_s)
-
-
 _TASKS = {
     "metrics": _task_metrics,
     "night_counts": _task_night_counts,
-    "sessionize_events": _task_sessionize_events,
 }
 
 
@@ -496,53 +458,3 @@ def map_figure_chains(
         # Unusable pool (BrokenProcessPool, could not start) or a chain
         # that raised — either way the thread fallback redoes the work.
         return False
-
-
-def parallel_sessionize_events(
-    feeds,
-    plan: ShardPlan,
-    day: int,
-    *,
-    day_end_s: float | None = None,
-    workers: int,
-):
-    """Sessionize one day's event partition across the pool.
-
-    Each worker reduces its own shard's events
-    (:func:`repro.core.sessionize.sessionize_events` on a windowed map
-    of that shard's day slice) and the coordinator merges with the
-    stable user-partitioned sort — bitwise identical to
-    :func:`repro.core.sessionize.sessionize_events_stream` over the
-    same chunks, which is itself bitwise identical to sessionizing the
-    assembled day.
-    """
-    from repro.core.sessionize import (
-        DAY_SECONDS,
-        _merge_user_partitioned,
-    )
-    from repro.frames import Frame
-
-    if not plan.has_events:
-        raise ValueError(
-            "run has no committed signalling-event partition to sessionize"
-        )
-    if day_end_s is None:
-        day_end_s = DAY_SECONDS
-    kwargs = {"day": int(day), "day_end_s": float(day_end_s)}
-    tasks = [
-        ("sessionize_events", index, kwargs)
-        for index in range(plan.num_shards)
-    ]
-    pieces = [
-        payload
-        for payload in map_shards(plan, tasks, workers=workers)
-        if payload is not None
-    ]
-    empty = Frame(
-        {
-            "user_id": np.empty(0, dtype=np.int64),
-            "site_id": np.empty(0, dtype=np.int64),
-            "dwell_s": np.empty(0, dtype=np.float64),
-        }
-    )
-    return _merge_user_partitioned(pieces, empty)

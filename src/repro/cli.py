@@ -390,6 +390,45 @@ class _CliError(Exception):
         self.code = code
 
 
+class _AnalysisPending(_CliError):
+    """The run's window is too short for the analysis (yet)."""
+
+    def __init__(self, manifest: dict | None, reason: Exception) -> None:
+        self.label = _run_label(manifest)
+        self.reason = reason
+        live = "live" in (manifest or {})
+        super().__init__(
+            f"analysis {'pending' if live else 'unavailable'} "
+            f"at {self.label}: {reason}"
+        )
+
+
+def _run_label(manifest: dict | None) -> str:
+    """``day N/horizon``, plus `` (live)`` while the run still grows."""
+    manifest = manifest or {}
+    days = int(manifest.get("num_days", 0))
+    horizon = int((manifest.get("live") or {}).get("horizon_days", days))
+    return f"day {days}/{horizon}" + (" (live)" if "live" in manifest else "")
+
+
+def _analysis(rundir, compute, manifest: dict | None = None):
+    """``compute()``, or :class:`_AnalysisPending` on a too-short run.
+
+    Home detection needs ``min_nights`` days (``ValueError``); the
+    correlation and delta figures need the key intervention dates
+    inside the window (``KeyError``).  A live run that has not reached
+    them yet reports that instead of a traceback.
+    """
+    try:
+        return compute()
+    except (ValueError, KeyError) as err:
+        if manifest is None:
+            from pathlib import Path
+
+            manifest = _read_manifest(Path(rundir))
+        raise _AnalysisPending(manifest, err) from err
+
+
 def _resolve_rundir(args: argparse.Namespace, required: bool = True):
     """The run directory of a feed-consuming command."""
     rundir = getattr(args, "rundir", None)
@@ -532,13 +571,21 @@ def _run_command(args: argparse.Namespace, out) -> int:
         workers = _workers_from_args(args)
         if args.command == "analyze":
             print(
-                _report_text(
-                    rundir, cache, full=False, lazy=lazy, workers=workers
+                _analysis(
+                    rundir,
+                    lambda: _report_text(
+                        rundir, cache, full=False, lazy=lazy, workers=workers
+                    ),
                 ),
                 file=out,
             )
             return 0
-        summary = _summary_values(rundir, cache, lazy=lazy, workers=workers)
+        summary = _analysis(
+            rundir,
+            lambda: _summary_values(
+                rundir, cache, lazy=lazy, workers=workers
+            ),
+        )
         if args.command == "summary":
             for key, value in summary.items():
                 print(f"{key:<42} {value:>12.3f}", file=out)
@@ -619,7 +666,7 @@ def _run_watch(args: argparse.Namespace, out) -> int:
                 frozen = "live" not in manifest
                 if days != last_days:
                     last_days = days
-                    _watch_refresh(args, rundir, manifest, frozen, out)
+                    _watch_refresh(args, rundir, manifest, out)
                 if frozen:
                     print(
                         f"watch: run frozen at {days} days; done",
@@ -635,7 +682,7 @@ def _run_watch(args: argparse.Namespace, out) -> int:
         return 0
 
 
-def _watch_refresh(args, rundir, manifest, frozen, out) -> None:
+def _watch_refresh(args, rundir, manifest, out) -> None:
     """Print one summary + verdict refresh, timed.
 
     The refresh never materializes the feeds: analysis artifacts are
@@ -647,27 +694,22 @@ def _watch_refresh(args, rundir, manifest, frozen, out) -> None:
 
     from repro.core.paper_targets import evaluate_summary, render_verdicts
 
-    days = int(manifest.get("num_days", 0))
-    horizon = int(
-        (manifest.get("live") or {}).get("horizon_days", days)
-    )
-    label = f"day {days}/{horizon}" + ("" if frozen else " (live)")
     start = time.perf_counter()
     # Reopen per refresh: the cache is keyed on the manifest's feed
     # digests, which change with every appended day.
     cache = _open_cache(args, rundir)
+    workers = _workers_from_args(args)
     try:
-        summary = _summary_values(
-            rundir, cache, lazy=True, workers=_workers_from_args(args)
+        summary = _analysis(
+            rundir,
+            lambda: _summary_values(rundir, cache, lazy=True, workers=workers),
+            manifest,
         )
-    except (ValueError, KeyError) as err:
-        # Too few days for the full analysis yet — home detection
-        # needs min_nights of them (ValueError), the correlation and
-        # delta figures need the key intervention dates inside the
-        # window (KeyError): report progress and keep polling.
-        print(f"{label}: warming up ({err})", file=out)
+    except _AnalysisPending as pending:
+        # Report progress and keep polling.
+        print(f"{pending.label}: warming up ({pending.reason})", file=out)
         return
-    print(f"== {label} ==", file=out)
+    print(f"== {_run_label(manifest)} ==", file=out)
     for key, value in summary.items():
         print(f"{key:<42} {value:>12.3f}", file=out)
     print(render_verdicts(evaluate_summary(summary)), file=out)

@@ -29,12 +29,15 @@ figure:
 - :mod:`repro.core.report` — text rendering of series and tables.
 - :mod:`repro.core.study` — :class:`CovidImpactStudy`, the one-stop
   driver that reproduces the entire evaluation.
+
+Beyond the paper: :mod:`repro.core.annual_context` (the "years of
+growth" framings), :mod:`repro.core.metrics_extra` (visited towers,
+predictability bounds), :mod:`repro.core.paper_targets` (the verdict
+bands) and :mod:`repro.core.robustness` (seed sweeps).  Like the rest of
+the package they need numpy alone.
 """
 
 from repro.core.annual_context import contextualize_summary, years_of_growth
-from repro.core.bins import BinMetrics, compute_bin_metrics
-from repro.core.distributions import PercentileFan, weekly_percentile_fan
-from repro.core.filtering import FilterReport, filter_study_events
 from repro.core.metrics import mobility_entropy, radius_of_gyration
 from repro.core.metrics_extra import (
     predictability_bound,
@@ -42,13 +45,7 @@ from repro.core.metrics_extra import (
     top_location_share,
     visited_towers,
 )
-from repro.core.mobility_graph import build_mobility_graph, graph_summary
 from repro.core.robustness import SweepResult, seed_sweep
-from repro.core.significance import (
-    ShiftTest,
-    distribution_shift_test,
-    shift_table,
-)
 from repro.core.sessionize import (
     sessionize_events,
     sessionize_events_stream,
@@ -75,25 +72,14 @@ from repro.core.rat_usage import rat_time_share
 from repro.core.study import CovidImpactStudy
 
 __all__ = [
-    "BinMetrics",
     "CovidImpactStudy",
-    "FilterReport",
-    "PercentileFan",
-    "ShiftTest",
     "SweepResult",
-    "build_mobility_graph",
-    "compute_bin_metrics",
     "contextualize_summary",
-    "distribution_shift_test",
-    "filter_study_events",
-    "graph_summary",
     "predictability_bound",
     "random_entropy",
     "seed_sweep",
-    "shift_table",
     "top_location_share",
     "visited_towers",
-    "weekly_percentile_fan",
     "years_of_growth",
     "HomeDetectionResult",
     "HomeValidation",

@@ -8,11 +8,12 @@ week-9 (23 Feb – 1 Mar 2020) value of the metric:
 - network-performance figures use the change of the **weekly median**
   (pooled over cells × days) against the **week-9 median** (§4).
 
-The weekly reductions are single-pass: one factorization of the week
-column plus segment kernels (:mod:`repro.frames.kernels`), instead of
-re-scanning the full observation array once per week. The original
-per-week loops remain available behind ``REPRO_FRAMES_NAIVE=1`` as the
-reference oracle for differential tests.
+The weekly means are single-pass: one factorization of the week column
+plus one ``reduceat``, instead of re-scanning the day axis once per
+week. The original per-week loops remain available behind
+``REPRO_FRAMES_NAIVE=1`` as the reference oracle for differential
+tests. The weekly percentile delta is the per-week loop itself: a
+sorted-segment kernel measured slower than it.
 """
 
 from __future__ import annotations
@@ -130,37 +131,6 @@ def weekly_median_delta(
     weeks = np.asarray(weeks)
     if values.shape != weeks.shape:
         raise ValueError("values and weeks must align")
-    if kernels.use_naive():
-        return _naive_weekly_median_delta(
-            values, weeks, baseline_week, baseline_value, percentile
-        )
-    unique_weeks, order, starts, ends = _week_segments(weeks)
-    sorted_values = kernels.sort_within_segments(values[order], starts, ends)
-    per_week = kernels.presorted_percentile(
-        sorted_values, starts, ends, percentile
-    )
-    if baseline_value is None:
-        baseline_index = np.searchsorted(unique_weeks, baseline_week)
-        if (
-            baseline_index >= unique_weeks.size
-            or unique_weeks[baseline_index] != baseline_week
-        ):
-            raise ValueError(f"no observations in week {baseline_week}")
-        baseline_value = float(per_week[baseline_index])
-    if baseline_value == 0:
-        raise ValueError("baseline value is zero")
-    deltas = (per_week / baseline_value - 1.0) * 100.0
-    return unique_weeks, deltas
-
-
-def _naive_weekly_median_delta(
-    values: np.ndarray,
-    weeks: np.ndarray,
-    baseline_week: int,
-    baseline_value: float | None,
-    percentile: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference per-week rescan (the pre-kernel implementation)."""
     unique_weeks = np.unique(weeks)
     if baseline_value is None:
         in_baseline = weeks == baseline_week

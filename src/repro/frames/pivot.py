@@ -12,7 +12,6 @@ from typing import Any
 import numpy as np
 
 from repro import telemetry
-from repro.frames import kernels
 from repro.frames.frame import Frame
 from repro.frames.groupby import group_by
 
@@ -63,34 +62,17 @@ def pivot(
     row_keys = np.unique(frame[index])
     column_keys = np.unique(frame[columns])
     grid = np.full((row_keys.size, column_keys.size), fill, dtype=np.float64)
-    naive = kernels.use_naive()
     if telemetry.enabled():
         telemetry.count("frames.pivot.calls")
         telemetry.count("frames.pivot.rows_in", frame.num_rows)
         telemetry.count("frames.pivot.cells_out", int(grid.size))
-        telemetry.count(
-            "frames.pivot.naive_scatter"
-            if naive
-            else "frames.pivot.vector_scatter"
-        )
-    if naive:
-        row_position = {key: i for i, key in enumerate(row_keys.tolist())}
-        column_position = {
-            key: i for i, key in enumerate(column_keys.tolist())
-        }
-        for row_key, column_key, value in zip(
-            aggregated[index], aggregated[columns], aggregated["_cell"]
-        ):
-            grid[
-                row_position[row_key], column_position[column_key]
-            ] = float(value)
-    else:
-        # One scatter: the aggregated frame has one row per (index,
-        # columns) pair, so the cell assignments never collide.
-        row_codes = np.searchsorted(row_keys, aggregated[index])
-        column_codes = np.searchsorted(column_keys, aggregated[columns])
-        grid[row_codes, column_codes] = aggregated["_cell"].astype(
-            np.float64, copy=False
+    row_position = {key: i for i, key in enumerate(row_keys.tolist())}
+    column_position = {key: i for i, key in enumerate(column_keys.tolist())}
+    for row_key, column_key, value in zip(
+        aggregated[index], aggregated[columns], aggregated["_cell"]
+    ):
+        grid[row_position[row_key], column_position[column_key]] = float(
+            value
         )
     data: dict[str, Any] = {index: row_keys}
     for position, key in enumerate(column_keys.tolist()):

@@ -1134,17 +1134,12 @@ class Simulator:
 
         sector_rows: list[Frame] = []
         # RAT connected-time feed: the per-RAT share sums are
-        # day-independent, so the vectorized path hoists them out of
-        # the day loop and collects one connected-seconds total per day.
-        naive_rat_time = kernels.dispatch_naive("engine.rat_time")
+        # day-independent, so they are taken once, out of the day loop.
         rat_time_rows: list[dict] = []
-        rat_time_tcs: list[float] = []
-        rat_sums = np.array(
-            [
-                (rat_shares[:, rat_index] * 86_400.0).sum()
-                for rat_index in range(len(Rat))
-            ]
-        )
+        rat_sums = [
+            (rat_shares[:, rat_index] * 86_400.0).sum()
+            for rat_index in range(len(Rat))
+        ]
         day_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(10,))
         )
@@ -1356,24 +1351,17 @@ class Simulator:
                 )
 
             # RAT connected-time feed (§2.4's 75%-on-4G measurement).
-            total_connected_s = merged.total_connected_s
-            if naive_rat_time:
-                for rat_index, rat in enumerate(Rat):
-                    rat_time_rows.append(
-                        {
-                            "day": day,
-                            "rat": rat.value,
-                            "connected_seconds": float(
-                                (rat_shares[:, rat_index] * 86_400.0).sum()
-                                * (
-                                    total_connected_s
-                                    / (86_400.0 * max(num_users, 1))
-                                )
-                            ),
-                        }
-                    )
-            else:
-                rat_time_tcs.append(float(total_connected_s))
+            connected_share = merged.total_connected_s / (
+                86_400.0 * max(num_users, 1)
+            )
+            for rat, rat_sum in zip(Rat, rat_sums):
+                rat_time_rows.append(
+                    {
+                        "day": day,
+                        "rat": rat.value,
+                        "connected_seconds": float(rat_sum * connected_share),
+                    }
+                )
 
             if progress is not None:
                 progress(day, calendar.num_days)
@@ -1414,33 +1402,6 @@ class Simulator:
             radio_kpis = accumulator.daily_frame()
             kpi_span.add("kpi_rows", len(radio_kpis))
 
-        if naive_rat_time:
-            rat_time = Frame.from_rows(rat_time_rows)
-        else:
-            # One outer product (day × RAT); multiplication commutes
-            # bitwise, so the rows match the naive per-day loop exactly.
-            factor = np.asarray(rat_time_tcs, dtype=np.float64) / (
-                86_400.0 * max(num_users, 1)
-            )
-            rat_time = Frame(
-                {
-                    "day": np.repeat(
-                        np.arange(
-                            day_start,
-                            day_start + len(rat_time_tcs),
-                            dtype=np.int64,
-                        ),
-                        len(Rat),
-                    ),
-                    "rat": np.tile(
-                        np.array([rat.value for rat in Rat]),
-                        len(rat_time_tcs),
-                    ),
-                    "connected_seconds": (
-                        factor[:, None] * rat_sums[None, :]
-                    ).ravel(),
-                }
-            )
         return DataFeeds(
             calendar=calendar,
             geography=geography,
@@ -1451,7 +1412,7 @@ class Simulator:
             agents=agents,
             mobility=mobility,
             radio_kpis=radio_kpis,
-            rat_time=rat_time,
+            rat_time=Frame.from_rows(rat_time_rows),
             epidemic=world.epidemic,
             hourly_kpis=(
                 accumulator.hourly_frame() if config.keep_hourly_kpis else None

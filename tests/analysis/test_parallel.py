@@ -1,9 +1,9 @@
 """Process-parallel analysis: plans, pools, fallbacks, and knobs.
 
 :mod:`repro.analysis.parallel` promises that fanning the per-shard
-kernels across a process pool changes *nothing observable*: metrics,
-homes and sessions are bitwise identical to the in-process walk for
-every worker count, and a pool that cannot start degrades to
+kernels across a process pool changes *nothing observable*: metrics
+and homes are bitwise identical to the in-process walk for every
+worker count, and a pool that cannot start degrades to
 in-process execution of the identical task functions.  This module
 pins those promises plus the plumbing around them — worker resolution, the CLI ``--workers`` flag,
 and the ``analysis.*`` telemetry counters.
@@ -19,7 +19,6 @@ from repro import api, telemetry
 from repro.analysis import parallel
 from repro.cli import main
 from repro.core.home import detect_homes, night_win_counts
-from repro.core.sessionize import sessionize_events
 from repro.core.statistics import compute_daily_metrics
 from repro.io import load_feeds, save_feeds
 from repro.simulation.clock import StudyCalendar
@@ -37,7 +36,6 @@ def _config(shards: int = 2) -> SimulationConfig:
             num_users=220,
             target_site_count=40,
             calendar=_CALENDAR,
-            emit_signaling=True,
         )
         .with_parallelism(shards, workers=1)
     )
@@ -72,7 +70,6 @@ class TestPlanFor:
         assert plan is not None
         assert plan.num_shards == 2
         assert plan.num_days == 63
-        assert plan.has_events
 
     def test_eager_feeds_have_no_plan(self, run_dir):
         assert parallel.plan_for(load_feeds(run_dir)) is None
@@ -113,16 +110,6 @@ class TestBitwiseIdentity:
         assert np.array_equal(
             serial.nights_observed, fanned.nights_observed
         )
-
-    def test_sessionized_events_match_eager(self, lazy):
-        plan = parallel.plan_for(lazy)
-        day = 3
-        fanned = parallel.parallel_sessionize_events(
-            lazy, plan, day, workers=2
-        )
-        eager = sessionize_events(lazy.signaling[day])
-        for column in ("user_id", "site_id", "dwell_s"):
-            assert np.array_equal(fanned[column], eager[column])
 
 
 class TestPoolDegradation:

@@ -1,9 +1,8 @@
-"""Tests for the per-sector feed and its analysis."""
+"""Tests for the per-sector feed (``keep_sector_kpis``)."""
 
 import numpy as np
 import pytest
 
-from repro.core.sectors import sector_imbalance, site_sector_totals
 from repro.frames import group_by
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
@@ -52,26 +51,6 @@ class TestSectorFeed:
 
 
 class TestSectorAnalysis:
-    def test_totals_shape(self, sector_feeds):
-        totals = site_sector_totals(
-            sector_feeds.sector_kpis, "dl_volume_mb"
-        )
-        assert {"site_id", "sector", "total"} <= set(totals.column_names)
-
-    def test_unknown_metric(self, sector_feeds):
-        with pytest.raises(KeyError):
-            site_sector_totals(sector_feeds.sector_kpis, "nope")
-
-    def test_imbalance_bounds(self, sector_feeds):
-        imbalance = sector_imbalance(sector_feeds.sector_kpis)
-        assert (
-            imbalance.balanced_reference
-            <= imbalance.mean_top_share
-            <= 1.0
-        )
-        assert imbalance.p90_top_share >= imbalance.mean_top_share
-        assert imbalance.num_sites > 0
-
     def test_sectors_sum_to_cell_volume(self, sector_feeds):
         # Sector DL summed over sectors and days ≈ daily cell DL
         # (sector feed is daily totals; cell feed stores daily medians

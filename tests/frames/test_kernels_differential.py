@@ -3,8 +3,8 @@
 Every vectorized kernel keeps its original per-group / per-row Python
 implementation behind the ``REPRO_FRAMES_NAIVE=1`` environment switch.
 These property tests run the same operation in both modes and require
-the outputs to be **bitwise identical** (order statistics, joins,
-pivots) or equal within float round-off (means, whose summation order
+the outputs to be **bitwise identical** (order statistics, joins)
+or equal within float round-off (means, whose summation order
 legitimately differs).
 """
 
@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.baseline import weekly_mean, weekly_mean_stack, weekly_median_delta
+from repro.core.baseline import weekly_mean, weekly_mean_stack
 from repro.core.performance import _grouped_weekly_delta
-from repro.frames import Frame, group_by, join, pivot
+from repro.frames import Frame, group_by, join
 from repro.frames.kernels import use_naive
 
 
@@ -275,32 +275,6 @@ class TestJoinDifferential:
 
 
 # ----------------------------------------------------------------------
-# Pivot
-# ----------------------------------------------------------------------
-class TestPivotDifferential:
-    @given(
-        data=keyed_values(min_size=1, max_size=50),
-        aggregate=st.sampled_from(["sum", "mean", "median", "count"]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_pivot_bitwise(self, data, aggregate):
-        keys, values = data
-        rng = np.random.default_rng(keys.size)
-        frame = Frame(
-            {
-                "row": keys,
-                "col": rng.integers(0, 5, keys.size),
-                "val": values,
-            }
-        )
-        vectorized, naive = both_modes(
-            lambda: pivot(frame, index="row", columns="col", values="val",
-                          aggregate=aggregate)
-        )
-        assert_frames_bitwise(vectorized, naive)
-
-
-# ----------------------------------------------------------------------
 # Weekly reductions
 # ----------------------------------------------------------------------
 @st.composite
@@ -334,22 +308,6 @@ class TestWeeklyDifferential:
         # Summation order differs (reduceat vs pairwise mean), so the
         # comparison is allclose, not bitwise.
         np.testing.assert_allclose(v_means, n_means, rtol=1e-12)
-
-    @given(
-        data=weekly_observations(),
-        percentile=st.floats(min_value=0, max_value=100),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_weekly_median_delta_bitwise(self, data, percentile):
-        values, weeks = data
-        weeks[0] = 9  # guarantee a baseline observation
-
-        def run():
-            return weekly_median_delta(values, weeks, percentile=percentile)
-
-        (v_weeks, v_delta), (n_weeks, n_delta) = both_modes(run)
-        assert np.array_equal(v_weeks, n_weeks)
-        assert np.array_equal(v_delta, n_delta)
 
     @given(data=weekly_observations())
     @settings(max_examples=50, deadline=None)

@@ -257,6 +257,56 @@ class TestErrorPaths:
         assert "Traceback" not in text
 
 
+class TestShortLiveRun:
+    """A live run that has not reached the figures' key dates yet."""
+
+    @pytest.fixture(scope="class")
+    def live_dir(self, tmp_path_factory):
+        from repro import api
+        from repro.simulation.config import SimulationConfig
+
+        path = tmp_path_factory.mktemp("short") / "run"
+        api.simulate(SimulationConfig.tiny(seed=2020), path, days=35)
+        return path
+
+    @pytest.mark.parametrize("verb", ["analyze", "summary", "verdict"])
+    def test_one_shot_verbs_report_pending(self, live_dir, verb):
+        out = io.StringIO()
+        assert main([verb, str(live_dir)], out=out) == 1
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: analysis pending at day 35/98 (live): "
+        )
+        assert "outside the study window" in lines[0]
+
+    def test_watch_keeps_warming_up(self, live_dir):
+        out = io.StringIO()
+        code = main(
+            ["watch", str(live_dir), "--interval", "0", "--iterations", "1"],
+            out=out,
+        )
+        assert code == 0
+        assert out.getvalue().startswith("day 35/98 (live): warming up (")
+
+    def test_frozen_short_run_is_unavailable(self, tmp_path):
+        # A finished run whose window never reaches the key dates will
+        # not catch up: the line says so instead of "pending".
+        from repro import api
+        from repro.simulation.clock import StudyCalendar
+        from repro.simulation.config import SimulationConfig
+
+        config = SimulationConfig.tiny(seed=2020).with_overrides(
+            calendar=StudyCalendar(num_days=35)
+        )
+        api.simulate(config, tmp_path / "run")
+        out = io.StringIO()
+        assert main(["summary", str(tmp_path / "run")], out=out) == 1
+        assert out.getvalue().startswith(
+            "error: analysis unavailable at day 35/35: "
+        )
+
+
 class TestCrashAndResume:
     def test_interrupt_then_resume(self, tmp_path, monkeypatch):
         # A deterministic kill via the REPRO_FAULTS environment hook

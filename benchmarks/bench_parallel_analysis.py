@@ -86,7 +86,7 @@ def _analyze(rundir: Path, workers: int) -> dict:
     from repro.io import load_feeds
 
     feeds = load_feeds(rundir, lazy=True)
-    study = CovidImpactStudy(feeds, parallel=False, workers=workers)
+    study = CovidImpactStudy(feeds, workers=workers)
     start = time.perf_counter()
     metrics = study.metrics
     homes = study.homes

@@ -3,10 +3,11 @@
 Reproducing the paper's figures is a pure function of (a) the feed
 payloads of a run, (b) the analysis code, and (c) a handful of
 parameters (``gyration_mode``, the KPI percentile, ...).  This module
-keys every artifact — the per-user-day metrics matrix, each figure's
-payload, the headline summary, the rendered report — on exactly those
-three things and stores the result under ``<run>/cache/analysis/``, so
-*no process ever computes the same artifact twice*:
+keys every artifact — each day range's per-user-day metrics, each
+figure's payload, the headline summary, the rendered report — on
+exactly those three things and stores the result under
+``<run>/cache/analysis/``, so *no process ever computes the same
+artifact twice*:
 
 - **Keys** are SHA-256 over the per-feed payload digests recorded in
   ``manifest.json`` by :func:`repro.io.store.save_feeds`, a per-artifact
@@ -67,11 +68,8 @@ DEFAULT_GYRATION_MODE = "weighted"
 #: under the old epoch then silently stop matching (they key on the
 #: epoch) instead of serving stale results.
 CODE_EPOCHS = {
-    "metrics": 1,
     "metrics_range": 1,
-    "homes": 1,
     "homes_range": 1,
-    "labeled_kpis": 1,
     "labeled_kpis_range": 1,
     "fig2": 1,
     "fig3": 1,

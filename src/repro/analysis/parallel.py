@@ -37,7 +37,6 @@ from repro import telemetry
 
 __all__ = [
     "ShardPlan",
-    "map_figure_chains",
     "map_shards",
     "plan_for",
     "resolve_workers",
@@ -376,85 +375,3 @@ def walk_shards(
     return map_shards(
         plan, tasks, workers=count, site_lats=site_lats, site_lons=site_lons
     )
-
-
-# -- figure-chain fan-out ---------------------------------------------------
-# The study's figure chains are CPU-bound numpy reductions; a thread
-# pool leaves most of the arithmetic serialized behind the GIL.  When a
-# run is persisted with an artifact cache, the chains can instead run
-# in pool workers that rebuild a study of their own — the initializer
-# loads the run lazily and attaches the same content-addressed cache,
-# so every artifact a worker computes lands in the shared on-disk store
-# and the coordinator's accessors read it back as cache hits (bitwise
-# identical to computing in-process, by the cache round-trip contract).
-# The load verifies the run's digests in each worker, but a worker
-# forked after the coordinator loaded the run inherits its world
-# (build_world's memo) instead of building it again.
-
-_FIGURE_STUDY = None
-
-
-def _figure_worker_init(
-    run_directory: str, gyration_mode: str
-) -> None:  # pragma: no cover - runs in pool workers
-    global _FIGURE_STUDY
-    from repro.analysis.cache import ArtifactCache
-    from repro.core.study import CovidImpactStudy
-    from repro.io.store import load_feeds
-
-    feeds = load_feeds(run_directory, lazy=True)
-    cache = ArtifactCache.for_feeds(run_directory, feeds)
-    _FIGURE_STUDY = CovidImpactStudy(
-        feeds,
-        gyration_mode=gyration_mode,
-        cache=cache,
-        parallel=False,
-    )
-
-
-def _figure_worker_run(
-    chain: tuple[str, ...]
-) -> tuple[str, ...]:  # pragma: no cover - runs in pool workers
-    assert _FIGURE_STUDY is not None, "figure worker not initialized"
-    for name in chain:
-        getattr(_FIGURE_STUDY, name)()
-    return chain
-
-
-def map_figure_chains(
-    run_directory: str,
-    gyration_mode: str,
-    chains: list[tuple[str, ...]],
-    *,
-    workers: int,
-) -> bool:
-    """Warm the artifact cache by running figure chains in pool workers.
-
-    Returns ``True`` when every chain completed (the coordinator's
-    accessors then serve from the shared cache) and ``False`` when the
-    pool was unusable or any chain failed — the caller falls back to
-    its thread fan-out, where a genuine computation error re-raises
-    with a usable traceback.
-    """
-    if not chains:
-        return True
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ProcessPoolExecutor(
-            max_workers=max(1, min(int(workers), len(chains))),
-            initializer=_figure_worker_init,
-            initargs=(str(run_directory), gyration_mode),
-        ) as pool:
-            futures = [
-                pool.submit(_figure_worker_run, tuple(chain))
-                for chain in chains
-            ]
-            for future in futures:
-                future.result()
-        return True
-    except Exception:
-        # Unusable pool (BrokenProcessPool, could not start) or a chain
-        # that raised — either way the thread fallback redoes the work.
-        return False

@@ -257,12 +257,12 @@ class Run:
         across processes.  Pass ``cache=False`` for a purely in-memory
         study, or a ready :class:`~repro.analysis.cache.ArtifactCache`
         to use instead.  ``workers`` (> 1, or ``"auto"``) fans the
-        shard-streaming kernels and the figure chains across a process
-        pool (:mod:`repro.analysis.parallel`) — results are bitwise
-        identical for every value.  The study handle is memoized per
-        run state: the ``cache``/``workers`` arguments only matter on
-        the first call, and :meth:`advance` resets the memo (the feeds
-        changed).
+        shard-streaming kernels across a process pool
+        (:mod:`repro.analysis.parallel`) — results are bitwise
+        identical for every value; the figures compute in the calling
+        process.  The study handle is memoized per run state: the
+        ``cache``/``workers`` arguments only matter on the first call,
+        and :meth:`advance` resets the memo (the feeds changed).
         """
         if self._study is None:
             from repro.core import CovidImpactStudy

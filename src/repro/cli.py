@@ -339,10 +339,9 @@ def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", default="auto", metavar="N",
         help=(
-            "fan the shard-streaming analysis kernels and figure "
-            "chains across this many processes; results are bitwise "
-            "identical for every value (default: auto = the CPU "
-            "count; 1 disables)"
+            "fan the shard-streaming analysis kernels across this "
+            "many processes; results are bitwise identical for every "
+            "value (default: auto = the CPU count; 1 disables)"
         ),
     )
 
@@ -545,13 +544,13 @@ def _run_command(args: argparse.Namespace, out) -> int:
         return _run_simulate(args, out)
 
     if args.command == "export":
-        from repro.core import CovidImpactStudy
-        from repro.io import export_analysis, load_feeds
+        from repro.io import export_analysis
 
         rundir = _resolve_rundir(args)
-        study = CovidImpactStudy(
-            _load(load_feeds, rundir, lazy=getattr(args, "lazy", False)),
-            cache=_open_cache(args, rundir),
+        study = _cached_study(
+            rundir,
+            _open_cache(args, rundir),
+            lazy=getattr(args, "lazy", False),
             workers=_workers_from_args(args),
         )
         path = export_analysis(study, args.out)

@@ -5,37 +5,28 @@ one method per paper artifact — ``fig2()`` through ``fig12()``,
 ``table1()``, the §2.4 RAT shares and the §4.4 correlations — plus a
 ``summary()`` of every headline number and a printable ``report()``.
 
-All results are computed lazily and cached in memory, so a study object
-can be shared across figures without recomputation.  Two further layers
-make repeated analysis cheap:
+All results are computed lazily, in the calling process, and memoized
+on the study object, so figures share their intermediates without
+recomputation and the memo is freed with the study.  ``summary()`` and
+``report()`` compute their figures in the order they ask for them,
+whether telemetry is on or off; only the per-shard kernels behind
+``metrics`` and ``homes`` fan out, across the analysis process pool
+(``workers``).
 
-- **Persistent artifacts** — given an
-  :class:`~repro.analysis.cache.ArtifactCache` (attached automatically
-  by :meth:`repro.api.Run.study` and the CLI for persisted runs), every
-  intermediate and figure payload is fetched from / stored into the
-  run's content-addressed ``cache/analysis/`` store, so a second
-  process never recomputes what the first already produced.  Cached and
-  fresh results are bitwise identical; without a cache the cost is one
-  ``None`` check per artifact.
-- **Parallel fan-out** — ``summary()`` and ``report()`` compute the
-  independent figure chains concurrently.  With ``workers`` > 1 on a
-  persisted, cached run the chains run in *process-pool* workers
-  (:func:`repro.analysis.parallel.map_figure_chains`): each worker
-  rebuilds the study from the run directory and lands its artifacts in
-  the shared content-addressed cache, sidestepping the GIL the
-  CPU-bound figure reductions otherwise serialize behind.  Otherwise —
-  or when the pool is unavailable — the chains fan out across threads
-  as before.  The fan-out is skipped while telemetry is enabled,
-  because span paths nest by call order and a profile interleaved
-  across workers would be unreadable; results are identical every way,
-  each artifact is computed exactly once.
+Given an :class:`~repro.analysis.cache.ArtifactCache` (attached
+automatically by :meth:`repro.api.Run.study` and the CLI for persisted
+runs), every figure payload is fetched from / stored into the run's
+content-addressed ``cache/analysis/`` store, so a second process never
+recomputes what the first already produced.  The three shared
+intermediates are stored once, as the per-segment range artifacts of
+:mod:`repro.analysis.mobility`, and composed in memory.  Cached and
+fresh results are bitwise identical; without a cache the cost is one
+``None`` check per artifact.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from functools import cache, cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -72,6 +63,24 @@ from repro.simulation.feeds import DataFeeds
 __all__ = ["CovidImpactStudy"]
 
 
+def _memoized(method):
+    """Compute a no-argument study method once per study object.
+
+    The result lives in the instance's ``_memo``, so it is freed with
+    the study (``functools.cache`` on a method would keep every study
+    alive for the life of the process).
+    """
+    name = method.__name__
+
+    @wraps(method)
+    def memoized(self):
+        if name not in self._memo:
+            self._memo[name] = method(self)
+        return self._memo[name]
+
+    return memoized
+
+
 class CovidImpactStudy:
     """Reproduce the paper's evaluation on a data-feeds bundle.
 
@@ -86,16 +95,11 @@ class CovidImpactStudy:
         An :class:`~repro.analysis.cache.ArtifactCache` to fetch/store
         every artifact through, or ``None`` (the default) for purely
         in-memory computation.
-    parallel:
-        Allow ``summary()``/``report()`` to fan the independent figure
-        chains out concurrently (default).  ``False`` forces the
-        serial order.
     workers:
         Process-pool width for the shard-streaming kernels (metrics,
-        home detection) and the figure fan-out on a persisted cached
-        run.  ``None`` (default) keeps the kernels serial and the
-        figure fan-out on threads; results are bitwise identical for
-        every value.
+        home detection).  ``None`` (default) keeps them in process;
+        results are bitwise identical for every value.  The figures
+        always compute in the calling process.
     """
 
     def __init__(
@@ -104,17 +108,13 @@ class CovidImpactStudy:
         gyration_mode: str = "weighted",
         *,
         cache: "object | None" = None,
-        parallel: bool = True,
         workers: int | None = None,
     ) -> None:
         self._feeds = feeds
         self._gyration_mode = gyration_mode
         self._cache = cache
-        self._parallel = parallel
         self._workers = workers
-        # Highest fan-out level already run: 0 none, 1 summary-level
-        # artifacts, 2 the full-report set.
-        self._materialized = 0
+        self._memo: dict[str, object] = {}
 
     @classmethod
     def run(
@@ -153,11 +153,10 @@ class CovidImpactStudy:
     # phase table shows each stage under whichever artifact actually
     # triggered it.
     # The three shared intermediates compute through
-    # repro.analysis.mobility: on a segmented live run their
-    # whole-window keys miss after every advance (the digest map
-    # changed), but the composition recomputes only the appended
-    # segment — the prefix ranges are served from their own
-    # segment-keyed cache entries, bitwise-identical to a from-scratch
+    # repro.analysis.mobility, which stores them only as segment-keyed
+    # range artifacts: on a segmented live run an advance recomputes
+    # just the appended segment, the prefix ranges are cache hits, and
+    # the composition is bitwise-identical to a from-scratch
     # recomputation.
     @cached_property
     def metrics(self) -> MobilityDailyMetrics:
@@ -165,15 +164,11 @@ class CovidImpactStudy:
         from repro.analysis.mobility import incremental_daily_metrics
 
         with telemetry.span("metrics") as sp:
-            result = self._artifact(
-                "metrics",
-                self._mobility_params(),
-                lambda: incremental_daily_metrics(
-                    self._feeds,
-                    gyration_mode=self._gyration_mode,
-                    cache=self._cache,
-                    workers=self._workers,
-                ),
+            result = incremental_daily_metrics(
+                self._feeds,
+                gyration_mode=self._gyration_mode,
+                cache=self._cache,
+                workers=self._workers,
             )
             sp.add(
                 "user_days",
@@ -186,12 +181,8 @@ class CovidImpactStudy:
         from repro.analysis.mobility import incremental_homes
 
         with telemetry.span("home_detection"):
-            return self._artifact(
-                "homes",
-                {},
-                lambda: incremental_homes(
-                    self._feeds, cache=self._cache, workers=self._workers
-                ),
+            return incremental_homes(
+                self._feeds, cache=self._cache, workers=self._workers
             )
 
     @cached_property
@@ -199,20 +190,14 @@ class CovidImpactStudy:
         from repro.analysis.mobility import incremental_labeled_kpis
 
         with telemetry.span("label_kpis"):
-            return self._artifact(
-                "labeled_kpis",
-                {},
-                lambda: incremental_labeled_kpis(
-                    self._feeds, cache=self._cache
-                ),
-            )
+            return incremental_labeled_kpis(self._feeds, cache=self._cache)
 
     # -- paper artifacts ------------------------------------------------------
     def table1(self) -> list[tuple[str, str]]:
         """Table 1: the geodemographic cluster catalog."""
         return oac_table()
 
-    @cache
+    @_memoized
     def fig2(self) -> HomeValidation:
         """Fig 2: inferred vs census LAD populations."""
         with telemetry.span("fig2"):
@@ -222,8 +207,9 @@ class CovidImpactStudy:
                 lambda: validate_against_census(self._feeds, self.homes),
             )
 
-    @cached_property
-    def _fig3(self) -> dict[str, MobilitySeries]:
+    @_memoized
+    def fig3(self) -> dict[str, MobilitySeries]:
+        """Fig 3: national daily gyration/entropy change."""
         with telemetry.span("fig3"):
             return self._artifact(
                 "fig3",
@@ -231,21 +217,17 @@ class CovidImpactStudy:
                 lambda: national_mobility(self.metrics, self._feeds),
             )
 
-    def fig3(self) -> dict[str, MobilitySeries]:
-        """Fig 3: national daily gyration/entropy change."""
-        return self._fig3
-
-    @cache
+    @_memoized
     def fig4(self) -> EntropyCasesResult:
         """Fig 4: entropy change vs cumulative confirmed cases."""
         with telemetry.span("fig4"):
             return self._artifact(
                 "fig4",
                 self._mobility_params(),
-                lambda: entropy_cases_correlation(self._fig3, self._feeds),
+                lambda: entropy_cases_correlation(self.fig3(), self._feeds),
             )
 
-    @cache
+    @_memoized
     def fig5(self) -> dict[str, MobilitySeries]:
         """Fig 5: regional mobility (five high-density regions)."""
         with telemetry.span("fig5"):
@@ -255,7 +237,7 @@ class CovidImpactStudy:
                 lambda: regional_mobility(self.metrics, self._feeds),
             )
 
-    @cache
+    @_memoized
     def fig6(self) -> dict[str, MobilitySeries]:
         """Fig 6: mobility per geodemographic cluster."""
         with telemetry.span("fig6"):
@@ -265,7 +247,7 @@ class CovidImpactStudy:
                 lambda: geodemographic_mobility(self.metrics, self._feeds),
             )
 
-    @cache
+    @_memoized
     def fig7(self) -> RelocationMatrix:
         """Fig 7: the Inner-London relocation mobility matrix."""
         with telemetry.span("fig7"):
@@ -275,7 +257,7 @@ class CovidImpactStudy:
                 lambda: relocation_matrix(self._feeds, self.homes),
             )
 
-    @cache
+    @_memoized
     def fig8(self) -> dict[str, WeeklySeries]:
         """Fig 8: UK + regional series for every data-traffic KPI."""
         with telemetry.span("fig8"):
@@ -292,7 +274,7 @@ class CovidImpactStudy:
             for metric in PERF_METRICS
         }
 
-    @cache
+    @_memoized
     def fig9(self) -> dict[str, WeeklySeries]:
         """Fig 9: national voice-traffic series (QCI = 1)."""
         with telemetry.span("fig9"):
@@ -304,7 +286,7 @@ class CovidImpactStudy:
                 ),
             )
 
-    @cache
+    @_memoized
     def fig10(self) -> dict[str, WeeklySeries]:
         """Fig 10: network performance per geodemographic cluster."""
         with telemetry.span("fig10"):
@@ -321,7 +303,7 @@ class CovidImpactStudy:
             for metric in PERF_METRICS
         }
 
-    @cache
+    @_memoized
     def fig11(self) -> dict[str, WeeklySeries]:
         """Fig 11: Inner-London postal-district network performance."""
         with telemetry.span("fig11"):
@@ -339,7 +321,7 @@ class CovidImpactStudy:
             for metric in PERF_METRICS
         }
 
-    @cache
+    @_memoized
     def fig12(self) -> dict[str, WeeklySeries]:
         """Fig 12: London network performance per OAC cluster."""
         with telemetry.span("fig12"):
@@ -357,7 +339,7 @@ class CovidImpactStudy:
             for metric in PERF_METRICS
         }
 
-    @cache
+    @_memoized
     def rat_share(self) -> dict[str, float]:
         """§2.4: connected-time share per RAT."""
         with telemetry.span("rat_share"):
@@ -367,7 +349,7 @@ class CovidImpactStudy:
                 lambda: rat_time_share(self._feeds.rat_time),
             )
 
-    @cache
+    @_memoized
     def cluster_correlations(self) -> dict[str, float]:
         """§4.4: users-vs-DL-volume correlation per cluster."""
         with telemetry.span("cluster_correlations"):
@@ -402,102 +384,12 @@ class CovidImpactStudy:
             series.values["UK"], series.x, self._feeds.calendar
         )
 
-    # -- parallel fan-out -----------------------------------------------------
-    #: The independent artifact chains of the summary-level fan-out,
-    #: ordered so every artifact is computed exactly once (``fig4``
-    #: rides with ``fig3``, the cluster correlations with ``fig10``).
-    _SUMMARY_CHAINS = (
-        ("fig2",),
-        ("fig3", "fig4"),
-        ("fig7",),
-        ("fig8",),
-        ("fig9",),
-        ("fig10", "cluster_correlations"),
-        ("fig11",),
-        ("rat_share",),
-    )
-    #: Chains the full report adds on top of the summary set.
-    _FULL_CHAINS = (("fig5",), ("fig6",), ("fig12",))
-
-    def _materialize_artifacts(self, full: bool) -> None:
-        """Compute the independent artifact chains concurrently.
-
-        The shared intermediates are forced first on the calling
-        thread.  With explicit ``workers`` > 1 on a persisted cached
-        run the chains go to a process pool
-        (:func:`repro.analysis.parallel.map_figure_chains`) whose
-        workers warm the shared artifact cache; otherwise — and as the
-        fallback whenever that pool is unavailable — they fan out
-        across threads.  Skipped entirely (falling back to the
-        identical serial order) when ``parallel=False``, while
-        telemetry is enabled (span paths nest by call order), or for
-        the thread path on a single-CPU host.
-        """
-        level = 2 if full else 1
-        if self._materialized >= level:
-            return
-        if not self._parallel or telemetry.enabled():
-            return
-        from repro.analysis import parallel as _parallel
-
-        explicit = (
-            self._workers is not None
-            and _parallel.resolve_workers(self._workers) > 1
-        )
-        cpus = os.cpu_count() or 1
-        if not explicit and cpus <= 1:
-            return
-        _ = (self.metrics, self.homes, self.labeled_kpis)
-        chains = list(self._SUMMARY_CHAINS)
-        if full:
-            chains += list(self._FULL_CHAINS)
-        if not explicit or not self._materialize_process(chains):
-            self._materialize_threads(chains, cpus)
-        self._materialized = level
-
-    def _materialize_process(self, chains: list[tuple[str, ...]]) -> bool:
-        """Run the chains in pool workers that share the on-disk cache."""
-        from repro.analysis import parallel as _parallel
-
-        directory = getattr(self._feeds, "source_directory", None)
-        if self._cache is None or directory is None:
-            return False
-        return _parallel.map_figure_chains(
-            str(directory),
-            self._gyration_mode,
-            chains,
-            workers=_parallel.resolve_workers(self._workers),
-        )
-
-    def _materialize_threads(
-        self, chains: list[tuple[str, ...]], cpus: int
-    ) -> None:
-        if cpus <= 1:
-            return
-        with ThreadPoolExecutor(
-            max_workers=min(len(chains), cpus)
-        ) as pool:
-            futures = [
-                pool.submit(
-                    lambda names=chain: [
-                        getattr(self, name)() for name in names
-                    ]
-                )
-                for chain in chains
-            ]
-            for future in futures:
-                future.result()
-
     # -- headline numbers -----------------------------------------------------
     @telemetry.timed("summary")
     def summary(self) -> dict[str, float]:
         """Every takeaway number of the paper, measured on this run."""
-        def fresh() -> dict[str, float]:
-            self._materialize_artifacts(full=False)
-            return self._summary_fresh()
-
         return self._artifact(
-            "summary", summary_params(self._gyration_mode), fresh
+            "summary", summary_params(self._gyration_mode), self._summary_fresh
         )
 
     def _summary_fresh(self) -> dict[str, float]:
@@ -625,12 +517,10 @@ class CovidImpactStudy:
         the headline summary; ``full=True`` adds the Fig 2/4 scatters
         and the regional/cluster/London panels (5, 6, 10, 11, 12).
         """
-        def fresh() -> str:
-            self._materialize_artifacts(full=full)
-            return self._report_fresh(full)
-
         return self._artifact(
-            "report", report_params(full, self._gyration_mode), fresh
+            "report",
+            report_params(full, self._gyration_mode),
+            lambda: self._report_fresh(full),
         )
 
     def _report_fresh(self, full: bool) -> str:

@@ -74,8 +74,9 @@ class TestKeys:
         }
 
     def test_every_study_artifact_has_an_epoch(self):
-        for name in ("metrics", "homes", "labeled_kpis", "summary",
-                     "report", "rat_share", "cluster_correlations"):
+        for name in ("metrics_range", "homes_range", "labeled_kpis_range",
+                     "summary", "report", "rat_share",
+                     "cluster_correlations"):
             assert name in CODE_EPOCHS
         for fig in range(2, 13):
             assert f"fig{fig}" in CODE_EPOCHS

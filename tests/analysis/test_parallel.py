@@ -153,11 +153,41 @@ class TestTelemetry:
 
 
 class TestApiAndStudy:
-    def test_run_study_accepts_workers(self, run_dir):
-        run = api.Run.open(run_dir, lazy=True)
-        serial = run.study(cache=False).summary()
-        fanned = run.study(cache=False, workers=2).summary()
+    def test_run_study_accepts_workers(self, run_dir, recorder):
+        # Two handles: Run.study() memoizes its first study, so a second
+        # call on one handle would ignore workers=2.
+        serial = api.Run.open(run_dir, lazy=True).study(cache=False).summary()
+        recorder.reset()
+        fanned = (
+            api.Run.open(run_dir, lazy=True)
+            .study(cache=False, workers=2)
+            .summary()
+        )
+        assert _counters().get("analysis.shards_dispatched", 0) >= 2
         assert serial == fanned
+
+    def test_tracing_runs_the_same_program(self, run_dir):
+        def report() -> str:
+            study = api.Run.open(run_dir, lazy=True).study(cache=False)
+            return study.report(full=True)
+
+        plain = report()
+        telemetry.enable()
+        try:
+            traced = report()
+            spans = telemetry.snapshot()["spans"]
+        finally:
+            telemetry.disable()
+        assert traced == plain
+        names = ["metrics", "home_detection", "label_kpis"]
+        names += [f"fig{number}" for number in range(2, 13)]
+        for name in names:
+            calls = [
+                stats["calls"]
+                for path, stats in spans.items()
+                if path.rsplit("/", 1)[-1] == name
+            ]
+            assert calls == [1], name
 
 
 class TestCli:

@@ -1,5 +1,8 @@
 """Tests for the study driver, correlations, RAT shares and reports."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,15 @@ class TestStudyConstruction:
     def test_from_existing_feeds(self, feeds):
         study = CovidImpactStudy(feeds)
         assert study.feeds is feeds
+
+    def test_study_is_freed_after_memoized_calls(self, feeds):
+        study = CovidImpactStudy(feeds)
+        study.fig2()
+        study.rat_share()
+        ref = weakref.ref(study)
+        del study
+        gc.collect()
+        assert ref() is None
 
     def test_gyration_mode_paper(self, feeds):
         study = CovidImpactStudy(feeds, gyration_mode="paper")

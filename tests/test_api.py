@@ -87,6 +87,7 @@ class TestStudyCache:
 
     def test_persisted_run_attaches_and_populates(self, tmp_path):
         from repro.analysis.cache import CACHE_SUBDIR, ArtifactCache
+        from repro.analysis.mobility import segment_digests
 
         rundir = tmp_path / "run"
         run = api.simulate(_config(), rundir)
@@ -94,9 +95,18 @@ class TestStudyCache:
         assert study.artifact_cache is not None
         assert study.artifact_cache.directory == rundir / CACHE_SUBDIR
 
-        metrics = study.metrics  # computes and persists the artifact
+        metrics = study.metrics  # computes and persists the range artifact
         store = ArtifactCache.open(rundir)
-        cached = store.get("metrics", {"gyration_mode": "weighted"})
+        cached = store.get(
+            "metrics_range",
+            {
+                "start": 0,
+                "days": 14,
+                "gyration_mode": "weighted",
+                "top_towers": 20,
+            },
+            digests=segment_digests(run.feeds, 0),
+        )
         assert cached is not None
         assert np.array_equal(cached.entropy, metrics.entropy)
         assert np.array_equal(cached.gyration_km, metrics.gyration_km)
@@ -104,6 +114,29 @@ class TestStudyCache:
         # A second process (fresh load) serves the same bytes back.
         warm = api.Run.open(rundir).study().metrics
         assert np.array_equal(warm.entropy, metrics.entropy)
+
+    def test_cold_full_report_stores_each_artifact_once(self, tmp_path):
+        from repro.analysis.cache import ArtifactCache
+
+        # Nine ISO weeks (6-14), so every figure of the full report
+        # exists.
+        config = SimulationConfig.tiny(seed=31).with_overrides(
+            num_users=220,
+            target_site_count=40,
+            calendar=StudyCalendar(
+                first_day=dt.date(2020, 2, 3), num_days=63
+            ),
+        )
+        rundir = tmp_path / "run"
+        api.simulate(config, rundir)
+        api.Run.open(rundir).study().report(full=True)
+        store = ArtifactCache.open(rundir)
+        # The one segment's metrics_range, homes_range and
+        # labeled_kpis_range, fig2-fig12, rat_share,
+        # cluster_correlations, summary and report: no whole-window
+        # copy of an intermediate.
+        assert store.info()["entries"] == 18
+        assert store.get("metrics", {"gyration_mode": "weighted"}) is None
 
     def test_cache_false_runs_in_memory(self, tmp_path):
         rundir = tmp_path / "run"

@@ -66,7 +66,11 @@ from repro.core.correlation import (
     entropy_cases_correlation,
 )
 from repro.core.relocation import RelocationMatrix, relocation_matrix
-from repro.core.performance import WeeklySeries, performance_series
+from repro.core.performance import (
+    WeeklySeries,
+    performance_panel,
+    performance_series,
+)
 from repro.core.voice_analysis import voice_series
 from repro.core.rat_usage import rat_time_share
 from repro.core.study import CovidImpactStudy
@@ -94,6 +98,7 @@ __all__ = [
     "geodemographic_mobility",
     "mobility_entropy",
     "national_mobility",
+    "performance_panel",
     "performance_series",
     "radius_of_gyration",
     "rat_time_share",

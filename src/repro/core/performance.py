@@ -5,11 +5,18 @@ paper pools the per-cell daily values of a slice of cells (a region, a
 geodemographic cluster, a London postal district, or the whole UK),
 takes the weekly median, and reports the delta percentage against the
 week-9 median of the same slice.
+
+A figure plots several KPIs over one slice, so
+:func:`performance_panel` selects the slice's rows and factorizes its
+(label, week) groups once, and per KPI only sorts the values within
+those groups; :func:`performance_series` is its one-KPI call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +26,13 @@ from repro.geo.build import STUDY_REGIONS
 from repro.simulation.clock import BASELINE_WEEK
 from repro.simulation.feeds import DataFeeds
 
-__all__ = ["WeeklySeries", "performance_series", "label_kpis", "PERF_METRICS"]
+__all__ = [
+    "WeeklySeries",
+    "performance_panel",
+    "performance_series",
+    "label_kpis",
+    "PERF_METRICS",
+]
 
 # The §2.4 metric names as they appear in the KPI feed.
 PERF_METRICS = (
@@ -122,9 +135,9 @@ def label_kpis(
     return out.with_column("oac", oac)
 
 
-def performance_series(
+def performance_panel(
     feeds: DataFeeds,
-    metric: str,
+    metrics: Iterable[str],
     grouping: str = "national",
     counties: tuple[str, ...] | None = None,
     restrict_county: str | None = None,
@@ -132,13 +145,20 @@ def performance_series(
     baseline_week: int = BASELINE_WEEK,
     percentile: float = 50.0,
     labeled: Frame | None = None,
-) -> WeeklySeries:
-    """Weekly median delta series for one KPI.
+) -> dict[str, WeeklySeries]:
+    """Weekly median delta series for several KPIs over one slice.
+
+    Returns ``{metric: WeeklySeries}`` in the order of ``metrics``;
+    each series equals :func:`performance_series` for that metric
+    bitwise.  The slice's rows are selected and its (label, week)
+    groups factorized once for the whole panel.  Under
+    ``REPRO_FRAMES_NAIVE=1`` every KPI runs the per-label reference
+    loop instead.
 
     Parameters
     ----------
-    metric:
-        KPI column name (see ``PERF_METRICS`` and the voice metrics).
+    metrics:
+        KPI column names (see ``PERF_METRICS`` and the voice metrics).
     grouping:
         ``"national"`` — one UK-wide series; ``"region"`` — one series
         per broad region (London, North West, ...); ``"county"`` — one
@@ -157,51 +177,190 @@ def performance_series(
         percentile bands mentioned in the text.
     labeled:
         Pre-labeled KPI frame from :func:`label_kpis` (avoids repeating
-        the labelling for every metric).
+        the labelling for every figure).
+
+    Raises ``ValueError`` for an unknown grouping, an empty slice or a
+    slice (or group) with no baseline-week row, and ``KeyError`` for an
+    unknown KPI.  An unknown grouping or KPI is rejected before any row
+    is selected, an empty slice before any series is computed.
     """
     if grouping not in GROUPINGS:
         raise ValueError(f"grouping must be one of {GROUPINGS}")
     frame = labeled if labeled is not None else label_kpis(feeds)
-    analysis = frame.filter(frame["week"] >= baseline_week)
+    metrics = tuple(metrics)
+    for metric in metrics:
+        if metric not in frame:
+            raise KeyError(f"unknown KPI metric {metric!r}")
+
+    in_slice = frame["week"] >= baseline_week
     if restrict_county is not None:
-        analysis = analysis.filter(
-            analysis["county"] == restrict_county
-        )
-    if metric not in analysis:
-        raise KeyError(f"unknown KPI metric {metric!r}")
-
-    values = analysis[metric]
-    weeks = analysis["week"]
-    series: dict[str, np.ndarray] = {}
-    axis: np.ndarray | None = None
-
-    if grouping == "national" or (
-        grouping == "county" and include_national
-    ):
-        axis, national = weekly_median_delta(
-            values, weeks, baseline_week, percentile=percentile
-        )
-        series["UK"] = national
-    if grouping == "region":
-        labels, wanted = analysis["region"], None
-    elif grouping == "county":
-        labels, wanted = analysis["county"], list(counties or STUDY_REGIONS)
-    elif grouping == "district_area":
-        labels, wanted = analysis["area"], None
-    elif grouping == "oac":
-        labels, wanted = analysis["oac"], None
-    else:
-        labels = None
-    if labels is not None:
-        for name, group_axis, deltas in _grouped_weekly_delta(
-            values, weeks, labels, wanted, baseline_week, percentile
-        ):
-            axis, series[name] = group_axis, deltas
-    if axis is None:
+        in_slice &= frame["county"] == restrict_county
+    rows = np.flatnonzero(in_slice)
+    if rows.size == 0:
         raise ValueError("no data for the requested slice")
-    return WeeklySeries(
-        metric=metric, weeks=axis, values=series, percentile=percentile
+    weeks = frame["week"][rows]
+    national = grouping == "national" or (
+        grouping == "county" and include_national
     )
+    label_column = {
+        "region": "region",
+        "county": "county",
+        "district_area": "area",
+        "oac": "oac",
+    }.get(grouping)
+    grouped = None
+    if label_column is not None:
+        labels = frame[label_column][rows]
+        wanted = (
+            list(counties or STUDY_REGIONS) if grouping == "county" else None
+        )
+        if kernels.use_naive():
+            grouped = partial(
+                _grouped_weekly_delta,
+                weeks=weeks,
+                labels=labels,
+                wanted=wanted,
+                baseline_week=baseline_week,
+                percentile=percentile,
+            )
+        else:
+            grouped = _WeeklyGroups(
+                labels, weeks, wanted, baseline_week, percentile
+            ).deltas
+
+    panel: dict[str, WeeklySeries] = {}
+    for metric in metrics:
+        values = frame[metric][rows]
+        series: dict[str, np.ndarray] = {}
+        axis: np.ndarray | None = None
+        if national:
+            axis, series["UK"] = weekly_median_delta(
+                values, weeks, baseline_week, percentile=percentile
+            )
+        if grouped is not None:
+            for name, group_axis, deltas in grouped(values):
+                axis, series[name] = group_axis, deltas
+        if axis is None:
+            raise ValueError("no data for the requested slice")
+        panel[metric] = WeeklySeries(
+            metric=metric, weeks=axis, values=series, percentile=percentile
+        )
+    return panel
+
+
+def performance_series(
+    feeds: DataFeeds,
+    metric: str,
+    grouping: str = "national",
+    counties: tuple[str, ...] | None = None,
+    restrict_county: str | None = None,
+    include_national: bool = True,
+    baseline_week: int = BASELINE_WEEK,
+    percentile: float = 50.0,
+    labeled: Frame | None = None,
+) -> WeeklySeries:
+    """Weekly median delta series for one KPI.
+
+    The one-KPI call of :func:`performance_panel`; the parameters are
+    the same, with ``metric`` one KPI column name.
+    """
+    return performance_panel(
+        feeds,
+        (metric,),
+        grouping=grouping,
+        counties=counties,
+        restrict_county=restrict_county,
+        include_national=include_national,
+        baseline_week=baseline_week,
+        percentile=percentile,
+        labeled=labeled,
+    )[metric]
+
+
+class _WeeklyGroups:
+    """The value-independent half of the grouped weekly percentile.
+
+    Factorizes (label, week) to composite segment codes once; the
+    segments, the week axis of every selected label and the position
+    of its baseline week then serve any number of value columns, each
+    costing one ``lexsort`` and one percentile pass.  Labels with no
+    rows are skipped; ``wanted`` restricts and orders the output
+    (default: all labels in sorted order).
+    """
+
+    def __init__(
+        self,
+        labels: np.ndarray,
+        weeks: np.ndarray,
+        wanted: list[str] | None,
+        baseline_week: int,
+        percentile: float,
+    ) -> None:
+        label_keys, label_codes = np.unique(labels, return_inverse=True)
+        week_keys, week_codes = np.unique(weeks, return_inverse=True)
+        self._composite = (
+            label_codes.astype(np.int64) * week_keys.size + week_codes
+        )
+        sorted_composite = np.sort(self._composite)
+        boundaries = np.ones(sorted_composite.size, dtype=bool)
+        boundaries[1:] = sorted_composite[1:] != sorted_composite[:-1]
+        self._starts = np.flatnonzero(boundaries)
+        self._ends = np.append(self._starts[1:], sorted_composite.size)
+        cell_codes = sorted_composite[self._starts]
+        cell_labels = cell_codes // week_keys.size
+        self._cell_weeks = week_keys[cell_codes % week_keys.size]
+        self._baseline_week = baseline_week
+        self._percentile = percentile
+
+        if wanted is not None:
+            positions = np.searchsorted(label_keys, wanted)
+            selected = [
+                (name, position)
+                for name, position in zip(wanted, positions)
+                if position < label_keys.size
+                and label_keys[position] == name
+            ]
+        else:
+            selected = [
+                (str(name), position)
+                for position, name in enumerate(label_keys.tolist())
+            ]
+        # (name, the group's cells, its baseline cell or None)
+        self._groups = []
+        for name, position in selected:
+            cells = np.flatnonzero(cell_labels == position)
+            if cells.size == 0:
+                continue
+            in_baseline = np.flatnonzero(
+                self._cell_weeks[cells] == baseline_week
+            )
+            baseline = int(in_baseline[0]) if in_baseline.size else None
+            self._groups.append((str(name), cells, baseline))
+
+    def deltas(
+        self, values: np.ndarray
+    ) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """Per-group ``(name, weeks, delta_pct)`` series of one column."""
+        order = np.lexsort((values, self._composite))
+        per_cell = kernels.presorted_percentile(
+            np.asarray(values, dtype=np.float64)[order],
+            self._starts,
+            self._ends,
+            self._percentile,
+        )
+        out = []
+        for name, cells, baseline in self._groups:
+            if baseline is None:
+                raise ValueError(
+                    f"no observations in week {self._baseline_week}"
+                )
+            group_values = per_cell[cells]
+            baseline_value = float(group_values[baseline])
+            if baseline_value == 0:
+                raise ValueError("baseline value is zero")
+            deltas = (group_values / baseline_value - 1.0) * 100.0
+            out.append((name, self._cell_weeks[cells], deltas))
+        return out
 
 
 def _grouped_weekly_delta(
@@ -214,11 +373,10 @@ def _grouped_weekly_delta(
 ) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """Weekly percentile-delta series for every label in one kernel pass.
 
-    Factorizes (label, week) to composite segment codes and computes
-    every group's weekly percentile with a single sort, instead of
-    rescanning the observation array once per label per week. Labels
-    with no rows are skipped; ``wanted`` restricts and orders the
-    output (default: all labels in sorted order).
+    One column through :class:`_WeeklyGroups`: a single sort computes
+    every group's weekly percentile, instead of rescanning the
+    observation array once per label per week — that per-label loop is
+    the ``REPRO_FRAMES_NAIVE=1`` reference.
     """
     if kernels.use_naive():
         names = wanted if wanted is not None else np.unique(labels).tolist()
@@ -233,49 +391,6 @@ def _grouped_weekly_delta(
             )
             out.append((str(name), group_axis, deltas))
         return out
-
-    label_keys, label_codes = np.unique(labels, return_inverse=True)
-    week_keys, week_codes = np.unique(weeks, return_inverse=True)
-    composite = label_codes.astype(np.int64) * week_keys.size + week_codes
-    order = np.lexsort((values, composite))
-    sorted_composite = composite[order]
-    boundaries = np.ones(sorted_composite.size, dtype=bool)
-    boundaries[1:] = sorted_composite[1:] != sorted_composite[:-1]
-    starts = np.flatnonzero(boundaries)
-    ends = np.append(starts[1:], sorted_composite.size)
-    cell_codes = sorted_composite[starts]
-    per_cell = kernels.presorted_percentile(
-        np.asarray(values, dtype=np.float64)[order], starts, ends, percentile
-    )
-    cell_labels = cell_codes // week_keys.size
-    cell_weeks = week_keys[cell_codes % week_keys.size]
-
-    if wanted is not None:
-        positions = np.searchsorted(label_keys, wanted)
-        selected = [
-            (name, position)
-            for name, position in zip(wanted, positions)
-            if position < label_keys.size and label_keys[position] == name
-        ]
-    else:
-        selected = [
-            (str(name), position)
-            for position, name in enumerate(label_keys.tolist())
-        ]
-
-    out = []
-    for name, position in selected:
-        cells = np.flatnonzero(cell_labels == position)
-        if cells.size == 0:
-            continue
-        group_axis = cell_weeks[cells]
-        group_values = per_cell[cells]
-        in_baseline = np.flatnonzero(group_axis == baseline_week)
-        if in_baseline.size == 0:
-            raise ValueError(f"no observations in week {baseline_week}")
-        baseline_value = float(group_values[in_baseline[0]])
-        if baseline_value == 0:
-            raise ValueError("baseline value is zero")
-        deltas = (group_values / baseline_value - 1.0) * 100.0
-        out.append((str(name), group_axis, deltas))
-    return out
+    return _WeeklyGroups(
+        labels, weeks, wanted, baseline_week, percentile
+    ).deltas(values)

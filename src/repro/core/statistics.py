@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.metrics import mobility_entropy, radius_of_gyration
+from repro.core.metrics import TowerGeometry
 from repro.simulation.feeds import DataFeeds
 
 __all__ = [
@@ -211,13 +211,17 @@ def shard_metric_blocks(
     Each dwell day is read through :func:`repro.io.columnar.window_days`:
     on a lazily opened shard the day maps fresh and is released once
     filtered, keeping the walk's resident set bounded by one day (the
-    persistent shard maps are never touched here).
+    persistent shard maps are never touched here).  The shard's anchor
+    towers are fixed for the walk, so their
+    :class:`~repro.core.metrics.TowerGeometry` is built once and
+    applied to every day.
     """
     from repro.io.columnar import window_days
 
     anchor_sites = shard.anchor_sites
-    lats = site_lats[anchor_sites]
-    lons = site_lons[anchor_sites]
+    geometry = TowerGeometry(
+        anchor_sites, site_lats[anchor_sites], site_lons[anchor_sites]
+    )
     entropy = np.empty((day_hi - day_lo, shard.num_rows), dtype=np.float32)
     gyration = np.empty_like(entropy)
     dwell = np.empty(anchor_sites.shape, dtype=np.float64)
@@ -225,8 +229,6 @@ def shard_metric_blocks(
         (window,) = window_days(shard, "daily_dwell", day, day + 1)
         top_tower_filter(window, top_towers, out=dwell)
         del window
-        entropy[day - day_lo] = mobility_entropy(dwell, anchor_sites)
-        gyration[day - day_lo] = radius_of_gyration(
-            dwell, lats, lons, mode=gyration_mode
-        )
+        entropy[day - day_lo] = geometry.entropy(dwell)
+        gyration[day - day_lo] = geometry.gyration(dwell, mode=gyration_mode)
     return entropy, gyration

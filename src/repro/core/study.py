@@ -47,7 +47,7 @@ from repro.core.mobility_series import (
 from repro.core.performance import (
     PERF_METRICS,
     WeeklySeries,
-    performance_series,
+    performance_panel,
 )
 from repro.core.relocation import RelocationMatrix, relocation_matrix
 from repro.core.report import render_series_block
@@ -266,13 +266,10 @@ class CovidImpactStudy:
             )
 
     def _fig8_fresh(self) -> dict[str, WeeklySeries]:
-        return {
-            metric: performance_series(
-                self._feeds, metric, grouping="county",
-                labeled=self.labeled_kpis,
-            )
-            for metric in PERF_METRICS
-        }
+        return performance_panel(
+            self._feeds, PERF_METRICS, grouping="county",
+            labeled=self.labeled_kpis,
+        )
 
     @_memoized
     def fig9(self) -> dict[str, WeeklySeries]:
@@ -295,13 +292,10 @@ class CovidImpactStudy:
             )
 
     def _fig10_fresh(self) -> dict[str, WeeklySeries]:
-        return {
-            metric: performance_series(
-                self._feeds, metric, grouping="oac",
-                labeled=self.labeled_kpis,
-            )
-            for metric in PERF_METRICS
-        }
+        return performance_panel(
+            self._feeds, PERF_METRICS, grouping="oac",
+            labeled=self.labeled_kpis,
+        )
 
     @_memoized
     def fig11(self) -> dict[str, WeeklySeries]:
@@ -312,14 +306,11 @@ class CovidImpactStudy:
             )
 
     def _fig11_fresh(self) -> dict[str, WeeklySeries]:
-        return {
-            metric: performance_series(
-                self._feeds, metric, grouping="district_area",
-                restrict_county="Inner London",
-                labeled=self.labeled_kpis,
-            )
-            for metric in PERF_METRICS
-        }
+        return performance_panel(
+            self._feeds, PERF_METRICS, grouping="district_area",
+            restrict_county="Inner London",
+            labeled=self.labeled_kpis,
+        )
 
     @_memoized
     def fig12(self) -> dict[str, WeeklySeries]:
@@ -330,14 +321,11 @@ class CovidImpactStudy:
             )
 
     def _fig12_fresh(self) -> dict[str, WeeklySeries]:
-        return {
-            metric: performance_series(
-                self._feeds, metric, grouping="oac",
-                restrict_county="Inner London",
-                labeled=self.labeled_kpis,
-            )
-            for metric in PERF_METRICS
-        }
+        return performance_panel(
+            self._feeds, PERF_METRICS, grouping="oac",
+            restrict_county="Inner London",
+            labeled=self.labeled_kpis,
+        )
 
     @_memoized
     def rat_share(self) -> dict[str, float]:

@@ -7,7 +7,7 @@ produces the national weekly delta series of Fig 9.
 
 from __future__ import annotations
 
-from repro.core.performance import WeeklySeries, label_kpis, performance_series
+from repro.core.performance import WeeklySeries, performance_panel
 from repro.frames import Frame
 from repro.simulation.clock import BASELINE_WEEK
 from repro.simulation.feeds import DataFeeds
@@ -29,15 +29,11 @@ def voice_series(
     labeled: Frame | None = None,
 ) -> dict[str, WeeklySeries]:
     """National weekly delta series for each voice metric."""
-    labeled = labeled if labeled is not None else label_kpis(feeds)
-    return {
-        metric: performance_series(
-            feeds,
-            metric,
-            grouping="national",
-            baseline_week=baseline_week,
-            percentile=percentile,
-            labeled=labeled,
-        )
-        for metric in VOICE_METRICS
-    }
+    return performance_panel(
+        feeds,
+        VOICE_METRICS,
+        grouping="national",
+        baseline_week=baseline_week,
+        percentile=percentile,
+        labeled=labeled,
+    )

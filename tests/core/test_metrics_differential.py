@@ -7,16 +7,24 @@ These property tests (hypothesis) re-derive every row with a naive
 pure-Python reference — dicts for the tower merge, ``math`` for the
 arithmetic — and require the kernels to agree to float round-off on
 generated edge rows: zero-dwell users, single-tower users, duplicate
-anchors pointing at one physical tower.
+anchors pointing at one physical tower.  A prepared
+:class:`TowerGeometry` must do the same for every dwell matrix it is
+applied to, as the daily-metrics walk applies one per shard to every
+day.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.metrics import mobility_entropy, radius_of_gyration
+from repro.core.metrics import (
+    TowerGeometry,
+    mobility_entropy,
+    radius_of_gyration,
+)
 
 # Dwell seconds: heavily weighted toward the edge cases (exact zeros,
 # whole days) but covering arbitrary magnitudes.
@@ -32,31 +40,44 @@ coords = st.floats(min_value=-3.0, max_value=3.0,
                    allow_nan=False, allow_infinity=False)
 
 
+def matrix(draw, elements, shape):
+    rows, k = shape
+    return np.array(
+        draw(st.lists(st.lists(elements, min_size=k, max_size=k),
+                      min_size=rows, max_size=rows))
+    )
+
+
 @st.composite
 def dwell_rows(draw, with_coords=False):
     rows = draw(st.integers(min_value=1, max_value=8))
     k = draw(st.integers(min_value=1, max_value=6))
     shape = (rows, k)
-    dwell = np.array(
-        draw(st.lists(st.lists(dwell_values, min_size=k, max_size=k),
-                      min_size=rows, max_size=rows))
-    )
-    sites = np.array(
-        draw(st.lists(st.lists(tower_ids, min_size=k, max_size=k),
-                      min_size=rows, max_size=rows))
-    )
+    dwell = matrix(draw, dwell_values, shape)
+    sites = matrix(draw, tower_ids, shape)
     if not with_coords:
         return dwell, sites
-    lats = np.array(
-        draw(st.lists(st.lists(coords, min_size=k, max_size=k),
-                      min_size=rows, max_size=rows))
-    )
-    lons = np.array(
-        draw(st.lists(st.lists(coords, min_size=k, max_size=k),
-                      min_size=rows, max_size=rows))
-    )
+    lats = matrix(draw, coords, shape)
+    lons = matrix(draw, coords, shape)
     assert dwell.shape == sites.shape == lats.shape == lons.shape == shape
     return dwell, lats, lons
+
+
+@st.composite
+def anchor_days(draw):
+    """One anchor layout and several days of dwell on it."""
+    shape = (
+        draw(st.integers(min_value=1, max_value=8)),
+        draw(st.integers(min_value=1, max_value=6)),
+    )
+    sites = matrix(draw, tower_ids, shape)
+    lats = matrix(draw, coords, shape)
+    lons = matrix(draw, coords, shape)
+    days = [
+        matrix(draw, dwell_values, shape)
+        for _ in range(draw(st.integers(min_value=2, max_value=5)))
+    ]
+    return sites, lats, lons, days
 
 
 def entropy_row_reference(dwell, sites):
@@ -186,3 +207,67 @@ class TestGyrationDifferential:
         lats = np.array([[51.5, 53.0]])
         lons = np.array([[-0.1, -2.2]])
         assert radius_of_gyration(dwell, lats, lons)[0] == 0.0
+
+
+class TestPreparedGeometry:
+    @given(anchor_days())
+    @settings(max_examples=80, deadline=None)
+    def test_one_geometry_serves_many_days(self, data):
+        sites, lats, lons, days = data
+        geometry = TowerGeometry(sites, lats, lons)
+        for dwell in days:
+            entropy = geometry.entropy(dwell)
+            weighted = geometry.gyration(dwell, mode="weighted")
+            paper = geometry.gyration(dwell, mode="paper")
+            for row in range(dwell.shape[0]):
+                assert math.isclose(
+                    entropy[row],
+                    entropy_row_reference(dwell[row], sites[row]),
+                    rel_tol=1e-9, abs_tol=1e-12,
+                )
+                for mode, out in (("weighted", weighted), ("paper", paper)):
+                    expected = gyration_row_reference(
+                        dwell[row], lats[row], lons[row], mode
+                    )
+                    assert math.isclose(
+                        out[row], expected, rel_tol=1e-9, abs_tol=1e-9
+                    )
+            # Bitwise the one-shot calls, which build a fresh geometry.
+            assert np.array_equal(entropy, mobility_entropy(dwell, sites))
+            assert np.array_equal(
+                weighted, radius_of_gyration(dwell, lats, lons)
+            )
+            assert np.array_equal(
+                paper, radius_of_gyration(dwell, lats, lons, mode="paper")
+            )
+
+    @given(anchor_days())
+    @settings(max_examples=40, deadline=None)
+    def test_every_call_checks_its_dwell(self, data):
+        sites, lats, lons, days = data
+        geometry = TowerGeometry(sites, lats, lons)
+        first, later = days[0], days[1]
+        geometry.entropy(first)
+        geometry.gyration(first)
+
+        negative = later.copy()
+        negative[-1, -1] = -1.0
+        wider = np.zeros((later.shape[0], later.shape[1] + 1))
+        for bad in (negative, wider, later[0]):
+            with pytest.raises(ValueError):
+                geometry.entropy(bad)
+            with pytest.raises(ValueError):
+                geometry.gyration(bad)
+        with pytest.raises(ValueError, match="mode"):
+            geometry.gyration(later, mode="nope")
+        # A rejected matrix leaves the geometry usable.
+        assert np.array_equal(
+            geometry.entropy(later), mobility_entropy(later, sites)
+        )
+
+    def test_missing_half_raises(self):
+        dwell = np.ones((1, 2))
+        with pytest.raises(ValueError, match="sites"):
+            TowerGeometry(lats=dwell, lons=dwell).entropy(dwell)
+        with pytest.raises(ValueError, match="lats and lons"):
+            TowerGeometry(sites=np.array([[1, 2]])).gyration(dwell)

@@ -17,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.baseline import weekly_mean, weekly_mean_stack
-from repro.core.performance import _grouped_weekly_delta
+from repro.core.performance import (
+    PERF_METRICS,
+    _grouped_weekly_delta,
+    label_kpis,
+    performance_panel,
+    performance_series,
+)
+from repro.core.voice_analysis import VOICE_METRICS
 from repro.frames import Frame, group_by, join
 from repro.frames.kernels import use_naive
 
@@ -347,3 +354,116 @@ class TestWeeklyDifferential:
             assert v_name == n_name
             assert np.array_equal(v_weeks, n_weeks)
             assert np.array_equal(v_delta, n_delta)
+
+
+# ----------------------------------------------------------------------
+# KPI figure panels
+# ----------------------------------------------------------------------
+# Every (grouping, KPIs, options) slice the study draws for Figs 8–12.
+STUDY_SLICES = [
+    pytest.param("national", VOICE_METRICS, {}, id="fig9-national"),
+    pytest.param("region", PERF_METRICS, {}, id="region"),
+    pytest.param("county", PERF_METRICS, {}, id="fig8-county-uk"),
+    pytest.param(
+        "district_area", PERF_METRICS,
+        {"restrict_county": "Inner London"}, id="fig11-inner-london",
+    ),
+    pytest.param("oac", PERF_METRICS, {}, id="fig10-oac"),
+    pytest.param(
+        "oac", PERF_METRICS, {"restrict_county": "Inner London"},
+        id="fig12-oac-inner-london",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def kpi_world():
+    """A small simulated feed and its labeled KPI frame."""
+    from repro.simulation.config import SimulationConfig
+    from repro.simulation.engine import Simulator
+
+    feeds = Simulator(
+        SimulationConfig(num_users=1_000, target_site_count=300, seed=5)
+    ).run()
+    return feeds, label_kpis(feeds)
+
+
+def assert_panels_bitwise(actual: dict, expected: dict) -> None:
+    assert list(actual) == list(expected)
+    for metric, want in expected.items():
+        got = actual[metric]
+        assert got.metric == want.metric == metric
+        assert got.percentile == want.percentile
+        assert got.weeks.dtype == want.weeks.dtype
+        assert np.array_equal(got.weeks, want.weeks)
+        assert list(got.values) == list(want.values), metric
+        for group, deltas in want.values.items():
+            assert got.values[group].dtype == deltas.dtype
+            assert got.values[group].tobytes() == deltas.tobytes(), (
+                metric, group,
+            )
+
+
+class TestPerformancePanelDifferential:
+    @pytest.mark.parametrize("grouping, metrics, options", STUDY_SLICES)
+    def test_panel_matches_naive_per_kpi_series(
+        self, kpi_world, grouping, metrics, options
+    ):
+        feeds, labeled = kpi_world
+
+        def panel():
+            return performance_panel(
+                feeds, metrics, grouping=grouping, labeled=labeled,
+                **options,
+            )
+
+        vectorized, naive_panel = both_modes(panel)
+        with naive_mode():
+            per_kpi = {
+                metric: performance_series(
+                    feeds, metric, grouping=grouping, labeled=labeled,
+                    **options,
+                )
+                for metric in metrics
+            }
+        assert_panels_bitwise(vectorized, per_kpi)
+        assert_panels_bitwise(naive_panel, per_kpi)
+
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_unknown_grouping_or_kpi_raises_before_any_work(self, naive):
+        # No feeds and a frame without the slice columns: reaching the
+        # labelling or the row selection would fail differently.
+        kpi_only = Frame({"dl_volume_mb": np.ones(3)})
+        with frames_mode(naive):
+            with pytest.raises(ValueError, match="grouping"):
+                performance_panel(None, PERF_METRICS, grouping="nope")
+            with pytest.raises(KeyError, match="unknown KPI metric"):
+                performance_panel(
+                    None, ("dl_volume_mb", "nope"), grouping="oac",
+                    labeled=kpi_only,
+                )
+
+    @pytest.mark.parametrize("naive", [False, True])
+    @pytest.mark.parametrize("grouping, metrics, options", STUDY_SLICES)
+    def test_slice_without_baseline_week_raises(
+        self, kpi_world, naive, grouping, metrics, options
+    ):
+        feeds, labeled = kpi_world
+        no_week9 = labeled.filter(labeled["week"] != 9)
+        with frames_mode(naive):
+            with pytest.raises(ValueError, match="week 9"):
+                performance_panel(
+                    feeds, metrics, grouping=grouping, labeled=no_week9,
+                    **options,
+                )
+
+    @pytest.mark.parametrize("naive", [False, True])
+    @pytest.mark.parametrize("grouping", ["national", "county", "oac"])
+    def test_empty_slice_raises_value_error(self, kpi_world, naive, grouping):
+        feeds, labeled = kpi_world
+        with frames_mode(naive):
+            with pytest.raises(ValueError, match="no data"):
+                performance_panel(
+                    feeds, PERF_METRICS, grouping=grouping,
+                    restrict_county="Nowhere", labeled=labeled,
+                )

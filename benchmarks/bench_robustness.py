@@ -2,11 +2,17 @@
 
 Runs the study across several seeds and verifies that every qualitative
 takeaway keeps its sign — the reproduction does not hinge on one lucky
-world draw. (Run at tiny scale; the sweep is itself the benchmark.)
+world draw. The sweep is one scenario of the experiment grid crossed
+with the seeds; the catalog's ``baseline_lockdown`` at the tiny preset
+is ``SimulationConfig.tiny(seed)``. (Run at tiny scale; the sweep is
+itself the benchmark.)
 """
 
-from repro.core.robustness import seed_sweep
-from repro.simulation.config import SimulationConfig
+import numpy as np
+
+from repro import api
+
+SCENARIO = "baseline_lockdown"
 
 SIGN_STABLE_METRICS = (
     "gyration_change_lockdown_pct",  # always a drop
@@ -20,23 +26,30 @@ SIGN_STABLE_METRICS = (
 
 def test_seed_sweep(benchmark):
     result = benchmark.pedantic(
-        seed_sweep,
-        args=([11, 23, 37],),
-        kwargs={"config_factory": SimulationConfig.tiny},
+        api.experiment,
+        args=([SCENARIO],),
+        kwargs={"seeds": [11, 23, 37], "preset": "tiny"},
         rounds=1,
         iterations=1,
     )
+    summaries = [cell.summary() for cell in result.scenario_cells(SCENARIO)]
+
+    def values(metric: str) -> np.ndarray:
+        return np.array([summary[metric] for summary in summaries])
+
     print("\nRobustness across seeds (tiny scale)")
     print(f"{'metric':<38}{'mean':>10}{'std':>8}{'min':>10}{'max':>10}")
-    for row in result.to_rows():
+    for metric in summaries[0]:
+        column = values(metric)
         print(
-            f"{row['metric']:<38}{row['mean']:>10.2f}{row['std']:>8.2f}"
-            f"{row['min']:>10.2f}{row['max']:>10.2f}"
+            f"{metric:<38}{column.mean():>10.2f}{column.std():>8.2f}"
+            f"{column.min():>10.2f}{column.max():>10.2f}"
         )
     for metric in SIGN_STABLE_METRICS:
-        assert result.stable_sign(metric), metric
+        column = values(metric)
+        assert np.all(column > 0) or np.all(column < 0), metric
     # Magnitudes stay in the reproduction bands across seeds.
-    low, high = result.spread("gyration_change_lockdown_pct")
-    assert -62 < low and high < -30
-    low, high = result.spread("voice_volume_peak_pct")
-    assert low > 110 and high < 200
+    column = values("gyration_change_lockdown_pct")
+    assert -62 < column.min() and column.max() < -30
+    column = values("voice_volume_peak_pct")
+    assert column.min() > 110 and column.max() < 200

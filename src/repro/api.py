@@ -27,9 +27,13 @@ handle:
   re-analyzes incrementally — bitwise-identical, at every step, to a
   from-scratch run of the same length.  :meth:`Run.frozen` reports
   whether the configured horizon has been reached;
-- :func:`resume` (and :meth:`Run.resume`) completes a run whose
-  producing process died, from its per-day checkpoints, bitwise
-  identical to an uninterrupted run.
+- :func:`resume` completes a run whose producing process died, from
+  its per-day checkpoints, bitwise identical to an uninterrupted run.
+
+``python -m repro`` (:mod:`repro.cli`) is a shell over these
+functions: ``simulate --out`` is :func:`simulate`, ``simulate
+--resume`` is :func:`resume`, and every analysis verb is
+:meth:`Run.open` followed by :meth:`Run.study`.
 
 Everything raises :class:`~repro.io.store.RunStoreError` subtypes with
 the offending file named, so a broken run directory is a one-line
@@ -166,15 +170,6 @@ class Run:
         path = save_feeds(self._feeds, target)
         self._directory = path
         return path
-
-    def resume(self) -> "Run":
-        """No-op for a completed run handle (kept for lifecycle symmetry).
-
-        The useful form is the module-level :func:`resume`, which
-        completes an *interrupted* directory; a :class:`Run` instance
-        always wraps finished feeds already.
-        """
-        return self
 
     def advance(
         self, days: int = 1, *, checkpoint: bool = True, progress=None

@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: a shell over :mod:`repro.api`.
 
 Usage (after ``pip install -e .``)::
 
@@ -7,32 +7,47 @@ Usage (after ``pip install -e .``)::
     python -m repro summary runs/small7
     python -m repro report --preset tiny --seed 3
 
-``simulate`` runs the engine and persists the feeds; ``analyze`` /
-``summary`` reload a persisted run and print the full figure report or
-just the headline numbers; ``report`` does simulate + analyze in one
-shot without touching disk (or, given a run directory, reports on it).
+Every verb drives the lifecycle through the API: ``simulate --out``
+is :func:`repro.api.simulate`, ``simulate --resume`` is
+:func:`repro.api.resume`, and the analysis verbs open the run with
+:meth:`repro.api.Run.open` and analyze it with :meth:`Run.study
+<repro.api.Run.study>`.  The CLI itself only parses arguments, serves
+warm results from the artifact cache, formats errors and prints.
 
-Every feed-consuming subcommand (``analyze``, ``summary``, ``report``,
-``verdict``, ``export``, ``watch``) takes the run directory as its
-positional argument.  They all take the same trio of switches:
-``--lazy`` memory-maps the run's columnar feed partition instead of
-materializing it (same output, bounded peak memory — see
-:mod:`repro.io.columnar`), ``--no-cache`` bypasses the persistent
-artifact cache for one invocation, and ``--telemetry`` appends the
-phase table.
+``simulate`` runs the engine and persists the feeds; ``analyze`` /
+``summary`` reload a persisted run and print the short report (Figs 3,
+8 and 9 plus the headline numbers) or just the headline numbers;
+``report`` simulates in memory and reports on the result without
+touching disk.
+
+The analysis verbs (``analyze``, ``summary``, ``verdict``, ``export``,
+``watch``) take the run directory as their positional argument, plus
+``--no-cache`` (bypass the persistent artifact cache for one
+invocation), ``--telemetry`` (append the phase table) and
+``--workers N`` (fan the shard-streaming kernels across N processes,
+or ``auto`` for the CPU count; the default runs them in process, and
+every value prints the same bytes).  All but ``watch`` also take
+``--lazy``, which memory-maps the run's columnar feed partition
+instead of materializing it (same output, bounded peak memory — see
+:mod:`repro.io.columnar`).  The pool maps the committed partition, so
+asking for workers (any ``--workers`` value but 1) opens the run
+lazily too.
 
 ``watch`` is the live-operator loop: it polls a run directory that
 another process is advancing day-by-day (:meth:`repro.api.Run.advance`)
 and reprints the summary and paper-target verdict whenever new days
 land, serving unchanged day ranges from the artifact cache so a
 refresh costs seconds, not a full recompute (see ``docs/LIVE.md``).
+It always opens the run lazily.
 
 ``simulate --out DIR`` checkpoints every completed shard-day under
 ``DIR/checkpoints`` while running (disable with ``--no-checkpoint``).
 If the run dies — a crashed worker, a kill -9, a full disk —
 ``simulate --resume DIR`` restores the completed days and computes
 only the rest, bitwise-identical to an uninterrupted run.  Checkpoints
-are removed once the feeds are saved.
+are removed once the feeds are saved.  A directory that already holds
+a loadable run (finished, or live with a killed advance) is only
+opened: ``--resume`` prints its state and changes nothing.
 
 Pass ``--telemetry`` to ``simulate``, ``analyze``, or ``report`` to
 record span timings and counters for the command and print the phase
@@ -56,6 +71,10 @@ report, and ``compare`` renders the same report over arbitrary saved
 run directories.  With ``experiment --workdir DIR`` every cell persists
 and a warm rerun reloads instead of re-simulating, printing bytes
 identical to the cold run.
+
+A malformed count (``--users``, ``--shards``, ``--workers``,
+``--iterations``) is rejected while parsing: exit code 2 and one
+``error:`` line naming the flag.
 """
 
 from __future__ import annotations
@@ -63,6 +82,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from pathlib import Path
 
 __all__ = ["main", "build_parser"]
 
@@ -93,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "complete an interrupted run from its checkpoints (uses "
             "the configuration stored with them; other simulate "
-            "options are ignored)"
+            "options are ignored); a loadable run is only opened"
         ),
     )
     simulate.add_argument(
@@ -106,41 +126,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_arg(simulate)
 
     analyze = commands.add_parser(
-        "analyze", help="reload a run and print the full figure report"
+        "analyze",
+        help=(
+            "reload a run and print the short report (Figs 3, 8, 9 "
+            "and the headline numbers)"
+        ),
     )
-    _add_rundir_args(analyze)
-    _add_cache_arg(analyze)
-    _add_telemetry_arg(analyze)
-    _add_workers_arg(analyze)
+    _add_analysis_args(analyze)
 
     summary = commands.add_parser(
         "summary", help="reload a run and print the headline numbers"
     )
-    _add_rundir_args(summary)
-    _add_cache_arg(summary)
-    _add_telemetry_arg(summary)
-    _add_workers_arg(summary)
+    _add_analysis_args(summary)
 
     report = commands.add_parser(
         "report",
-        help=(
-            "print the report for a run directory, or simulate one "
-            "in memory and report on it"
-        ),
+        help="simulate in memory and print the short report",
     )
-    _add_rundir_args(report, required=False)
     _add_preset_args(report)
-    _add_cache_arg(report)
     _add_telemetry_arg(report)
 
     verdict = commands.add_parser(
         "verdict",
         help="reload a run and score it against every paper target",
     )
-    _add_rundir_args(verdict)
-    _add_cache_arg(verdict)
-    _add_telemetry_arg(verdict)
-    _add_workers_arg(verdict)
+    _add_analysis_args(verdict)
 
     watch = commands.add_parser(
         "watch",
@@ -149,16 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
             "another process advances it"
         ),
     )
-    _add_rundir_args(watch)
-    _add_cache_arg(watch)
-    _add_telemetry_arg(watch)
-    _add_workers_arg(watch)
+    _add_analysis_args(watch, lazy_flag=False)
     watch.add_argument(
         "--interval", type=float, default=2.0, metavar="SECONDS",
         help="poll period for the run's manifest (default: 2.0)",
     )
     watch.add_argument(
-        "--iterations", type=int, default=None, metavar="N",
+        "--iterations", type=_positive_int, default=None, metavar="N",
         help=(
             "stop after N polls (default: watch until the run freezes "
             "at its horizon, or Ctrl-C)"
@@ -183,38 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         "export",
         help="reload a run and write every figure's series as CSVs",
     )
-    _add_rundir_args(export)
-    _add_cache_arg(export)
-    _add_telemetry_arg(export)
-    _add_workers_arg(export)
+    _add_analysis_args(export)
     export.add_argument(
         "--out", required=True, help="directory for the CSV bundle"
-    )
-
-    bench_summary = commands.add_parser(
-        "bench-summary",
-        help=(
-            "collate benchmarks/results/*.json into one markdown "
-            "trajectory table (optionally checking for regressions)"
-        ),
-    )
-    bench_summary.add_argument(
-        "--results", default="benchmarks/results", metavar="DIR",
-        help="directory of bench result JSONs (default: %(default)s)",
-    )
-    bench_summary.add_argument(
-        "--check", default=None, metavar="BASELINE_DIR",
-        help=(
-            "compare speedup-type gates against the baseline result "
-            "JSONs in this directory and exit 1 on regressions"
-        ),
-    )
-    bench_summary.add_argument(
-        "--band", type=float, default=15.0, metavar="PCT",
-        help=(
-            "tolerance band for --check, in percent "
-            "(default: %(default)s)"
-        ),
     )
 
     scenarios = commands.add_parser(
@@ -249,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation scale per cell (default: small)",
     )
     experiment.add_argument(
-        "--users", type=int, default=None,
+        "--users", type=_positive_int, default=None,
         help="override the preset's user count per cell",
     )
     experiment.add_argument(
@@ -290,19 +268,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_rundir_args(
-    parser: argparse.ArgumentParser, required: bool = True
+def _positive_int(text: str) -> int:
+    """The argparse type of every count option: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
+def _workers_or_auto(text: str) -> int | str:
+    """The analysis ``--workers`` type: a positive integer or ``auto``."""
+    if text == "auto":
+        return text
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer or 'auto', got {text!r}"
+        ) from None
+
+
+def _add_analysis_args(
+    parser: argparse.ArgumentParser, lazy_flag: bool = True
 ) -> None:
+    """The run directory and switches shared by the analysis verbs."""
     parser.add_argument(
-        "rundir", nargs="?", default=None,
-        help="saved-run directory"
-        + ("" if required else " (omit to simulate in memory)"),
+        "rundir", nargs="?", default=None, help="saved-run directory"
     )
+    if lazy_flag:
+        parser.add_argument(
+            "--lazy", action="store_true",
+            help=(
+                "memory-map the run's mobility shards on demand instead "
+                "of materializing them (bounded peak memory; for large "
+                "runs)"
+            ),
+        )
+    else:
+        parser.set_defaults(lazy=True)
     parser.add_argument(
-        "--lazy", action="store_true",
+        "--no-cache", action="store_true",
         help=(
-            "memory-map the run's mobility shards on demand instead of "
-            "materializing them (bounded peak memory; for large runs)"
+            "neither read nor write the run's persistent analysis "
+            "artifact cache for this invocation"
+        ),
+    )
+    _add_telemetry_arg(parser)
+    parser.add_argument(
+        "--workers", type=_workers_or_auto, default=None, metavar="N",
+        help=(
+            "fan the shard-streaming analysis kernels across N "
+            "processes, or 'auto' for the CPU count; results are "
+            "bitwise identical for every value, and any value but 1 "
+            "opens the run memory-mapped (default: in process)"
         ),
     )
 
@@ -316,57 +339,21 @@ def _add_preset_args(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=2020, help="simulation seed"
     )
     parser.add_argument(
-        "--users", type=int, default=None,
+        "--users", type=_positive_int, default=None,
         help="override the preset's user count",
     )
     parser.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=_positive_int, default=None,
         help=(
             "partition the agents into this many deterministic shards "
             "(default: 1, or the worker count when --workers is given)"
         ),
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help=(
             "run the shard day loops on this many processes "
             "(default: 1 = in-process)"
-        ),
-    )
-
-
-def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", default="auto", metavar="N",
-        help=(
-            "fan the shard-streaming analysis kernels across this "
-            "many processes; results are bitwise identical for every "
-            "value (default: auto = the CPU count; 1 disables)"
-        ),
-    )
-
-
-def _workers_from_args(args: argparse.Namespace):
-    """The analysis worker request: ``"auto"``, an int, or ``None``."""
-    value = getattr(args, "workers", None)
-    if value is None or value == "auto":
-        return value
-    try:
-        return int(value)
-    except (TypeError, ValueError) as err:
-        raise _CliError(
-            f"{args.command}: --workers must be an integer or 'auto', "
-            f"got {value!r}",
-            code=2,
-        ) from err
-
-
-def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help=(
-            "neither read nor write the run's persistent analysis "
-            "artifact cache for this invocation"
         ),
     )
 
@@ -416,26 +403,25 @@ def _analysis(rundir, compute, manifest: dict | None = None):
     Home detection needs ``min_nights`` days (``ValueError``); the
     correlation and delta figures need the key intervention dates
     inside the window (``KeyError``).  A live run that has not reached
-    them yet reports that instead of a traceback.
+    them yet reports that instead of a traceback.  ``compute`` opens
+    the run through :func:`_study`, which has already turned a store
+    error (a ``ValueError`` too) into its own one-line error.
     """
     try:
         return compute()
     except (ValueError, KeyError) as err:
         if manifest is None:
-            from pathlib import Path
-
             manifest = _read_manifest(Path(rundir))
         raise _AnalysisPending(manifest, err) from err
 
 
-def _resolve_rundir(args: argparse.Namespace, required: bool = True):
-    """The run directory of a feed-consuming command."""
-    rundir = getattr(args, "rundir", None)
-    if rundir is None and required:
+def _resolve_rundir(args: argparse.Namespace):
+    """The run directory of an analysis verb."""
+    if args.rundir is None:
         raise _CliError(
             f"{args.command}: a run directory is required", code=2
         )
-    return rundir
+    return args.rundir
 
 
 def _config_from_args(args: argparse.Namespace):
@@ -454,14 +440,19 @@ def _config_from_args(args: argparse.Namespace):
         )
     if args.shards is not None or args.workers is not None:
         workers = args.workers if args.workers is not None else 1
-        shards = args.shards if args.shards is not None else max(workers, 1)
+        shards = args.shards if args.shards is not None else workers
         config = config.with_parallelism(shards, workers=workers)
     return config
 
 
 def main(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse has printed the usage and its one ``error:`` line
+        # (or the help text); hand its exit code back like any other.
+        return stop.code
     try:
         if not getattr(args, "telemetry", False):
             return _run_command(args, out)
@@ -484,9 +475,8 @@ def main(argv: Sequence[str] | None = None, out=sys.stdout) -> int:
 
 
 def _run_simulate(args: argparse.Namespace, out) -> int:
-    from repro.io import RunStoreError, save_feeds
-    from repro.simulation.checkpoint import CheckpointStore
-    from repro.simulation.engine import Simulator
+    from repro import api
+    from repro.io import RunStoreError
     from repro.simulation.faults import ShardExecutionError
 
     def progress(day: int, total: int) -> None:
@@ -505,18 +495,19 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
         )
 
     target = args.resume if args.resume is not None else args.out
+    # A committed manifest means api.resume only opens the run.
+    loadable = (
+        args.resume is not None and _read_manifest(Path(target)) is not None
+    )
     try:
         if args.resume is not None:
-            feeds = Simulator.resume(
-                target, progress=progress, stream=True
-            )
+            run = api.resume(target, progress=progress)
         else:
-            feeds = Simulator(_config_from_args(args)).run(
+            run = api.simulate(
+                _config_from_args(args),
+                target,
+                checkpoint=not args.no_checkpoint,
                 progress=progress,
-                checkpoint_dir=None if args.no_checkpoint else target,
-                # Mobility days land directly in the run directory's
-                # columnar partition; save_feeds commits them in place.
-                stream_dir=target,
             )
     except ShardExecutionError as err:
         hint = (
@@ -528,14 +519,14 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
     except RunStoreError as err:
         raise _CliError(str(err)) from err
 
-    path = save_feeds(feeds, target)
-    if CheckpointStore.present(target):
-        CheckpointStore.open(target).clear()
-    print(
-        f"saved {feeds.num_users} users x "
-        f"{feeds.calendar.num_days} days to {path}",
-        file=out,
-    )
+    if loadable:
+        print(f"nothing to resume: {run!r}", file=out)
+    else:
+        print(
+            f"saved {run.feeds.num_users} users x {run.days} days "
+            f"to {run.directory}",
+            file=out,
+        )
     return 0
 
 
@@ -547,12 +538,7 @@ def _run_command(args: argparse.Namespace, out) -> int:
         from repro.io import export_analysis
 
         rundir = _resolve_rundir(args)
-        study = _cached_study(
-            rundir,
-            _open_cache(args, rundir),
-            lazy=getattr(args, "lazy", False),
-            workers=_workers_from_args(args),
-        )
+        study = _study(args, rundir, _open_cache(args, rundir))
         path = export_analysis(study, args.out)
         print(f"wrote figure CSVs to {path}", file=out)
         return 0
@@ -560,30 +546,19 @@ def _run_command(args: argparse.Namespace, out) -> int:
     if args.command == "cache":
         return _run_cache(args, out)
 
-    if args.command == "bench-summary":
-        return _run_bench_summary(args, out)
-
     if args.command in ("analyze", "summary", "verdict"):
         rundir = _resolve_rundir(args)
         cache = _open_cache(args, rundir)
-        lazy = getattr(args, "lazy", False)
-        workers = _workers_from_args(args)
         if args.command == "analyze":
             print(
                 _analysis(
-                    rundir,
-                    lambda: _report_text(
-                        rundir, cache, full=False, lazy=lazy, workers=workers
-                    ),
+                    rundir, lambda: _report_text(args, rundir, cache)
                 ),
                 file=out,
             )
             return 0
         summary = _analysis(
-            rundir,
-            lambda: _summary_values(
-                rundir, cache, lazy=lazy, workers=workers
-            ),
+            rundir, lambda: _summary_values(args, rundir, cache)
         )
         if args.command == "summary":
             for key, value in summary.items():
@@ -610,30 +585,18 @@ def _run_command(args: argparse.Namespace, out) -> int:
         return _run_compare(args, out)
 
     if args.command == "report":
-        rundir = _resolve_rundir(args, required=False)
-        if rundir is not None:
-            cache = _open_cache(args, rundir)
-            print(
-                _report_text(
-                    rundir, cache, full=False,
-                    lazy=getattr(args, "lazy", False),
-                    # report shares --workers with the simulate preset
-                    # switches; unset means the auto analysis default.
-                    workers=_workers_from_args(args) or "auto",
-                ),
-                file=out,
-            )
-        else:
-            from repro.core import CovidImpactStudy
+        from repro import api
 
-            study = CovidImpactStudy.run(_config_from_args(args))
-            print(study.report(), file=out)
+        print(
+            api.simulate(_config_from_args(args)).study().report(),
+            file=out,
+        )
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-def _read_manifest(rundir):
+def _read_manifest(rundir: Path):
     """The run's parsed ``manifest.json``, or ``None`` before the first
     save.  The manifest is replaced atomically (every save and every
     live append commits by renaming it), so a successful parse is
@@ -649,7 +612,6 @@ def _read_manifest(rundir):
 
 def _run_watch(args: argparse.Namespace, out) -> int:
     import time
-    from pathlib import Path
 
     rundir = Path(_resolve_rundir(args))
     interval = max(float(args.interval), 0.0)
@@ -686,7 +648,7 @@ def _watch_refresh(args, rundir, manifest, out) -> None:
 
     The refresh never materializes the feeds: analysis artifacts are
     served from the run's cache when warm, and a cold (newly advanced)
-    range recomputes over the memory-mapped partition (``lazy``), with
+    range recomputes over the memory-mapped partition, with
     already-seen day ranges reused from their range artifacts.
     """
     import time
@@ -697,11 +659,10 @@ def _watch_refresh(args, rundir, manifest, out) -> None:
     # Reopen per refresh: the cache is keyed on the manifest's feed
     # digests, which change with every appended day.
     cache = _open_cache(args, rundir)
-    workers = _workers_from_args(args)
     try:
         summary = _analysis(
             rundir,
-            lambda: _summary_values(rundir, cache, lazy=True, workers=workers),
+            lambda: _summary_values(args, rundir, cache),
             manifest,
         )
     except _AnalysisPending as pending:
@@ -790,98 +751,61 @@ def _run_compare(args: argparse.Namespace, out) -> int:
 
 
 def _open_cache(args: argparse.Namespace, rundir):
-    """The run's artifact cache, or ``None`` (--no-cache, no digests)."""
-    if getattr(args, "no_cache", False):
-        return None
+    """The run's artifact cache: ``False`` under ``--no-cache``, and
+    ``None`` for a run without recorded feed digests."""
+    if args.no_cache:
+        return False
     from repro.analysis.cache import ArtifactCache
 
     return ArtifactCache.open(rundir)
 
 
-def _cached_study(rundir, cache, lazy: bool = False, workers=None):
-    from repro.core import CovidImpactStudy
-    from repro.io import load_feeds
+def _study(args: argparse.Namespace, rundir, cache):
+    """The cold path: open the run through the API and study it.
 
-    return CovidImpactStudy(
-        _load(load_feeds, rundir, lazy=lazy), cache=cache, workers=workers
-    )
-
-
-def _report_text(
-    rundir, cache, full: bool, lazy: bool = False, workers=None
-) -> str:
-    """The rendered report — from the cache alone when warm.
-
-    A cache hit skips ``load_feeds`` entirely: the artifact is keyed on
-    the manifest's feed digests, so nothing else needs to be read.
+    Asking for workers opens the run memory-mapped: the pool maps the
+    committed partition, and an eagerly loaded feed never gets a pool
+    plan, so it would run serially whatever ``--workers`` says.
     """
-    if cache is not None:
+    from repro import api
+    from repro.io import RunStoreError
+
+    lazy = args.lazy or args.workers not in (None, 1)
+    try:
+        run = api.Run.open(rundir, lazy=lazy)
+    except RunStoreError as err:
+        raise _CliError(str(err)) from err
+    return run.study(cache=cache or False, workers=args.workers)
+
+
+def _report_text(args: argparse.Namespace, rundir, cache) -> str:
+    """The rendered short report — from the cache alone when warm.
+
+    A cache hit skips loading the feeds entirely: the artifact is
+    keyed on the manifest's feed digests, so nothing else needs to be
+    read.
+    """
+    if cache:
         from repro.analysis.cache import report_params
 
-        text = cache.get("report", report_params(full))
+        text = cache.get("report", report_params(False))
         if isinstance(text, str):
             return text
-    return _cached_study(
-        rundir, cache, lazy=lazy, workers=workers
-    ).report(full=full)
+    return _study(args, rundir, cache).report(full=False)
 
 
-def _summary_values(
-    rundir, cache, lazy: bool = False, workers=None
-) -> dict:
+def _summary_values(args: argparse.Namespace, rundir, cache) -> dict:
     """The headline-summary mapping — from the cache alone when warm."""
-    if cache is not None:
+    if cache:
         from repro.analysis.cache import summary_params
 
         summary = cache.get("summary", summary_params())
         if isinstance(summary, dict):
             return summary
-    return _cached_study(
-        rundir, cache, lazy=lazy, workers=workers
-    ).summary()
-
-
-def _run_bench_summary(args: argparse.Namespace, out) -> int:
-    from repro import benchreport
-
-    print(benchreport.summarize(args.results), file=out)
-    if args.check is None:
-        return 0
-    fresh = benchreport.metric_rows(
-        benchreport.collect_results(args.results)
-    )
-    baseline = benchreport.metric_rows(
-        benchreport.collect_results(args.check)
-    )
-    if not baseline:
-        print(
-            f"\nno baseline results under {args.check}; "
-            "nothing to check",
-            file=out,
-        )
-        return 0
-    failures = benchreport.check_regressions(
-        fresh, baseline, band_pct=args.band
-    )
-    if failures:
-        print(
-            f"\n{len(failures)} gate regression(s) vs {args.check} "
-            f"(band {args.band:g}%):",
-            file=out,
-        )
-        for failure in failures:
-            print(f"  {failure}", file=out)
-        return 1
-    print(
-        f"\nno gate regressions vs {args.check} (band {args.band:g}%)",
-        file=out,
-    )
-    return 0
+    return _study(args, rundir, cache).summary()
 
 
 def _run_cache(args: argparse.Namespace, out) -> int:
-    from pathlib import Path
-
     from repro.analysis.cache import CACHE_SUBDIR, ArtifactCache
 
     if args.info and args.clear:
@@ -909,15 +833,6 @@ def _run_cache(args: argparse.Namespace, out) -> int:
             file=out,
         )
     return 0
-
-
-def _load(load_feeds, directory, lazy: bool = False):
-    from repro.io import RunStoreError
-
-    try:
-        return load_feeds(directory, lazy=lazy)
-    except RunStoreError as err:
-        raise _CliError(str(err)) from err
 
 
 if __name__ == "__main__":  # pragma: no cover

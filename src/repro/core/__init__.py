@@ -33,8 +33,8 @@ figure:
 Beyond the paper: :mod:`repro.core.annual_context` (the "years of
 growth" framings), :mod:`repro.core.metrics_extra` (visited towers,
 predictability bounds), :mod:`repro.core.paper_targets` (the verdict
-bands) and :mod:`repro.core.robustness` (seed sweeps).  Like the rest of
-the package they need numpy alone.
+bands).  Like the rest of the package they need numpy alone.  A seed
+sweep is :func:`repro.api.experiment` over one scenario.
 """
 
 from repro.core.annual_context import contextualize_summary, years_of_growth
@@ -45,7 +45,6 @@ from repro.core.metrics_extra import (
     top_location_share,
     visited_towers,
 )
-from repro.core.robustness import SweepResult, seed_sweep
 from repro.core.sessionize import (
     sessionize_events,
     sessionize_events_stream,
@@ -77,11 +76,9 @@ from repro.core.study import CovidImpactStudy
 
 __all__ = [
     "CovidImpactStudy",
-    "SweepResult",
     "contextualize_summary",
     "predictability_bound",
     "random_entropy",
-    "seed_sweep",
     "top_location_share",
     "visited_towers",
     "years_of_growth",

@@ -190,6 +190,13 @@ class TestApiAndStudy:
             assert calls == [1], name
 
 
+@pytest.fixture(scope="module")
+def run_dir4(tmp_path_factory):
+    target = tmp_path_factory.mktemp("parallel4") / "run"
+    api.simulate(_config(shards=4), target)
+    return target
+
+
 class TestCli:
     def test_workers_flag_accepted(self, run_dir):
         out = io.StringIO()
@@ -207,5 +214,27 @@ class TestCli:
     def test_workers_auto_is_default(self):
         from repro.cli import build_parser
 
+        # The default runs the kernels in process, like
+        # Run.study(workers=None); "auto" must be asked for.
         args = build_parser().parse_args(["analyze", "somewhere"])
+        assert args.workers is None
+        args = build_parser().parse_args(
+            ["analyze", "somewhere", "--workers", "auto"]
+        )
         assert args.workers == "auto"
+
+    def test_workers_flag_fans_out(self, run_dir4, recorder):
+        # Asking for workers opens the run memory-mapped, so the pool
+        # gets a plan over the committed 4-shard partition.
+        def analyze(workers: str) -> str:
+            out = io.StringIO()
+            argv = ["analyze", str(run_dir4), "--no-cache"]
+            assert main(argv + ["--workers", workers], out=out) == 0
+            return out.getvalue()
+
+        serial = analyze("1")
+        assert _counters().get("analysis.shards_dispatched", 0) == 0
+        recorder.reset()
+        fanned = analyze("2")
+        assert _counters().get("analysis.shards_dispatched", 0) >= 2
+        assert fanned == serial

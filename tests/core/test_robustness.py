@@ -1,42 +1,61 @@
-"""Tests for the seed-sweep machinery (cheap: two tiny seeds)."""
+"""Seed sweeps through the experiment grid (cheap: two tiny seeds).
 
+A seed sweep is one scenario crossed with several seeds,
+``api.experiment(["baseline_lockdown"], seeds=..., preset="tiny")``;
+its cells hold the per-seed summaries, and the statistics are plain
+numpy over them.
+"""
+
+import numpy as np
 import pytest
 
-from repro.core.robustness import seed_sweep
+from repro import api
+from repro.datasets.spec import config_digest
+from repro.experiments import ExperimentSpec
 from repro.simulation.config import SimulationConfig
+
+_SCENARIO = "baseline_lockdown"
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return seed_sweep(
-        [3, 5], config_factory=SimulationConfig.tiny
+    return api.experiment([_SCENARIO], seeds=[3, 5], preset="tiny")
+
+
+def _values(sweep, metric: str) -> np.ndarray:
+    return np.array(
+        [cell.summary()[metric] for cell in sweep.scenario_cells(_SCENARIO)]
     )
 
 
 class TestSeedSweep:
     def test_per_seed_summaries(self, sweep):
-        assert sweep.seeds == (3, 5)
-        assert len(sweep.per_seed) == 2
+        cells = sweep.scenario_cells(_SCENARIO)
+        assert tuple(cell.seed for cell in cells) == (3, 5)
+        assert all(cell.summary() for cell in cells)
+        # The catalog's baseline at the tiny preset is the tiny world.
+        for cell in cells:
+            assert cell.digest == config_digest(
+                SimulationConfig.tiny(seed=cell.seed)
+            )
 
     def test_values_aligned(self, sweep):
-        values = sweep.values("voice_volume_peak_pct")
+        values = _values(sweep, "voice_volume_peak_pct")
         assert values.shape == (2,)
 
     def test_statistics(self, sweep):
-        metric = "gyration_change_lockdown_pct"
-        low, high = sweep.spread(metric)
-        assert low <= sweep.mean(metric) <= high
-        assert sweep.std(metric) >= 0
+        values = _values(sweep, "gyration_change_lockdown_pct")
+        assert values.min() <= values.mean() <= values.max()
+        assert values.std() >= 0
 
     def test_stable_signs_on_core_findings(self, sweep):
-        assert sweep.stable_sign("gyration_change_lockdown_pct")
-        assert sweep.stable_sign("voice_volume_peak_pct")
-
-    def test_rows_cover_metrics(self, sweep):
-        rows = sweep.to_rows()
-        assert len(rows) == len(sweep.metrics())
-        assert all("mean" in row for row in rows)
+        for metric in (
+            "gyration_change_lockdown_pct",
+            "voice_volume_peak_pct",
+        ):
+            values = _values(sweep, metric)
+            assert np.all(values > 0) or np.all(values < 0), metric
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            seed_sweep([])
+            ExperimentSpec(scenarios=(_SCENARIO,), seeds=())

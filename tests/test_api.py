@@ -184,9 +184,11 @@ class TestResume:
         run = api.resume(rundir)
         assert run.directory == rundir
 
-    def test_run_resume_is_identity(self, tmp_path):
-        run = api.simulate(_config())
-        assert run.resume() is run
+    def test_resume_has_one_spelling(self):
+        # The module-level function is the only resume verb; a Run
+        # handle always wraps loadable feeds already.
+        assert callable(api.resume)
+        assert not hasattr(api.Run, "resume")
 
     def test_nothing_to_resume_surfaces_load_error(self, tmp_path):
         with pytest.raises(RunStoreError, match="does not exist"):

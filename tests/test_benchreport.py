@@ -1,16 +1,26 @@
-"""Benchmark collation and regression gating (:mod:`repro.benchreport`)."""
+"""Benchmark collation and regression gating (``benchmarks/collate.py``).
 
+The collation script lives next to the benchmarks it collates, outside
+the ``repro`` package, so it is loaded here from its file.
+"""
+
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
-from repro import benchreport
-from repro.benchreport import (
-    MetricRow,
-    check_regressions,
-    collect_results,
-    metric_rows,
-    render_table,
-    summarize,
-)
+_COLLATE = Path(__file__).parent.parent / "benchmarks" / "collate.py"
+_spec = importlib.util.spec_from_file_location("collate", _COLLATE)
+collate = importlib.util.module_from_spec(_spec)
+sys.modules["collate"] = collate  # dataclasses resolve their module
+_spec.loader.exec_module(collate)
+
+MetricRow = collate.MetricRow
+check_regressions = collate.check_regressions
+collect_results = collate.collect_results
+metric_rows = collate.metric_rows
+render_table = collate.render_table
+summarize = collate.summarize
 
 _SAMPLE = {
     "smoke": {
@@ -137,9 +147,7 @@ class TestCheckRegressions:
 
 class TestSelfConsistency:
     def test_committed_results_pass_self_check(self):
-        from pathlib import Path
-
-        results = Path(__file__).parent.parent / "benchmarks" / "results"
-        rows = metric_rows(benchreport.collect_results(results))
+        results = _COLLATE.parent / "results"
+        rows = metric_rows(collect_results(results))
         assert rows, "committed benchmark results should collate"
         assert check_regressions(rows, rows) == []

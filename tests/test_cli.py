@@ -2,11 +2,24 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from repro import telemetry
+from repro import api, telemetry
 from repro.cli import build_parser, main
+from repro.simulation.checkpoint import CheckpointStore
+from repro.simulation.config import SimulationConfig
+from repro.simulation.faults import RecoverySettings, ShardExecutionError
+
+
+def _tree(path: Path) -> dict[str, bytes]:
+    """Every file of a run directory, by relative path."""
+    return {
+        str(item.relative_to(path)): item.read_bytes()
+        for item in sorted(Path(path).rglob("*"))
+        if item.is_file()
+    }
 
 
 class TestParser:
@@ -26,6 +39,45 @@ class TestParser:
             build_parser().parse_args(
                 ["simulate", "--preset", "huge", "--out", "x"]
             )
+
+
+class TestCountValidation:
+    """A malformed count is a one-line usage error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--preset", "tiny", "--workers", "0"], "--workers"),
+            (["simulate", "--preset", "tiny", "--shards", "0"], "--shards"),
+            (["simulate", "--preset", "tiny", "--users", "-5"], "--users"),
+            (["simulate", "--preset", "tiny", "--workers", "auto"], "--workers"),
+            (["report", "--preset", "tiny", "--shards", "x"], "--shards"),
+            (["summary", "RUN", "--workers", "-1"], "--workers"),
+            (["analyze", "RUN", "--workers", "0"], "--workers"),
+            (["watch", "RUN", "--iterations", "0"], "--iterations"),
+            (["experiment", "no_intervention", "--users", "0"], "--users"),
+        ],
+        ids=[
+            "simulate-workers", "simulate-shards", "simulate-users",
+            "simulate-workers-auto", "report-shards", "summary-workers",
+            "analyze-workers", "watch-iterations", "experiment-users",
+        ],
+    )
+    def test_bad_count_exits_2_naming_the_flag(
+        self, tmp_path, capsys, argv, flag
+    ):
+        argv = [tmp_path / "run" if arg == "RUN" else arg for arg in argv]
+        if argv[0] == "simulate":
+            argv += ["--out", tmp_path / "run"]
+        out = io.StringIO()
+        assert main([str(arg) for arg in argv], out=out) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1, err
+        assert f"argument {flag}:" in errors[0]
+        assert "Traceback" not in err
+        assert out.getvalue() == ""
+        assert not (tmp_path / "run").exists()
 
 
 class TestCommands:
@@ -59,6 +111,7 @@ class TestCommands:
         text = out.getvalue()
         assert "Fig 3" in text
         assert "Fig 9" in text
+        assert "Headline numbers" in text
 
     def test_verdict(self, run_dir):
         out = io.StringIO()
@@ -87,9 +140,10 @@ class TestCommands:
         assert "Headline numbers" in out.getvalue()
 
     def test_report_on_a_run_dir(self, run_dir):
+        # ``analyze RUN`` prints a saved run's report; ``report`` only
+        # simulates in memory, so a run directory is a usage error.
         out = io.StringIO()
-        assert main(["report", str(run_dir)], out=out) == 0
-        assert "Headline numbers" in out.getvalue()
+        assert main(["report", str(run_dir)], out=out) == 2
 
     def test_summary_and_verdict_take_telemetry(self, run_dir):
         for command in ("summary", "verdict"):
@@ -256,6 +310,16 @@ class TestErrorPaths:
         assert "does not exist" in text
         assert "Traceback" not in text
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bench-summary"], ["watch", "RUN", "--lazy", "--iterations", "1"]],
+        ids=["bench-summary", "watch-lazy"],
+    )
+    def test_deleted_spellings_are_usage_errors(self, tmp_path, argv):
+        # Collation is benchmarks/collate.py; watch always opens lazily.
+        argv = [str(tmp_path) if arg == "RUN" else arg for arg in argv]
+        assert main(argv, out=io.StringIO()) == 2
+
 
 class TestShortLiveRun:
     """A live run that has not reached the figures' key dates yet."""
@@ -351,7 +415,76 @@ class TestCrashAndResume:
         out = io.StringIO()
         code = main(["simulate", "--resume", str(tmp_path / "x")], out=out)
         assert code == 1
-        assert "nothing to resume" in out.getvalue()
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert str(tmp_path / "x") in lines[0]
+        assert "does not exist" in lines[0]
+
+    def test_resume_on_a_finished_run_only_opens_it(self, tmp_path):
+        path = tmp_path / "run"
+        argv = [
+            "simulate", "--preset", "tiny", "--seed", "13",
+            "--users", "600", "--out", str(path),
+        ]
+        assert main(argv, out=io.StringIO()) == 0
+        before = _tree(path)
+        out = io.StringIO()
+        assert main(["simulate", "--resume", str(path)], out=out) == 0
+        text = out.getvalue()
+        assert "x 98 days" in text
+        assert repr(api.Run.open(path)) in text
+        assert "saved" not in text
+        assert _tree(path) == before
+
+    def test_resume_after_a_killed_live_advance(self, tmp_path, monkeypatch):
+        # The advance dies inside its window: the committed 35-day
+        # manifest is untouched, so --resume opens the live run as it
+        # stands and keeps the window's checkpoints for the retry.
+        config = SimulationConfig.tiny(seed=13).with_overrides(
+            num_users=600, recovery=RecoverySettings(max_retries=0)
+        )
+        path = tmp_path / "run"
+        run = api.simulate(config, path, days=35)
+        monkeypatch.setenv("REPRO_FAULTS", "kill:day=37")
+        with pytest.raises(ShardExecutionError, match="--resume"):
+            run.advance(5)
+        monkeypatch.delenv("REPRO_FAULTS")
+
+        out = io.StringIO()
+        assert main(["simulate", "--resume", str(path)], out=out) == 0
+        assert "35/98 days (live)" in out.getvalue()
+        assert "saved" not in out.getvalue()
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["num_days"] == 35
+        assert "live" in manifest
+        assert CheckpointStore.present(path)
+
+        api.Run.open(path).advance(5)
+        clean = api.simulate(config, tmp_path / "clean", days=35)
+        clean.advance(5)
+        assert _tree(path) == _tree(tmp_path / "clean")
+
+    def test_simulate_matches_the_api(self, tmp_path, monkeypatch):
+        from repro.simulation import engine
+
+        # Each side builds its own world: config.pkl pickles the
+        # calendar's memoized arrays, which a reused world leaves unset.
+        monkeypatch.setattr(engine, "_WORLD_MEMO", None)
+        path = tmp_path / "cli"
+        argv = [
+            "simulate", "--preset", "tiny", "--seed", "7", "--users",
+            "600", "--shards", "2", "--out", str(path),
+        ]
+        assert main(argv, out=io.StringIO()) == 0
+        config = (
+            SimulationConfig.tiny(seed=7)
+            .with_overrides(num_users=600, target_site_count=100)
+            .with_parallelism(2, workers=1)
+        )
+        monkeypatch.setattr(engine, "_WORLD_MEMO", None)
+        api.simulate(config, tmp_path / "api")
+        assert _tree(path) == _tree(tmp_path / "api")
 
 
 class TestScenarioCommands:

@@ -120,7 +120,7 @@ def bench_incremental(rundir: Path) -> dict:
     # with every prior day range served from the cache.
     run.advance(1)
     start = time.perf_counter()
-    _cli(["summary", str(rundir), "--lazy"])
+    _cli(["summary", str(rundir)])
     refresh_s = time.perf_counter() - start
 
     return {

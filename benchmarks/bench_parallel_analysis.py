@@ -81,11 +81,11 @@ def _summary_digest(summary: dict) -> str:
 
 
 def _analyze(rundir: Path, workers: int) -> dict:
-    """Load lazily, run metrics -> homes -> summary; time the kernels."""
+    """Load mapped, run metrics -> homes -> summary; time the kernels."""
     from repro.core import CovidImpactStudy
     from repro.io import load_feeds
 
-    feeds = load_feeds(rundir, lazy=True)
+    feeds = load_feeds(rundir)
     study = CovidImpactStudy(feeds, workers=workers)
     start = time.perf_counter()
     metrics = study.metrics
@@ -118,7 +118,7 @@ def _bench(label: str, tmp_path: Path) -> None:
     config = _study_config(size["users"], size["sites"])
 
     # One simulated world serves every shard layout: the engine output
-    # is shard-count invariant, and an eager save shards by the
+    # is shard-count invariant, and an in-memory save shards by the
     # config's parallelism.  Re-tagging the config is therefore enough
     # to persist the same feeds at three layouts.
     feeds = Simulator(config).run()

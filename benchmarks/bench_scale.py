@@ -2,9 +2,10 @@
 
 The columnar feed store's claim (:mod:`repro.io.columnar`): population
 size is bounded by disk, not RAM.  This bench drives the whole
-lifecycle — streamed simulate → atomic save → lazy load → streamed
-``compute_daily_metrics`` — with **each phase in its own subprocess**
-so ``ru_maxrss`` measures that phase alone, and gates three promises:
+lifecycle — streamed simulate → atomic save → memory-mapped load →
+streamed ``compute_daily_metrics`` — with **each phase in its own
+subprocess** so ``ru_maxrss`` measures that phase alone, and gates
+these promises:
 
 - peak RSS of every phase stays under a fixed budget (the analyze
   phase never assembles the full population in memory);
@@ -12,8 +13,10 @@ so ``ru_maxrss`` measures that phase alone, and gates three promises:
   budget, so growing the payload cannot quietly grow resident memory
   in step (absolute budgets alone would mask that at small sizes);
 - the streamed analysis sustains a minimum user-days/sec rate;
-- its output is *bitwise* identical to the ``REPRO_STORE_NAIVE=1``
-  eager oracle (compared by SHA-256 of the result arrays).
+- its output is *bitwise* identical to the in-memory oracle: the
+  engine's own feeds of the same configuration, simulated without a
+  stream directory and analyzed in a third subprocess (compared by
+  SHA-256 of the result arrays).
 
 Three sizes share the machinery: a CI smoke at 30k agents, the full
 ``-m slow`` run at 1,000,000 agents (~3 minutes of simulate), and an
@@ -72,9 +75,10 @@ SIZES = {
         "sites": 600,
         "signaling": False,
         # Streamed analyze measures ~0.83 GiB (mostly resident pages of
-        # the 300 MB mapped payload); the eager oracle needs ~1.54 GiB,
-        # so this budget sits between the two — bounded-memory
-        # streaming passes, full-population assembly fails.
+        # the 300 MB mapped payload); an eager load of the partition
+        # needed ~1.54 GiB, so this budget sits between the two —
+        # bounded-memory streaming passes, full-population assembly
+        # fails.
         "simulate_rss_budget": int(2.0 * GIB),
         "analyze_rss_budget": int(1.25 * GIB),
         # Measured ~2.96 (resident pages + interpreter over a 300 MB
@@ -213,13 +217,42 @@ def _phase_simulate(rundir: Path, size: dict) -> dict:
 def _phase_analyze(rundir: Path, size: dict) -> dict:
     import time
 
-    from repro.core.statistics import compute_daily_metrics
     from repro.io import load_feeds
     from repro.io.columnar import ShardedMobilityFeed
 
     start = time.perf_counter()
-    feeds = load_feeds(rundir, lazy=True)
-    streaming = isinstance(feeds.mobility, ShardedMobilityFeed)
+    feeds = load_feeds(rundir)
+    report = _analyze(feeds, start)
+    report["streaming"] = isinstance(feeds.mobility, ShardedMobilityFeed)
+    return report
+
+
+def _phase_oracle(rundir: Path, size: dict) -> dict:
+    """The engine's in-memory feeds of the same config, analyzed."""
+    import time
+
+    from repro.simulation.engine import Simulator
+    from repro.simulation.feeds import MobilityFeed
+
+    config = _config(
+        size["users"],
+        size["days"],
+        size["shards"],
+        size["sites"],
+        size.get("signaling", False),
+    )
+    feeds = Simulator(config).run()
+    report = _analyze(feeds, time.perf_counter())
+    report["streaming"] = type(feeds.mobility) is not MobilityFeed
+    return report
+
+
+def _analyze(feeds, start: float) -> dict:
+    """Metrics and sessions of ``feeds``, hashed, timed from ``start``."""
+    import time
+
+    from repro.core.statistics import compute_daily_metrics
+
     metrics = compute_daily_metrics(feeds)
     sessions = 0
     session_sha = None
@@ -227,8 +260,8 @@ def _phase_analyze(rundir: Path, size: dict) -> dict:
         # Stream the signalling partition a day at a time through
         # windowed shard maps — the whole event payload is consumed
         # while resident memory stays bounded by one day's chunks.
-        # The naive oracle loads an eager per-day dict instead; both
-        # paths must hash identical sessions.
+        # The oracle's in-memory per-day dict sessionizes whole days;
+        # both paths must hash identical sessions.
         import hashlib
 
         from repro.core.sessionize import (
@@ -250,7 +283,6 @@ def _phase_analyze(rundir: Path, size: dict) -> dict:
     elapsed = time.perf_counter() - start
     user_days = int(metrics.entropy.size)
     return {
-        "streaming": streaming,
         "analyze_seconds": elapsed,
         "user_days": user_days,
         "user_days_per_sec": user_days / elapsed if elapsed else 0.0,
@@ -262,16 +294,17 @@ def _phase_analyze(rundir: Path, size: dict) -> dict:
     }
 
 
-_PHASES = {"simulate": _phase_simulate, "analyze": _phase_analyze}
+_PHASES = {
+    "simulate": _phase_simulate,
+    "analyze": _phase_analyze,
+    "oracle": _phase_oracle,
+}
 
 
-def _run_phase(phase: str, rundir: Path, size: dict, *, naive=False) -> dict:
+def _run_phase(phase: str, rundir: Path, size: dict) -> dict:
     """Execute one phase in a fresh interpreter; return its report."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_REPO_ROOT / "src")
-    env.pop("REPRO_STORE_NAIVE", None)
-    if naive:
-        env["REPRO_STORE_NAIVE"] = "1"
     completed = subprocess.run(
         [
             sys.executable,
@@ -307,7 +340,7 @@ def _bench(label: str, tmp_path: Path) -> None:
 
     simulate = _run_phase("simulate", rundir, size)
     analyze = _run_phase("analyze", rundir, size)
-    oracle = _run_phase("analyze", rundir, size, naive=True)
+    oracle = _run_phase("oracle", rundir, size)
 
     bitwise = (
         analyze["entropy_sha256"] == oracle["entropy_sha256"]
@@ -349,11 +382,11 @@ def _bench(label: str, tmp_path: Path) -> None:
         f"RSS/payload {rss_ratio:.2f}"
     )
 
-    assert analyze["streaming"], "lazy load did not produce a sharded feed"
+    assert analyze["streaming"], "load_feeds did not produce a sharded feed"
     assert not oracle["streaming"], (
-        "REPRO_STORE_NAIVE=1 did not force the eager oracle"
+        "the oracle's feed is not the engine's in-memory MobilityFeed"
     )
-    assert bitwise, "streamed metrics diverged from the eager oracle"
+    assert bitwise, "streamed metrics diverged from the in-memory oracle"
     assert simulate["peak_rss_bytes"] <= size["simulate_rss_budget"], (
         f"simulate peak RSS {simulate['peak_rss_bytes'] / GIB:.2f} GiB "
         f"over budget {size['simulate_rss_budget'] / GIB:.2f} GiB"

@@ -43,7 +43,7 @@ Quickstart
 >>> run = api.simulate(SimulationConfig.small(), "runs/s")  # doctest: +SKIP
 >>> run.study().summary()["voice_volume_peak_pct"]  # doctest: +SKIP
 143.5
->>> run = api.Run.open("runs/s", lazy=True)  # doctest: +SKIP
+>>> run = api.Run.open("runs/s")  # doctest: +SKIP
 
 The :mod:`repro.api` facade (:class:`~repro.api.Run`) unifies the whole
 lifecycle — simulate, open, advance (live day-at-a-time runs), resume,

@@ -44,18 +44,23 @@ __all__ = [
 ]
 
 
-def resolve_workers(workers: int | str | None) -> int:
+def resolve_workers(workers: int | str) -> int:
     """Resolve a ``workers`` request to a concrete worker count.
 
-    ``None``, ``0`` and ``"auto"`` resolve to the CPU count; anything
-    else must be a positive integer and passes through.
+    ``"auto"`` resolves to the CPU count and a positive integer passes
+    through; anything else raises :class:`ValueError`.
     """
-    if workers in (None, 0, "auto"):
+    if workers == "auto":
         return max(1, os.cpu_count() or 1)
-    count = int(workers)
-    if count < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    return count
+    if (
+        isinstance(workers, bool)
+        or not isinstance(workers, (int, np.integer))
+        or workers < 1
+    ):
+        raise ValueError(
+            f"workers must be a positive integer or 'auto', got {workers!r}"
+        )
+    return int(workers)
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,6 @@ class _WorkerState:
             shard = columnar.open_shard(
                 self.plan.directory,
                 index,
-                lazy=True,
                 segments=(
                     list(self.plan.segments) if self.plan.segments else None
                 ),

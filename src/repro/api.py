@@ -11,15 +11,15 @@ handle:
 >>> run = api.simulate(SimulationConfig.small(), "runs/s")  # doctest: +SKIP
 >>> run.study().summary()["voice_volume_peak_pct"]  # doctest: +SKIP
 143.5
->>> again = api.Run.open("runs/s", lazy=True)  # doctest: +SKIP
+>>> again = api.Run.open("runs/s")  # doctest: +SKIP
 
 - :func:`simulate` runs the engine; given a directory it checkpoints
   into and persists to it (crash-safe by default — see
   :mod:`repro.simulation.checkpoint`).  With ``days=N`` it simulates
   only the first N study days and leaves a *live* run;
-- :meth:`Run.open` reopens a persisted run (``lazy=True`` memory-maps
-  the mobility partition); :meth:`Run.save` persists (or re-homes)
-  one; :meth:`Run.study` hands back a cached
+- :meth:`Run.open` reopens a persisted run, memory-mapping its
+  mobility partition; :meth:`Run.save` persists (or re-homes) one;
+  :meth:`Run.study` hands back a cached
   :class:`~repro.core.study.CovidImpactStudy`;
 - :meth:`Run.advance` extends a live run day-at-a-time: it simulates
   the next window on the same engine, appends it to the run directory
@@ -81,18 +81,11 @@ class Run:
     :meth:`advance` extends it in place until :meth:`frozen`.
     """
 
-    def __init__(
-        self,
-        feeds,
-        directory: str | Path | None = None,
-        *,
-        lazy: bool = False,
-    ) -> None:
+    def __init__(self, feeds, directory: str | Path | None = None) -> None:
         if feeds is None:
             raise ValueError("a Run wraps a produced DataFeeds bundle")
         self._feeds = feeds
         self._directory = None if directory is None else Path(directory)
-        self._lazy = bool(lazy)
         self._study = None
 
     def __repr__(self) -> str:
@@ -141,14 +134,13 @@ class Run:
 
     # -- lifecycle ---------------------------------------------------------
     @classmethod
-    def open(cls, directory: str | Path, *, lazy: bool = False) -> "Run":
+    def open(cls, directory: str | Path, *, lazy: object = None) -> "Run":
         """Open a persisted run directory (finished or live).
 
-        With ``lazy=True`` the mobility feed is memory-mapped shard by
-        shard instead of materialized (see
+        The mobility feed is memory-mapped shard by shard (see
         :func:`repro.io.store.load_feeds`): analysis streams it with
-        bounded peak memory, which is how million-agent runs are meant
-        to be opened.
+        bounded peak memory, at every population size.  ``lazy`` is
+        accepted and ignored; every open is memory-mapped.
 
         Raises :class:`~repro.io.store.RunStoreError` when the
         directory is missing, interrupted (use :func:`resume`), or
@@ -156,7 +148,7 @@ class Run:
         """
         from repro.io import load_feeds
 
-        return cls(load_feeds(directory, lazy=lazy), directory, lazy=lazy)
+        return cls(load_feeds(directory), directory)
 
     def save(self, directory: str | Path | None = None) -> Path:
         """Persist the run (defaults to the directory it came from)."""
@@ -232,14 +224,14 @@ class Run:
         )
         append_feeds(self._feeds, chunk, self._directory)
         _clear_checkpoints(self._directory)
-        self._feeds = load_feeds(self._directory, lazy=self._lazy)
+        self._feeds = load_feeds(self._directory)
         self._study = None
         if self.frozen():
             # Compact the segmented partition and versioned tables back
             # to the canonical single-segment layout: the frozen
             # directory becomes byte-identical to a batch run's.
             self.save()
-            self._feeds = load_feeds(self._directory, lazy=self._lazy)
+            self._feeds = load_feeds(self._directory)
         return self
 
     # -- analysis ----------------------------------------------------------
@@ -251,13 +243,16 @@ class Run:
         digests recorded in its manifest), so figure payloads survive
         across processes.  Pass ``cache=False`` for a purely in-memory
         study, or a ready :class:`~repro.analysis.cache.ArtifactCache`
-        to use instead.  ``workers`` (> 1, or ``"auto"``) fans the
-        shard-streaming kernels across a process pool
+        to use instead.  ``workers`` is ``None`` (in process), a
+        positive integer or ``"auto"`` (the CPU count); above 1 it fans
+        the shard-streaming kernels across a process pool
         (:mod:`repro.analysis.parallel`) — results are bitwise
-        identical for every value; the figures compute in the calling
-        process.  The study handle is memoized per run state: the
-        ``cache``/``workers`` arguments only matter on the first call,
-        and :meth:`advance` resets the memo (the feeds changed).
+        identical for every value, and any other value raises
+        :class:`ValueError` when the kernels run.  The figures compute
+        in the calling process.  The study handle is memoized per run
+        state: the ``cache``/``workers`` arguments only matter on the
+        first call, and :meth:`advance` resets the memo (the feeds
+        changed).
         """
         if self._study is None:
             from repro.core import CovidImpactStudy
@@ -327,7 +322,8 @@ def simulate(
         checkpoint_dir=directory if checkpoint else None,
         # Mobility days land directly in the run directory's columnar
         # partition (bounded peak memory); save() below commits them
-        # in place.  REPRO_STORE_NAIVE=1 disables the streaming.
+        # in place.  simulate(config).save(directory) is the in-memory
+        # path to the same bytes.
         stream_dir=directory,
         day_stop=days,
     )

@@ -26,19 +26,15 @@ The analysis verbs (``analyze``, ``summary``, ``verdict``, ``export``,
 invocation), ``--telemetry`` (append the phase table) and
 ``--workers N`` (fan the shard-streaming kernels across N processes,
 or ``auto`` for the CPU count; the default runs them in process, and
-every value prints the same bytes).  All but ``watch`` also take
-``--lazy``, which memory-maps the run's columnar feed partition
-instead of materializing it (same output, bounded peak memory — see
-:mod:`repro.io.columnar`).  The pool maps the committed partition, so
-asking for workers (any ``--workers`` value but 1) opens the run
-lazily too.
+every value prints the same bytes).  Every verb opens the run's
+columnar feed partition memory-mapped (bounded peak memory — see
+:mod:`repro.io.columnar`).
 
 ``watch`` is the live-operator loop: it polls a run directory that
 another process is advancing day-by-day (:meth:`repro.api.Run.advance`)
 and reprints the summary and paper-target verdict whenever new days
 land, serving unchanged day ranges from the artifact cache so a
 refresh costs seconds, not a full recompute (see ``docs/LIVE.md``).
-It always opens the run lazily.
 
 ``simulate --out DIR`` checkpoints every completed shard-day under
 ``DIR/checkpoints`` while running (disable with ``--no-checkpoint``).
@@ -159,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
             "another process advances it"
         ),
     )
-    _add_analysis_args(watch, lazy_flag=False)
+    _add_analysis_args(watch)
     watch.add_argument(
         "--interval", type=float, default=2.0, metavar="SECONDS",
         help="poll period for the run's manifest (default: 2.0)",
@@ -257,13 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rundirs", nargs="+", metavar="DIR",
         help="two or more saved-run directories",
     )
-    compare.add_argument(
-        "--lazy", action="store_true",
-        help=(
-            "memory-map each run's mobility shards on demand instead "
-            "of materializing them"
-        ),
-    )
     _add_telemetry_arg(compare)
     return parser
 
@@ -293,24 +282,11 @@ def _workers_or_auto(text: str) -> int | str:
         ) from None
 
 
-def _add_analysis_args(
-    parser: argparse.ArgumentParser, lazy_flag: bool = True
-) -> None:
+def _add_analysis_args(parser: argparse.ArgumentParser) -> None:
     """The run directory and switches shared by the analysis verbs."""
     parser.add_argument(
         "rundir", nargs="?", default=None, help="saved-run directory"
     )
-    if lazy_flag:
-        parser.add_argument(
-            "--lazy", action="store_true",
-            help=(
-                "memory-map the run's mobility shards on demand instead "
-                "of materializing them (bounded peak memory; for large "
-                "runs)"
-            ),
-        )
-    else:
-        parser.set_defaults(lazy=True)
     parser.add_argument(
         "--no-cache", action="store_true",
         help=(
@@ -324,8 +300,7 @@ def _add_analysis_args(
         help=(
             "fan the shard-streaming analysis kernels across N "
             "processes, or 'auto' for the CPU count; results are "
-            "bitwise identical for every value, and any value but 1 "
-            "opens the run memory-mapped (default: in process)"
+            "bitwise identical for every value (default: in process)"
         ),
     )
 
@@ -646,10 +621,10 @@ def _run_watch(args: argparse.Namespace, out) -> int:
 def _watch_refresh(args, rundir, manifest, out) -> None:
     """Print one summary + verdict refresh, timed.
 
-    The refresh never materializes the feeds: analysis artifacts are
-    served from the run's cache when warm, and a cold (newly advanced)
-    range recomputes over the memory-mapped partition, with
-    already-seen day ranges reused from their range artifacts.
+    Analysis artifacts are served from the run's cache when warm, and
+    a cold (newly advanced) range recomputes over the memory-mapped
+    partition, with already-seen day ranges reused from their range
+    artifacts.
     """
     import time
 
@@ -744,7 +719,7 @@ def _run_compare(args: argparse.Namespace, out) -> int:
             "compare: at least two run directories are required", code=2
         )
     try:
-        print(compare_runs(args.rundirs, lazy=args.lazy), file=out)
+        print(compare_runs(args.rundirs), file=out)
     except RunStoreError as err:
         raise _CliError(str(err)) from err
     return 0
@@ -761,18 +736,12 @@ def _open_cache(args: argparse.Namespace, rundir):
 
 
 def _study(args: argparse.Namespace, rundir, cache):
-    """The cold path: open the run through the API and study it.
-
-    Asking for workers opens the run memory-mapped: the pool maps the
-    committed partition, and an eagerly loaded feed never gets a pool
-    plan, so it would run serially whatever ``--workers`` says.
-    """
+    """The cold path: open the run through the API and study it."""
     from repro import api
     from repro.io import RunStoreError
 
-    lazy = args.lazy or args.workers not in (None, 1)
     try:
-        run = api.Run.open(rundir, lazy=lazy)
+        run = api.Run.open(rundir)
     except RunStoreError as err:
         raise _CliError(str(err)) from err
     return run.study(cache=cache or False, workers=args.workers)

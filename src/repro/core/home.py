@@ -119,38 +119,23 @@ def shard_night_win_counts(shard, window_days: np.ndarray) -> np.ndarray:
 
     The single per-shard kernel, run in process or by the process-pool
     workers alike — identical partials by construction.  Night days are
-    read through windowed maps
-    (:func:`repro.io.columnar.window_days`, one contiguous run of the
-    scan window at a time) and released as consumed.
+    read through :func:`repro.io.columnar.read_days` (a stored shard
+    maps one window of the scan at a time) and released as consumed.
     """
-    from repro.io import columnar
+    from repro.io.columnar import read_days
 
-    window_days = np.asarray(window_days, dtype=np.int64)
     count = shard.num_rows
     k = shard.anchor_sites.shape[1]
     win_counts = np.zeros((count, k), dtype=np.int64)
     rows = np.arange(count)
-    for lo, hi in _contiguous_runs(window_days):
-        window = columnar.window_days(shard, "night_dwell", lo, hi)
-        for offset in range(hi - lo):
-            night = window[offset]
-            winner = night.argmax(axis=1)
-            observed = night.max(axis=1) > 0
-            win_counts[rows[observed], winner[observed]] += 1
-        del window
+    for _, night in read_days(
+        shard, "night_dwell", np.asarray(window_days, dtype=np.int64)
+    ):
+        winner = night.argmax(axis=1)
+        observed = night.max(axis=1) > 0
+        del night
+        win_counts[rows[observed], winner[observed]] += 1
     return win_counts
-
-
-def _contiguous_runs(days: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal ``[lo, hi)`` runs of consecutive day indices, in order."""
-    runs: list[list[int]] = []
-    for day in days:
-        day = int(day)
-        if runs and day == runs[-1][1]:
-            runs[-1][1] = day + 1
-        else:
-            runs.append([day, day + 1])
-    return [(lo, hi) for lo, hi in runs]
 
 
 def finalize_homes(

@@ -6,13 +6,13 @@ radius of gyration, then aggregates. :func:`compute_daily_metrics` does
 exactly that over the whole study window.
 
 The work is one walk over the feed's shards: an in-memory feed is a
-single shard of the whole population, a lazily loaded run
-(``load_feeds(..., lazy=True)``) one shard per memory-mapped partition.
+single shard of the whole population, a stored run
+(:func:`repro.io.load_feeds`) one shard per memory-mapped partition.
 :func:`shard_metric_blocks` computes a shard's block a day at a time
 and the block scatters into the output at the shard's population rows.
 Both kernels are strictly row-independent, so the result is bitwise
-identical for every shard layout, and peak memory is one shard × one
-day rather than the population × the window.
+identical for every shard layout, and the dwell a stored shard holds
+resident is one window of days rather than the population × the study.
 """
 
 from __future__ import annotations
@@ -208,15 +208,15 @@ def shard_metric_blocks(
     partials are bitwise identical by construction and the only
     difference is where the task runs.
 
-    Each dwell day is read through :func:`repro.io.columnar.window_days`:
-    on a lazily opened shard the day maps fresh and is released once
-    filtered, keeping the walk's resident set bounded by one day (the
-    persistent shard maps are never touched here).  The shard's anchor
-    towers are fixed for the walk, so their
+    Dwell is read through :func:`repro.io.columnar.read_days`: on a
+    stored shard each window of days is mapped fresh and released once
+    filtered, keeping the walk's resident set bounded by one window
+    (the persistent shard maps are never touched here).  The shard's
+    anchor towers are fixed for the walk, so their
     :class:`~repro.core.metrics.TowerGeometry` is built once and
     applied to every day.
     """
-    from repro.io.columnar import window_days
+    from repro.io.columnar import read_days
 
     anchor_sites = shard.anchor_sites
     geometry = TowerGeometry(
@@ -225,10 +225,11 @@ def shard_metric_blocks(
     entropy = np.empty((day_hi - day_lo, shard.num_rows), dtype=np.float32)
     gyration = np.empty_like(entropy)
     dwell = np.empty(anchor_sites.shape, dtype=np.float64)
-    for day in range(day_lo, day_hi):
-        (window,) = window_days(shard, "daily_dwell", day, day + 1)
-        top_tower_filter(window, top_towers, out=dwell)
-        del window
+    for day, stored in read_days(
+        shard, "daily_dwell", range(day_lo, day_hi)
+    ):
+        top_tower_filter(stored, top_towers, out=dwell)
+        del stored
         entropy[day - day_lo] = geometry.entropy(dwell)
         gyration[day - day_lo] = geometry.gyration(dwell, mode=gyration_mode)
     return entropy, gyration

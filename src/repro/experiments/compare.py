@@ -246,7 +246,7 @@ def _mean_overlays(
     return merged
 
 
-def compare_runs(directories: list[str | Path], lazy: bool = False) -> str:
+def compare_runs(directories: list[str | Path]) -> str:
     """The comparative report over persisted run directories.
 
     The first directory is the baseline; labels are directory names
@@ -263,7 +263,7 @@ def compare_runs(directories: list[str | Path], lazy: bool = False) -> str:
     for directory in directories:
         label = _unique_label(Path(directory).name, labels)
         labels.append(label)
-        study = api.Run.open(directory, lazy=lazy).study()
+        study = api.Run.open(directory).study()
         summaries[label] = study.summary()
         overlays[label] = _overlay_series(study)
     header = [

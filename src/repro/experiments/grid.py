@@ -121,12 +121,12 @@ class GridCell:
         if self._run is None:
             from repro import api
 
-            self._run = api.Run.open(self.directory, lazy=True)
+            self._run = api.Run.open(self.directory)
         return self._run
 
     @property
     def loaded(self) -> bool:
-        """Whether the cell's feeds are materialized in this process."""
+        """Whether the cell's feeds are open in this process."""
         return self._run is not None
 
     def cached_artifact(self, name: str, params: dict):

@@ -9,8 +9,8 @@ shard-partitioned columnar store of memory-mappable arrays
 human-readable manifest — and :func:`load_feeds` reconstructs a
 :class:`~repro.simulation.feeds.DataFeeds` by rebuilding the
 deterministic world from the configuration and attaching the stored
-measurements, either eagerly or (``lazy=True``) mapping the mobility
-shards on demand so million-agent runs analyze in bounded memory.
+measurements, mapping the mobility shards on demand so million-agent
+runs analyze in bounded memory.
 """
 
 from repro.io.columnar import ShardedMobilityFeed

@@ -33,20 +33,24 @@ Three cooperating pieces:
   (home detection, relocation, the mobility graph) runs with bounded
   peak memory unchanged; streaming reductions iterate ``shards``
   directly.
-- :func:`open_columnar` — reopens a partition, either *lazy*
+- :func:`open_columnar` — reopens a partition memory-mapped
   (``np.load(mmap_mode="r")``: shards are mapped, pages fault in on
-  demand) or eager (:func:`materialize` rebuilds the plain in-memory
-  :class:`~repro.simulation.feeds.MobilityFeed`).
+  demand); the small identity columns are read into RAM.
 
-``REPRO_STORE_NAIVE=1`` (read at call time, like the other naive
-switches) forces the eager in-memory path everywhere — it is the
-differential oracle the streaming results are asserted bitwise against.
+The per-shard analysis kernels read dwell through :func:`read_days`,
+which maps each segment once per window of
+:data:`~repro.simulation.sharding.WINDOW_DAYS` days and drops the
+window before mapping the next, so a walk's resident set stays bounded
+by one shard × one window.  The engine's in-memory
+:class:`~repro.simulation.feeds.MobilityFeed` is the oracle the stored
+results are asserted bitwise against.
 
 Telemetry: ``store.bytes_mapped`` counts bytes opened for on-demand
-mapping, ``store.shards_streamed`` counts shards walked by a per-shard
-mobility kernel (:mod:`repro.core.statistics`, :mod:`repro.core.home`),
-and ``store.digest_verifications`` (bumped by :mod:`repro.io.store`)
-counts files checked against manifest digests.
+mapping, ``store.windows_mapped`` counts day windows mapped by
+:func:`window_days`, ``store.shards_streamed`` counts shards walked by
+a per-shard mobility kernel (:mod:`repro.core.statistics`,
+:mod:`repro.core.home`), and ``store.digest_verifications`` (bumped by
+:mod:`repro.io.store`) counts files checked against manifest digests.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ import numpy as np
 
 from repro import telemetry
 from repro.io.errors import RunStoreError
-from repro.simulation.feeds import MobilityFeed, MobilityShard
+from repro.simulation.feeds import MobilityShard
+from repro.simulation.sharding import WINDOW_DAYS
 
 __all__ = [
     "EVENT_COLUMNS",
@@ -73,23 +78,22 @@ __all__ = [
     "drop_stale_events",
     "event_file_name",
     "event_relative_paths",
-    "materialize",
     "open_columnar",
     "open_events",
     "open_shard",
+    "read_days",
     "segment_file_name",
     "segment_relative_paths",
     "shard_dir_name",
     "shard_relative_paths",
-    "use_naive",
     "window_days",
 ]
 
 FEEDS_SUBDIR = "feeds"
 
 #: The five columns of one shard directory.  ``rows``/``user_ids``/
-#: ``anchor_sites`` are small and always materialized; the two dwell
-#: stacks are the out-of-core payload.
+#: ``anchor_sites`` are small and read into RAM; the two dwell stacks
+#: are the out-of-core payload, always memory-mapped.
 SHARD_COLUMNS = (
     "rows",
     "user_ids",
@@ -112,15 +116,6 @@ EVENT_COLUMNS = (
 )
 
 _EVENT_OFFSETS = "events_offsets.npy"
-
-
-def use_naive() -> bool:
-    """Whether ``REPRO_STORE_NAIVE=1`` forces the in-memory oracle path.
-
-    Read at call time so tests (and users) can flip the environment
-    variable between calls without reimporting.
-    """
-    return os.environ.get("REPRO_STORE_NAIVE") == "1"
 
 
 def shard_dir_name(index: int) -> str:
@@ -258,7 +253,7 @@ class ShardedMobilityFeed:
 
     Drop-in for :class:`~repro.simulation.feeds.MobilityFeed`:
     ``user_ids`` / ``anchor_sites`` are assembled once (they are small),
-    ``dwell(day)`` / ``night(day)`` / ``daily_dwell[day]`` materialize
+    ``dwell(day)`` / ``night(day)`` / ``daily_dwell[day]`` assemble
     one full-population day matrix per call, and streaming consumers
     read :attr:`shards` directly for bounded per-shard access.
     """
@@ -329,17 +324,6 @@ class ShardedMobilityFeed:
             if shard.rows.size:
                 out[shard.rows] = getattr(shard, column)[day]
         return out
-
-
-def materialize(feed: ShardedMobilityFeed) -> MobilityFeed:
-    """Rebuild the plain in-memory feed, one assembled day at a time."""
-    return MobilityFeed(
-        user_ids=feed.user_ids,
-        anchor_sites=feed.anchor_sites,
-        daily_dwell=[feed.dwell(day) for day in range(feed.num_days)],
-        night_dwell=[feed.night(day) for day in range(feed.num_days)],
-        bin_dwell=feed.bin_dwell,
-    )
 
 
 def _save_npy(path: Path, array: np.ndarray) -> None:
@@ -588,24 +572,33 @@ class ColumnarWriter:
                     entry.unlink(missing_ok=True)
 
 
-def _load_column(path: Path, *, lazy: bool) -> np.ndarray:
+def _require(path: Path) -> None:
     if not path.exists():
         raise RunStoreError(
             f"saved run is missing feed shard file {path}", path=path
         )
+
+
+def _load_column(path: Path) -> np.ndarray:
+    """Read one small column file (identity columns, event offsets)."""
+    _require(path)
     try:
-        if lazy:
-            try:
-                array = np.load(path, mmap_mode="r")
-                telemetry.count("store.bytes_mapped", int(array.nbytes))
-                return array
-            except ValueError:
-                # Zero-size stacks cannot be mapped; fall through to a
-                # plain read (they cost nothing in memory).
-                pass
         return np.load(path)
-    except RunStoreError:
-        raise
+    except Exception as err:
+        raise RunStoreError(
+            f"corrupt feed shard file {path}: {err}", path=path
+        ) from err
+
+
+def _map_segment(path: Path) -> np.ndarray:
+    """A read-only map of one column file; dropping it unmaps the file."""
+    _require(path)
+    try:
+        try:
+            return np.load(path, mmap_mode="r")
+        except ValueError:
+            # Zero-size stacks cannot be mapped; a plain read is free.
+            return np.load(path)
     except Exception as err:
         raise RunStoreError(
             f"corrupt feed shard file {path}: {err}", path=path
@@ -616,16 +609,16 @@ def open_shard(
     directory: str | Path,
     shard_index: int,
     *,
-    lazy: bool,
     segments: list[tuple[int, int]] | None = None,
 ) -> MobilityShard:
     """Open exactly one shard of a committed feed partition.
 
     The unit a parallel analysis worker maps: given ``(run_dir,
     shard_id)`` it opens only that shard's files — no feed object
-    crosses the process boundary.  Lazy opens also record each dwell
-    column's backing files on :attr:`MobilityShard.sources` so
-    :func:`window_days` can re-map day windows with bounded residency.
+    crosses the process boundary.  The dwell stacks are read-only
+    memory maps, and each dwell column's backing files are recorded on
+    :attr:`MobilityShard.sources` so :func:`window_days` can re-map day
+    windows with bounded residency.
     """
     path = Path(directory)
     spans = [(0, None)] if not segments else [
@@ -633,20 +626,24 @@ def open_shard(
     ]
     shard_dir = path / FEEDS_SUBDIR / shard_dir_name(shard_index)
     columns = {
-        column: _load_column(shard_dir / f"{column}.npy", lazy=False)
+        column: _load_column(shard_dir / f"{column}.npy")
         for column in SHARD_COLUMNS
         if column not in _DWELL_COLUMNS
     }
     shard = MobilityShard(
-        index=shard_index, daily_dwell=None, night_dwell=None, **columns
+        index=shard_index,
+        daily_dwell=None,
+        night_dwell=None,
+        sources={},
+        **columns,
     )
-    sources: dict[str, list[tuple[int, int, Path]]] = {}
     for column in _DWELL_COLUMNS:
         pieces: list[tuple[int, np.ndarray]] = []
         files: list[tuple[int, int, Path]] = []
         for start, days in spans:
             file = shard_dir / segment_file_name(column, start)
-            stack = _load_column(file, lazy=lazy)
+            stack = _map_segment(file)
+            telemetry.count("store.bytes_mapped", int(stack.nbytes))
             if stack.ndim != 3 or stack.shape[1] != shard.num_rows:
                 raise RunStoreError(
                     f"feed shard file {file} has shape {stack.shape}, "
@@ -666,9 +663,7 @@ def open_shard(
             column,
             pieces[0][1] if len(pieces) == 1 else SegmentedStack(pieces),
         )
-        sources[column] = files
-    if lazy:
-        shard.sources = sources
+        shard.sources[column] = files
     return shard
 
 
@@ -676,39 +671,24 @@ def open_columnar(
     directory: str | Path,
     num_shards: int,
     *,
-    lazy: bool,
     segments: list[tuple[int, int]] | None = None,
 ) -> ShardedMobilityFeed:
-    """Reopen a committed feed partition.
+    """Reopen a committed feed partition, memory-mapped.
 
-    ``lazy`` keeps the dwell stacks as read-only memory maps; otherwise
-    they are read into RAM (the small identity columns always are).
-    ``segments`` — ``[(start_day, num_days), ...]`` from a live run's
-    manifest — opens each dwell stack as a :class:`SegmentedStack` over
-    its append-commit files; ``None`` (or one segment) is the canonical
-    single-file layout.  Raises
-    :class:`~repro.io.errors.RunStoreError` naming the precise file for
-    anything missing, truncated or malformed.
+    The dwell stacks stay read-only memory maps; the small identity
+    columns are read into RAM.  ``segments`` — ``[(start_day,
+    num_days), ...]`` from a live run's manifest — opens each dwell
+    stack as a :class:`SegmentedStack` over its append-commit files;
+    ``None`` (or one segment) is the canonical single-file layout.
+    Raises :class:`~repro.io.errors.RunStoreError` naming the precise
+    file for anything missing, truncated or malformed.
     """
     return ShardedMobilityFeed(
         [
-            open_shard(directory, index, lazy=lazy, segments=segments)
+            open_shard(directory, index, segments=segments)
             for index in range(num_shards)
         ]
     )
-
-
-def _map_segment(path: Path) -> np.ndarray:
-    """A short-lived read-only map of one segment file."""
-    try:
-        return np.load(path, mmap_mode="r")
-    except ValueError:
-        # Zero-size stacks cannot be mapped; a plain read is free.
-        return np.load(path)
-    except Exception as err:  # pragma: no cover - disk corruption
-        raise RunStoreError(
-            f"corrupt feed shard file {path}: {err}", path=path
-        ) from err
 
 
 def window_days(
@@ -716,14 +696,15 @@ def window_days(
 ) -> list[np.ndarray]:
     """Day matrices for ``[start, stop)`` of one shard column, windowed.
 
-    When the shard records its backing files (lazy opens), the window
-    is served from *fresh* memory maps: the returned day views are the
-    only thing keeping those maps alive, so dropping the list releases
-    every consumed page.  A streaming reduction that walks windows this
-    way keeps its resident set bounded by one window rather than by
-    every page it ever touched — the peak-RSS-below-payload property
-    the scale bench gates.  Falls back to slicing the shard's persistent
-    stacks (eager arrays, pending writers) with identical values.
+    When the shard records its backing files (every stored shard), the
+    window is served from *fresh* memory maps, one per segment it
+    touches: the returned day views are the only thing keeping those
+    maps alive, so dropping the list releases every consumed page.  A
+    streaming reduction that walks windows this way keeps its resident
+    set bounded by one window rather than by every page it ever
+    touched — the peak-RSS-below-payload property the scale bench
+    gates.  Falls back to slicing the shard's persistent stacks
+    (in-memory feeds, pending writers) with identical values.
     """
     sources = (shard.sources or {}).get(column)
     if not sources:
@@ -745,6 +726,38 @@ def window_days(
         )
     telemetry.count("store.windows_mapped", 1)
     return out
+
+
+def read_days(shard: MobilityShard, column: str, days):
+    """Yield ``(day, matrix)`` for each of ``days`` of a column, in order.
+
+    The one dwell reader of the per-shard analysis kernels.  Runs of
+    consecutive days are read :data:`WINDOW_DAYS` at a time through
+    :func:`window_days`, so each segment is mapped once per window.
+    The generator drops a window before it maps the next, so a
+    consumer that keeps no day past its iteration holds one window.
+    """
+    for lo, hi in _day_windows(days):
+        window = window_days(shard, column, lo, hi)
+        for offset in range(hi - lo):
+            yield lo + offset, window[offset]
+        del window
+
+
+def _day_windows(days) -> list[tuple[int, int]]:
+    """``[lo, hi)`` runs of consecutive ``days``, at most WINDOW_DAYS long."""
+    windows: list[list[int]] = []
+    for day in days:
+        day = int(day)
+        if (
+            windows
+            and day == windows[-1][1]
+            and day - windows[-1][0] < WINDOW_DAYS
+        ):
+            windows[-1][1] = day + 1
+        else:
+            windows.append([day, day + 1])
+    return [(lo, hi) for lo, hi in windows]
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +961,7 @@ def drop_stale_events(directory: str | Path) -> None:
 class ShardedEventFeed:
     """Day-keyed view over a per-shard signalling-event partition.
 
-    Drop-in for the engine's eager ``dict[int, Frame]`` — mapping-style
+    Drop-in for the engine's in-memory ``dict[int, Frame]`` — mapping-style
     ``feeds.signaling[day]`` / ``len`` / iteration all work — but each
     day is assembled from per-shard windows mapped *fresh* on every
     call, so consuming a day and dropping the frame releases its pages.
@@ -963,14 +976,12 @@ class ShardedEventFeed:
         num_shards: int,
         num_days: int,
         *,
-        lazy: bool = True,
         pending_writer: EventsWriter | None = None,
     ) -> None:
         self.run_directory = Path(directory)
         self.feeds_directory = self.run_directory / FEEDS_SUBDIR
         self.num_shards = int(num_shards)
         self.num_days = int(num_days)
-        self.lazy = bool(lazy)
         self.pending_writer = pending_writer
         self._offsets: dict[int, np.ndarray] = {}
 
@@ -1012,7 +1023,7 @@ class ShardedEventFeed:
             path = (
                 self.feeds_directory / shard_dir_name(index) / _EVENT_OFFSETS
             )
-            offsets = _load_column(path, lazy=False)
+            offsets = _load_column(path)
             if offsets.shape != (self.num_days + 1,):
                 raise RunStoreError(
                     f"event offsets file {path} has shape {offsets.shape}; "
@@ -1047,10 +1058,7 @@ class ShardedEventFeed:
         columns = {}
         for column, dtype in EVENT_COLUMNS:
             path = shard_dir / event_file_name(column)
-            if self.lazy and hi > lo:
-                values = _map_segment(path)[lo:hi]
-            else:
-                values = _load_column(path, lazy=False)[lo:hi]
+            values = _map_segment(path)[lo:hi]
             if values.dtype != dtype:
                 raise RunStoreError(
                     f"event file {path} has dtype {values.dtype}; "
@@ -1083,20 +1091,14 @@ class ShardedEventFeed:
             return pieces[0]
         return concat(pieces).sort_by(["user_id"])
 
-    def materialize(self) -> dict[int, "object"]:
-        """Rebuild the eager per-day dict, one assembled day at a time."""
-        return {day: self.day(day) for day in range(self.num_days)}
-
 
 def open_events(
     directory: str | Path,
     num_shards: int,
     num_days: int,
-    *,
-    lazy: bool,
 ) -> ShardedEventFeed:
     """Reopen a committed event partition as a day-keyed feed view."""
-    feed = ShardedEventFeed(directory, num_shards, num_days, lazy=lazy)
+    feed = ShardedEventFeed(directory, num_shards, num_days)
     for index in range(num_shards):
         feed._shard_offsets(index)  # validates presence and shape
     return feed

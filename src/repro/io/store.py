@@ -17,10 +17,10 @@ Layout of a saved run (format version 3)::
 
 The mobility feed — by far the largest payload — is partitioned by the
 engine's deterministic user sharding into one memory-mappable ``.npy``
-file per shard × column (:mod:`repro.io.columnar`), so
-``load_feeds(..., lazy=True)`` can map a million-agent run without
-materializing it.  The KPI and RAT tables are one ``.npy`` file each:
-a structured array with one field per column, in column order and
+file per shard × column (:mod:`repro.io.columnar`), which
+:func:`load_feeds` memory-maps, so a million-agent run opens without
+being read into RAM.  The KPI and RAT tables are one ``.npy`` file
+each: a structured array with one field per column, in column order and
 with the frame's own dtypes, so a load returns exactly the saved
 columns (and never unpickles: an object column is refused at save
 time).  Any other format version is refused at the manifest, naming
@@ -73,11 +73,10 @@ from repro.io import columnar
 from repro.io.columnar import (
     ColumnarWriter,
     ShardedMobilityFeed,
-    materialize,
     open_columnar,
 )
 from repro.io.errors import RunStoreError
-from repro.simulation.feeds import DataFeeds, MobilityFeed
+from repro.simulation.feeds import DataFeeds
 
 __all__ = ["RunStoreError", "append_feeds", "save_feeds", "load_feeds"]
 
@@ -565,15 +564,8 @@ def _read_config(path: Path):
         ) from err
 
 
-def _read_mobility(
-    path: Path, manifest: dict, *, lazy: bool
-) -> MobilityFeed | ShardedMobilityFeed:
-    """Open the columnar partition described by the manifest.
-
-    ``lazy`` keeps the dwell stacks memory-mapped (the
-    :class:`ShardedMobilityFeed` view); otherwise — and always under
-    ``REPRO_STORE_NAIVE=1`` — the plain in-memory feed is rebuilt.
-    """
+def _read_mobility(path: Path, manifest: dict) -> ShardedMobilityFeed:
+    """Open the columnar partition described by the manifest, mapped."""
     block = manifest.get("feeds")
     if not isinstance(block, dict) or block.get("layout") != "columnar":
         raise RunStoreError(
@@ -588,14 +580,9 @@ def _read_mobility(
             f"count {num_shards!r}",
             path=path / _MANIFEST,
         )
-    segments = _read_segments(path, block)
-    effective_lazy = lazy and not columnar.use_naive()
-    sharded = open_columnar(
-        path, num_shards, lazy=effective_lazy, segments=segments
+    return open_columnar(
+        path, num_shards, segments=_read_segments(path, block)
     )
-    if effective_lazy:
-        return sharded
-    return materialize(sharded)
 
 
 def _read_segments(path: Path, block: dict) -> list[tuple[int, int]] | None:
@@ -664,16 +651,16 @@ _LOAD_ATTEMPTS = 3
 
 
 @telemetry.timed("load_feeds")
-def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
+def load_feeds(directory: str | Path) -> DataFeeds:
     """Reload a run saved by :func:`save_feeds`.
 
-    With ``lazy=True`` the mobility partition is
-    memory-mapped shard by shard instead of materialized: the returned
-    bundle's ``mobility`` is a :class:`~repro.io.columnar.
+    The mobility partition is memory-mapped shard by shard: the
+    returned bundle's ``mobility`` is a :class:`~repro.io.columnar.
     ShardedMobilityFeed` whose day matrices are assembled on demand,
-    so analysis peak memory is bounded by one shard × one day rather
-    than the whole population.  ``REPRO_STORE_NAIVE=1`` forces
-    the eager in-memory path regardless (the differential oracle).
+    and the per-shard analysis kernels read it one window of days at a
+    time, so analysis peak memory is bounded by one shard × one window
+    rather than the whole population.  A saved signalling-event
+    partition opens as a :class:`~repro.io.columnar.ShardedEventFeed`.
 
     A live run may advance while it is read: when the load fails and
     ``manifest.json`` is no longer the one it began from, it loads
@@ -690,14 +677,14 @@ def load_feeds(directory: str | Path, *, lazy: bool = False) -> DataFeeds:
     for _ in range(_LOAD_ATTEMPTS - 1):
         manifest = _read_manifest(path)
         try:
-            return _load(path, manifest, lazy=lazy)
+            return _load(path, manifest)
         except RunStoreError:
             if _read_manifest(path) == manifest:
                 raise
-    return _load(path, _read_manifest(path), lazy=lazy)
+    return _load(path, _read_manifest(path))
 
 
-def _load(path: Path, manifest: dict, *, lazy: bool) -> DataFeeds:
+def _load(path: Path, manifest: dict) -> DataFeeds:
     """The feeds one manifest describes (see :func:`load_feeds`)."""
     digests = _verify_digests(path, manifest)
     config = _read_config(path)
@@ -705,7 +692,7 @@ def _load(path: Path, manifest: dict, *, lazy: bool) -> DataFeeds:
     from repro.simulation.engine import build_world
 
     world = build_world(config)
-    mobility = _read_mobility(path, manifest, lazy=lazy)
+    mobility = _read_mobility(path, manifest)
     described = path / columnar.FEEDS_SUBDIR
     if mobility.num_users != manifest["num_users"]:
         raise RunStoreError(
@@ -729,18 +716,10 @@ def _load(path: Path, manifest: dict, *, lazy: bool) -> DataFeeds:
     signaling = None
     events_block = feeds_block.get("events")
     if isinstance(events_block, dict):
-        effective_lazy = lazy and not columnar.use_naive()
-        event_feed = columnar.open_events(
+        signaling = columnar.open_events(
             path,
             int(feeds_block.get("num_shards", 1)),
             int(manifest["num_days"]),
-            lazy=effective_lazy,
-        )
-        # Lazy loads keep the day frames as windowed per-shard maps;
-        # eager loads (and the REPRO_STORE_NAIVE=1 oracle) rebuild the
-        # engine's plain per-day dict.
-        signaling = (
-            event_feed if effective_lazy else event_feed.materialize()
         )
     live = manifest.get("live")
     calendar = config.calendar

@@ -63,6 +63,19 @@ class StudyCalendar:
         self._num_days = num_days
         self.key_dates = key_dates or KeyDates()
 
+    def __getstate__(self) -> dict:
+        """Pickle the defining fields only, never the cached arrays.
+
+        A pickled calendar (``config.pkl``, the checkpoint digest) is
+        then a function of its first day, length and key dates alone,
+        whether or not a run has evaluated its cached properties.
+        """
+        return {
+            "_first_day": self._first_day,
+            "_num_days": self._num_days,
+            "key_dates": self.key_dates,
+        }
+
     # -- size & iteration ------------------------------------------------
     @property
     def num_days(self) -> int:

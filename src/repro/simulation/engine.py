@@ -114,6 +114,7 @@ from repro.simulation.faults import (
 )
 from repro.simulation.feeds import DataFeeds, MobilityFeed
 from repro.simulation.sharding import (
+    WINDOW_DAYS,
     MergedDay,
     ShardDayLoad,
     ShardResult,
@@ -140,9 +141,6 @@ __all__ = [
     "build_world",
 ]
 
-#: Study days per shard task: a shard runs its part of the day loop one
-#: window at a time, so its loads reach the coordinator in pieces.
-WINDOW_DAYS = 7
 #: Windows of tasks kept submitted ahead of the window being reduced —
 #: enough to keep a pool busy while the coordinator merges, and the
 #: bound (1 + LOOKAHEAD_WINDOWS windows per shard) on what it holds.
@@ -282,9 +280,10 @@ def _freeze_arrays(world: World) -> None:
     build on first use (``topology.site_postcodes``,
     ``geography.district_lats``, ...) are frozen too.  The
     configuration's objects (its calendar, timeline and settings) are
-    walked first and frozen as they stand, not evaluated:
-    ``config.pkl`` pickles what the run itself computed on them, and
-    the calendar caches its arrays read-only.
+    walked first and frozen as they stand, not evaluated: the calendar
+    caches its arrays read-only itself, and ``config.pkl`` never
+    pickles them (:meth:`StudyCalendar.__getstate__
+    <repro.simulation.clock.StudyCalendar.__getstate__>`).
     """
     seen: set[int] = set()
     for root, evaluate in ((world.config, False), (world, True)):
@@ -950,8 +949,8 @@ class Simulator:
         is a lazily assembled view over the (uncommitted) partition;
         :func:`repro.io.save_feeds` to the same directory commits it
         in place without rewriting.  Identical bytes and results to
-        the in-memory path; ``REPRO_STORE_NAIVE=1`` disables the
-        streaming for differential testing.
+        the in-memory path (a run without ``stream_dir``, saved
+        afterwards).
 
         When :mod:`repro.telemetry` is enabled, the run records a
         ``simulate`` span tree (world build, shard execution, per-day
@@ -1088,15 +1087,14 @@ class Simulator:
         if stream_dir is not None:
             from repro.io import columnar
 
-            if not columnar.use_naive():
-                stream_writer = columnar.ColumnarWriter(
-                    stream_dir,
-                    shard_indices,
-                    agents.user_ids,
-                    agents.anchor_sites,
-                    day_stop - day_start,
-                    day_offset=day_start,
-                )
+            stream_writer = columnar.ColumnarWriter(
+                stream_dir,
+                shard_indices,
+                agents.user_ids,
+                agents.anchor_sites,
+                day_stop - day_start,
+                day_offset=day_start,
+            )
         mobility = (
             None
             if stream_writer is not None
@@ -1120,9 +1118,7 @@ class Simulator:
             and day_start == 0
             and day_stop == int(calendar.num_days)
         ):
-            from repro.io import columnar as _columnar
-
-            events_writer = _columnar.EventsWriter(
+            events_writer = columnar.EventsWriter(
                 stream_dir, len(shard_indices), day_stop - day_start
             )
             signaling_frames = None
@@ -1391,7 +1387,7 @@ class Simulator:
                         signaling_frames[day] = day_frame
 
         if stream_writer is not None:
-            # The lazy feed over the still-uncommitted partition;
+            # The mapped feed over the still-uncommitted partition;
             # save_feeds to the same directory commits it in place.
             mobility = stream_writer.finish(bin_dwell)
         signaling_feed = signaling_frames

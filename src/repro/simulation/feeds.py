@@ -45,7 +45,7 @@ class MobilityShard:
     daily_dwell: np.ndarray
     night_dwell: np.ndarray
     #: Column → ``[(start_day, num_days, path)]`` of the backing segment
-    #: files, recorded on lazy opens so
+    #: files, recorded when a stored shard is opened so
     #: :func:`repro.io.columnar.window_days` can map a day window fresh
     #: and release it after consumption.
     sources: dict[str, list[tuple[int, int, Path]]] | None = None
@@ -120,10 +120,11 @@ class DataFeeds:
     catalog: DeviceCatalog
     base: SubscriberBase
     agents: AgentPopulation
-    # The mobility dwell feed.  Either the in-memory MobilityFeed or a
-    # repro.io.columnar.ShardedMobilityFeed (same day-at-a-time surface,
-    # lazily assembled from memory-mapped shards) when the run was
-    # loaded with lazy=True or streamed to disk by the engine.
+    # The mobility dwell feed.  Either the engine's in-memory
+    # MobilityFeed or a repro.io.columnar.ShardedMobilityFeed (same
+    # day-at-a-time surface, assembled on demand from memory-mapped
+    # shards) when the run was loaded from disk or streamed to disk by
+    # the engine.
     mobility: MobilityFeed
     radio_kpis: Frame  # daily per-cell medians (the §2.4 reduction)
     rat_time: Frame  # (day, rat, connected-seconds)

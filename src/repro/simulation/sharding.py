@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "WINDOW_DAYS",
     "ParallelismSettings",
     "ShardDayLoad",
     "ShardResult",
@@ -55,6 +56,12 @@ __all__ = [
     "merge_day_loads",
     "parallelism_of",
 ]
+
+#: Study days per window: the engine runs each shard one window at a
+#: time (its (shard, window) tasks), and the per-shard analysis kernels
+#: map stored dwell one window at a time (:func:`repro.io.columnar.
+#: read_days`).
+WINDOW_DAYS = 7
 
 
 @dataclass(frozen=True)

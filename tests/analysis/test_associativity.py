@@ -63,23 +63,26 @@ def _config(shards: int) -> SimulationConfig:
 
 
 @pytest.fixture(scope="module")
-def run_dirs(tmp_path_factory):
+def eager():
+    """The engine's in-memory feeds, one per shard count: the oracle."""
+    return {
+        shards: Simulator(_config(shards)).run() for shards in SHARD_COUNTS
+    }
+
+
+@pytest.fixture(scope="module")
+def run_dirs(tmp_path_factory, eager):
     base = tmp_path_factory.mktemp("assoc")
     dirs = {}
     for shards in SHARD_COUNTS:
         dirs[shards] = base / f"run-k{shards}"
-        save_feeds(Simulator(_config(shards)).run(), dirs[shards])
+        save_feeds(eager[shards], dirs[shards])
     return dirs
 
 
 @pytest.fixture(scope="module")
-def eager(run_dirs):
-    return {shards: load_feeds(path) for shards, path in run_dirs.items()}
-
-
-@pytest.fixture(scope="module")
-def lazy4(run_dirs):
-    return load_feeds(run_dirs[4], lazy=True)
+def stored4(run_dirs):
+    return load_feeds(run_dirs[4])
 
 
 def _shard_order(data, mobility) -> list[int]:
@@ -96,9 +99,9 @@ class TestShardOrderIndependence:
         max_examples=25, suppress_health_check=[HealthCheck.too_slow]
     )
     @given(data=st.data())
-    def test_night_counts_merge_any_order(self, lazy4, data):
-        mobility = lazy4.mobility
-        oracle = night_win_counts(lazy4, _WINDOW)
+    def test_night_counts_merge_any_order(self, stored4, data):
+        mobility = stored4.mobility
+        oracle = night_win_counts(stored4, _WINDOW)
         merged = np.zeros_like(oracle)
         for index in _shard_order(data, mobility):
             shard = mobility.shards[index]
@@ -112,10 +115,10 @@ class TestShardOrderIndependence:
         max_examples=10, suppress_health_check=[HealthCheck.too_slow]
     )
     @given(data=st.data())
-    def test_metric_blocks_merge_any_order(self, lazy4, data):
-        mobility = lazy4.mobility
-        site_lats, site_lons = lazy4.site_locations()
-        oracle = compute_daily_metrics(lazy4)
+    def test_metric_blocks_merge_any_order(self, stored4, data):
+        mobility = stored4.mobility
+        site_lats, site_lons = stored4.site_locations()
+        oracle = compute_daily_metrics(stored4)
         entropy = np.zeros_like(oracle.entropy)
         gyration = np.zeros_like(oracle.gyration_km)
         for index in _shard_order(data, mobility):
@@ -144,18 +147,18 @@ class TestWindowAdditivity:
         max_examples=20, suppress_health_check=[HealthCheck.too_slow]
     )
     @given(split=st.integers(min_value=1, max_value=9))
-    def test_disjoint_windows_add(self, lazy4, split):
-        first = night_win_counts(lazy4, _WINDOW[:split])
-        second = night_win_counts(lazy4, _WINDOW[split:])
-        whole = night_win_counts(lazy4, _WINDOW)
+    def test_disjoint_windows_add(self, stored4, split):
+        first = night_win_counts(stored4, _WINDOW[:split])
+        second = night_win_counts(stored4, _WINDOW[split:])
+        whole = night_win_counts(stored4, _WINDOW)
         assert np.array_equal(first + second, whole)
 
-    def test_summed_partials_finalize_identically(self, lazy4):
+    def test_summed_partials_finalize_identically(self, stored4):
         split = 4
-        summed = night_win_counts(lazy4, _WINDOW[:split])
-        summed = summed + night_win_counts(lazy4, _WINDOW[split:])
-        direct = detect_homes(lazy4, min_nights=3, window_days=_WINDOW)
-        refolded = finalize_homes(lazy4, summed, 3)
+        summed = night_win_counts(stored4, _WINDOW[:split])
+        summed = summed + night_win_counts(stored4, _WINDOW[split:])
+        direct = detect_homes(stored4, min_nights=3, window_days=_WINDOW)
+        refolded = finalize_homes(stored4, summed, 3)
         assert np.array_equal(direct.home_site, refolded.home_site)
         assert np.array_equal(
             direct.nights_observed, refolded.nights_observed
@@ -165,8 +168,8 @@ class TestWindowAdditivity:
 class TestGridVsSerialOracle:
     """Every (shards, workers) combo equals the in-memory feed.
 
-    The eager feed is one shard of the whole population, walked in
-    process: the oracle for every stored layout and executor.
+    The engine's in-memory feed is one shard of the whole population,
+    walked in process: the oracle for every stored layout and executor.
     """
 
     def test_eager_feed_is_one_shard(self, eager):
@@ -180,9 +183,9 @@ class TestGridVsSerialOracle:
     def test_metrics_and_homes(self, run_dirs, eager, shards, workers):
         oracle_metrics = compute_daily_metrics(eager[shards])
         oracle_homes = detect_homes(eager[shards], min_nights=3)
-        lazy = load_feeds(run_dirs[shards], lazy=True)
-        fanned_metrics = compute_daily_metrics(lazy, workers=workers)
-        fanned_homes = detect_homes(lazy, min_nights=3, workers=workers)
+        stored = load_feeds(run_dirs[shards])
+        fanned_metrics = compute_daily_metrics(stored, workers=workers)
+        fanned_homes = detect_homes(stored, min_nights=3, workers=workers)
         assert np.array_equal(
             oracle_metrics.entropy, fanned_metrics.entropy
         )
@@ -202,8 +205,8 @@ class TestGridVsSerialOracle:
     def test_metric_options(self, run_dirs, eager, shards, workers, option):
         kwargs = METRIC_OPTIONS[option]
         oracle = compute_daily_metrics(eager[shards], **kwargs)
-        lazy = load_feeds(run_dirs[shards], lazy=True)
-        fanned = compute_daily_metrics(lazy, workers=workers, **kwargs)
+        stored = load_feeds(run_dirs[shards])
+        fanned = compute_daily_metrics(stored, workers=workers, **kwargs)
         assert np.array_equal(oracle.entropy, fanned.entropy)
         assert np.array_equal(oracle.gyration_km, fanned.gyration_km)
 
@@ -212,8 +215,8 @@ class TestGridVsSerialOracle:
         # across shard counts too, not just worker counts.
         baselines = {}
         for shards in SHARD_COUNTS:
-            lazy = load_feeds(run_dirs[shards], lazy=True)
-            metrics = compute_daily_metrics(lazy, workers=2)
+            stored = load_feeds(run_dirs[shards])
+            metrics = compute_daily_metrics(stored, workers=2)
             baselines[shards] = (metrics.entropy, metrics.gyration_km)
         first = baselines[SHARD_COUNTS[0]]
         for shards in SHARD_COUNTS[1:]:

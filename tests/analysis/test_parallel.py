@@ -49,8 +49,8 @@ def run_dir(tmp_path_factory):
 
 
 @pytest.fixture
-def lazy(run_dir):
-    return load_feeds(run_dir, lazy=True)
+def stored(run_dir):
+    return load_feeds(run_dir)
 
 
 @pytest.fixture
@@ -65,18 +65,19 @@ def _counters() -> dict:
 
 
 class TestPlanFor:
-    def test_committed_lazy_run_gets_a_plan(self, lazy):
-        plan = parallel.plan_for(lazy)
+    def test_committed_lazy_run_gets_a_plan(self, stored):
+        plan = parallel.plan_for(stored)
         assert plan is not None
         assert plan.num_shards == 2
         assert plan.num_days == 63
 
-    def test_eager_feeds_have_no_plan(self, run_dir):
-        assert parallel.plan_for(load_feeds(run_dir)) is None
+    def test_eager_feeds_have_no_plan(self):
+        # The engine's in-memory feeds back onto no committed run.
+        assert parallel.plan_for(Simulator(_config()).run()) is None
 
 
 class TestResolveWorkers:
-    @pytest.mark.parametrize("value", [None, 0, "auto"])
+    @pytest.mark.parametrize("value", ["auto"])
     def test_auto_values_resolve_to_cpu_count(self, value):
         import os
 
@@ -91,21 +92,26 @@ class TestResolveWorkers:
         with pytest.raises(ValueError):
             parallel.resolve_workers(-2)
 
+    @pytest.mark.parametrize("value", [0, None, 2.0, "2", True])
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(ValueError, match="positive integer or 'auto'"):
+            parallel.resolve_workers(value)
+
 
 class TestBitwiseIdentity:
     """The core contract: worker count never changes a single byte."""
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_metrics_match_serial(self, lazy, workers):
-        serial = compute_daily_metrics(lazy)
-        fanned = compute_daily_metrics(lazy, workers=workers)
+    def test_metrics_match_serial(self, stored, workers):
+        serial = compute_daily_metrics(stored)
+        fanned = compute_daily_metrics(stored, workers=workers)
         assert np.array_equal(serial.entropy, fanned.entropy)
         assert np.array_equal(serial.gyration_km, fanned.gyration_km)
         assert np.array_equal(serial.user_ids, fanned.user_ids)
 
-    def test_homes_match_serial(self, lazy):
-        serial = detect_homes(lazy, min_nights=3)
-        fanned = detect_homes(lazy, min_nights=3, workers=2)
+    def test_homes_match_serial(self, stored):
+        serial = detect_homes(stored, min_nights=3)
+        fanned = detect_homes(stored, min_nights=3, workers=2)
         assert np.array_equal(serial.home_site, fanned.home_site)
         assert np.array_equal(
             serial.nights_observed, fanned.nights_observed
@@ -113,17 +119,17 @@ class TestBitwiseIdentity:
 
 
 class TestPoolDegradation:
-    def test_lost_pool_falls_back_inline_bitwise(self, lazy, monkeypatch):
+    def test_lost_pool_falls_back_inline_bitwise(self, stored, monkeypatch):
         def explode(*args, **kwargs):
             raise parallel._PoolLost("simulated pool death")
 
-        serial = compute_daily_metrics(lazy)
+        serial = compute_daily_metrics(stored)
         monkeypatch.setattr(parallel, "_map_pool", explode)
-        fanned = compute_daily_metrics(lazy, workers=4)
+        fanned = compute_daily_metrics(stored, workers=4)
         assert np.array_equal(serial.entropy, fanned.entropy)
         assert np.array_equal(serial.gyration_km, fanned.gyration_km)
 
-    def test_degradation_is_counted(self, lazy, monkeypatch, recorder):
+    def test_degradation_is_counted(self, stored, monkeypatch, recorder):
         monkeypatch.setattr(
             parallel,
             "_map_pool",
@@ -131,23 +137,23 @@ class TestPoolDegradation:
                 parallel._PoolLost("dead")
             ),
         )
-        compute_daily_metrics(lazy, workers=4)
+        compute_daily_metrics(stored, workers=4)
         counters = _counters()
         assert counters.get("analysis.pool_degraded", 0) >= 1
         assert counters.get("analysis.worker_merge", 0) >= 2
 
 
 class TestTelemetry:
-    def test_fanout_counters(self, lazy, recorder):
-        compute_daily_metrics(lazy, workers=2)
+    def test_fanout_counters(self, stored, recorder):
+        compute_daily_metrics(stored, workers=2)
         counters = _counters()
         assert counters.get("analysis.shards_dispatched", 0) == 2
         assert counters.get("analysis.worker_merge", 0) == 2
 
-    def test_night_counts_dispatch(self, lazy, recorder):
+    def test_night_counts_dispatch(self, stored, recorder):
         window = np.arange(5)
-        serial = night_win_counts(lazy, window)
-        fanned = night_win_counts(lazy, window, workers=2)
+        serial = night_win_counts(stored, window)
+        fanned = night_win_counts(stored, window, workers=2)
         assert np.array_equal(serial, fanned)
         assert _counters().get("analysis.shards_dispatched", 0) == 2
 
@@ -156,19 +162,21 @@ class TestApiAndStudy:
     def test_run_study_accepts_workers(self, run_dir, recorder):
         # Two handles: Run.study() memoizes its first study, so a second
         # call on one handle would ignore workers=2.
-        serial = api.Run.open(run_dir, lazy=True).study(cache=False).summary()
+        serial = api.Run.open(run_dir).study(cache=False).summary()
         recorder.reset()
-        fanned = (
-            api.Run.open(run_dir, lazy=True)
-            .study(cache=False, workers=2)
-            .summary()
-        )
+        fanned = api.Run.open(run_dir).study(cache=False, workers=2).summary()
         assert _counters().get("analysis.shards_dispatched", 0) >= 2
         assert serial == fanned
 
+    def test_zero_workers_is_refused(self, run_dir):
+        # Only a positive count or "auto" asks for workers.
+        study = api.Run.open(run_dir).study(cache=False, workers=0)
+        with pytest.raises(ValueError, match="positive integer or 'auto'"):
+            study.metrics
+
     def test_tracing_runs_the_same_program(self, run_dir):
         def report() -> str:
-            study = api.Run.open(run_dir, lazy=True).study(cache=False)
+            study = api.Run.open(run_dir).study(cache=False)
             return study.report(full=True)
 
         plain = report()
@@ -224,8 +232,8 @@ class TestCli:
         assert args.workers == "auto"
 
     def test_workers_flag_fans_out(self, run_dir4, recorder):
-        # Asking for workers opens the run memory-mapped, so the pool
-        # gets a plan over the committed 4-shard partition.
+        # The run opens memory-mapped, so the pool gets a plan over the
+        # committed 4-shard partition.
         def analyze(workers: str) -> str:
             out = io.StringIO()
             argv = ["analyze", str(run_dir4), "--no-cache"]

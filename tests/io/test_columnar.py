@@ -3,12 +3,11 @@
 The out-of-core layout (:mod:`repro.io.columnar`) promises that nothing
 observable changes when the mobility feed lives on disk instead of in
 RAM: a save → load round-trip is *bitwise* identical for every shard
-count, the streamed ``compute_daily_metrics`` path reproduces the
-in-memory feed byte for byte, and the ``REPRO_STORE_NAIVE=1``
-oracle forces the historical eager path everywhere so the two can be
-diffed.  This module pins each of those promises, plus the degenerate
-populations (zero and one filtered user) and the ``store.*`` telemetry
-counters.
+count, and the streamed ``compute_daily_metrics`` path reproduces the
+engine's in-memory feed — the oracle — byte for byte.  This module
+pins each of those promises, plus the degenerate populations (zero and
+one filtered user), the windowed dwell reads and the ``store.*``
+telemetry counters.
 """
 
 import datetime as dt
@@ -28,8 +27,8 @@ from repro.io.columnar import (
     SHARD_COLUMNS,
     ColumnarWriter,
     ShardedMobilityFeed,
-    materialize,
     open_columnar,
+    read_days,
     shard_relative_paths,
 )
 from repro.io.store import RunStoreError
@@ -39,7 +38,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.faults import RecoverySettings, ShardExecutionError
 from repro.simulation.feeds import MobilityFeed
-from repro.simulation.sharding import shard_user_indices
+from repro.simulation.sharding import WINDOW_DAYS, shard_user_indices
 
 from tests.simulation.harness import assert_feeds_equivalent
 
@@ -77,17 +76,10 @@ def _feeds(shards: int):
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 class TestRoundTrip:
-    def test_eager_load_is_bitwise(self, shards, tmp_path):
-        target = tmp_path / "run"
-        save_feeds(_feeds(shards), target)
-        loaded = load_feeds(target)
-        assert isinstance(loaded.mobility, MobilityFeed)
-        assert_feeds_equivalent(_feeds(shards), loaded, bitwise=True)
-
     def test_lazy_load_is_bitwise(self, shards, tmp_path):
         target = tmp_path / "run"
         save_feeds(_feeds(shards), target)
-        loaded = load_feeds(target, lazy=True)
+        loaded = load_feeds(target)
         assert isinstance(loaded.mobility, ShardedMobilityFeed)
         assert loaded.mobility.num_shards == shards
         assert_feeds_equivalent(_feeds(shards), loaded, bitwise=True)
@@ -109,14 +101,14 @@ class TestRoundTrip:
     def test_lazy_dwell_stacks_are_memory_maps(self, shards, tmp_path):
         target = tmp_path / "run"
         save_feeds(_feeds(shards), target)
-        mobility = load_feeds(target, lazy=True).mobility
+        mobility = load_feeds(target).mobility
         for shard in mobility.shards:
             assert isinstance(shard.daily_dwell, np.memmap)
             assert isinstance(shard.night_dwell, np.memmap)
 
 
 # ---------------------------------------------------------------------------
-# Streamed analysis vs the in-memory path and the naive oracle
+# Streamed analysis vs the engine's in-memory feed (the oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -129,39 +121,50 @@ def lazy_run(tmp_path_factory):
 
 class TestStreamedMetrics:
     def test_streamed_matches_in_memory(self, lazy_run):
-        lazy = load_feeds(lazy_run, lazy=True)
-        assert isinstance(lazy.mobility, ShardedMobilityFeed)
-        streamed = compute_daily_metrics(lazy)
+        stored = load_feeds(lazy_run)
+        assert isinstance(stored.mobility, ShardedMobilityFeed)
+        streamed = compute_daily_metrics(stored)
         in_memory = compute_daily_metrics(_feeds(4))
         assert streamed.entropy.dtype == in_memory.entropy.dtype
         assert np.array_equal(streamed.entropy, in_memory.entropy)
         assert np.array_equal(streamed.gyration_km, in_memory.gyration_km)
         assert np.array_equal(streamed.user_ids, in_memory.user_ids)
 
-    def test_streamed_matches_naive_oracle(self, lazy_run, monkeypatch):
-        streamed = compute_daily_metrics(load_feeds(lazy_run, lazy=True))
-        monkeypatch.setenv("REPRO_STORE_NAIVE", "1")
-        oracle = compute_daily_metrics(load_feeds(lazy_run, lazy=True))
-        assert np.array_equal(streamed.entropy, oracle.entropy)
-        assert np.array_equal(streamed.gyration_km, oracle.gyration_km)
-
-    def test_naive_env_forces_eager_load(self, lazy_run, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_NAIVE", "1")
-        loaded = load_feeds(lazy_run, lazy=True)
-        assert isinstance(loaded.mobility, MobilityFeed)
-
     def test_gyration_modes_stream_identically(self, lazy_run):
-        lazy = load_feeds(lazy_run, lazy=True)
+        stored = load_feeds(lazy_run)
         for mode in ("weighted", "paper"):
-            streamed = compute_daily_metrics(lazy, gyration_mode=mode)
+            streamed = compute_daily_metrics(stored, gyration_mode=mode)
             in_memory = compute_daily_metrics(_feeds(4), gyration_mode=mode)
             assert np.array_equal(
                 streamed.gyration_km, in_memory.gyration_km
             )
 
 
+class TestWindowedReads:
+    def test_read_days_serves_the_days_asked_for(self, lazy_run, recorder):
+        days = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11]
+        shard = load_feeds(lazy_run).mobility.shards[1]
+        rows = shard.rows
+        served = list(read_days(shard, "night_dwell", days))
+        assert [day for day, _ in served] == days
+        for day, matrix in served:
+            assert np.array_equal(matrix, _feeds(4).mobility.night(day)[rows])
+        # [0, 7) and [7, 9) cut at WINDOW_DAYS, then the run [10, 12).
+        assert WINDOW_DAYS == 7
+        counters = telemetry.snapshot()["counters"]
+        assert counters["store.windows_mapped"] == 3
+
+    def test_in_memory_shards_read_without_maps(self, recorder):
+        (shard,) = _feeds(2).mobility.shards
+        served = list(read_days(shard, "daily_dwell", range(3, 12)))
+        assert [day for day, _ in served] == list(range(3, 12))
+        for day, matrix in served:
+            assert matrix is _feeds(2).mobility.dwell(day)
+        assert "store.windows_mapped" not in telemetry.snapshot()["counters"]
+
+
 # ---------------------------------------------------------------------------
-# Resume from checkpoints onto a lazily-mapped run
+# Resume from checkpoints onto a memory-mapped run
 # ---------------------------------------------------------------------------
 
 
@@ -186,7 +189,7 @@ class TestResumeOnLazyRun:
         assert run.directory == rundir
         assert not CheckpointStore.present(rundir)
 
-        loaded = load_feeds(rundir, lazy=True)
+        loaded = load_feeds(rundir)
         assert isinstance(loaded.mobility, ShardedMobilityFeed)
         assert_feeds_equivalent(_feeds(shards), loaded, bitwise=True)
 
@@ -194,7 +197,7 @@ class TestResumeOnLazyRun:
         rundir = tmp_path / "run"
         self._interrupt(rundir, 2)
         api.resume(rundir)
-        streamed = compute_daily_metrics(load_feeds(rundir, lazy=True))
+        streamed = compute_daily_metrics(load_feeds(rundir))
         in_memory = compute_daily_metrics(_feeds(2))
         assert np.array_equal(streamed.entropy, in_memory.entropy)
         assert np.array_equal(streamed.gyration_km, in_memory.gyration_km)
@@ -216,7 +219,7 @@ class TestDegeneratePopulations:
     def _roundtrip_and_analyze(self, feeds, tmp_path):
         target = tmp_path / "run"
         save_feeds(feeds, target)
-        loaded = load_feeds(target, lazy=True)
+        loaded = load_feeds(target)
         with warnings.catch_warnings():
             warnings.simplefilter("error", category=RuntimeWarning)
             metrics = compute_daily_metrics(loaded)
@@ -265,7 +268,7 @@ def recorder():
 
 class TestStoreCounters:
     def test_lazy_open_counts_mapped_bytes(self, lazy_run, recorder):
-        mobility = load_feeds(lazy_run, lazy=True).mobility
+        mobility = load_feeds(lazy_run).mobility
         counters = telemetry.snapshot()["counters"]
         expected = sum(
             shard.daily_dwell.nbytes + shard.night_dwell.nbytes
@@ -274,16 +277,23 @@ class TestStoreCounters:
         assert counters["store.bytes_mapped"] == expected > 0
 
     def test_streaming_counts_nonempty_shards(self, lazy_run, recorder):
-        lazy = load_feeds(lazy_run, lazy=True)
-        compute_daily_metrics(lazy)
+        stored = load_feeds(lazy_run)
+        compute_daily_metrics(stored)
         nonempty = sum(
-            1 for shard in lazy.mobility.shards if shard.num_rows
+            1 for shard in stored.mobility.shards if shard.num_rows
         )
         counters = telemetry.snapshot()["counters"]
         assert counters["store.shards_streamed"] == nonempty > 0
 
+    def test_metrics_map_one_window_per_week(self, lazy_run, recorder):
+        # 14 days are read as two 7-day windows per shard.
+        stored = load_feeds(lazy_run)
+        compute_daily_metrics(stored)
+        counters = telemetry.snapshot()["counters"]
+        assert counters["store.windows_mapped"] == 4 * 2
+
     def test_load_counts_digest_verifications(self, lazy_run, recorder):
-        load_feeds(lazy_run, lazy=True)
+        load_feeds(lazy_run)
         counters = telemetry.snapshot()["counters"]
         # Three small files plus five columns for each of four shards.
         assert counters["store.digest_verifications"] == 3 + 5 * 4
@@ -351,19 +361,17 @@ class TestPropertyRoundTrip:
             )
             writer.write_all(mobility)
             writer.commit()
-            for lazy in (False, True):
-                reopened = open_columnar(target, shards, lazy=lazy)
-                rebuilt = materialize(reopened)
-                assert np.array_equal(rebuilt.user_ids, mobility.user_ids)
-                assert np.array_equal(
-                    rebuilt.anchor_sites, mobility.anchor_sites
-                )
-                for day in range(mobility.num_days):
-                    for column in ("daily_dwell", "night_dwell"):
-                        expected = getattr(mobility, column)[day]
-                        actual = getattr(rebuilt, column)[day]
-                        assert actual.dtype == expected.dtype
-                        assert np.array_equal(actual, expected)
+            reopened = open_columnar(target, shards)
+            assert np.array_equal(reopened.user_ids, mobility.user_ids)
+            assert np.array_equal(
+                reopened.anchor_sites, mobility.anchor_sites
+            )
+            for day in range(mobility.num_days):
+                for column in ("daily_dwell", "night_dwell"):
+                    expected = getattr(mobility, column)[day]
+                    actual = getattr(reopened, column)[day]
+                    assert actual.dtype == expected.dtype
+                    assert np.array_equal(actual, expected)
 
     @given(shards=st.sampled_from(SHARD_COUNTS))
     @settings(max_examples=3, deadline=None)
@@ -390,4 +398,4 @@ class TestPropertyRoundTrip:
             )
             victim.unlink()
             with pytest.raises(RunStoreError, match="missing feed shard"):
-                open_columnar(target, shards, lazy=True)
+                open_columnar(target, shards)

@@ -94,23 +94,17 @@ class TestRoundTrip:
         # No stray temporaries survive a completed save.
         assert not list(path.rglob("*.tmp"))
 
-    def test_lazy_load_matches_eager(
-        self, run_feeds, reloaded, tmp_path, monkeypatch
-    ):
+    def test_lazy_load_matches_eager(self, run_feeds, reloaded):
         from repro.io.columnar import ShardedMobilityFeed
 
-        # The naive-oracle switch materializes lazy loads by design;
-        # this test pins the lazy path itself.
-        monkeypatch.delenv("REPRO_STORE_NAIVE", raising=False)
-        path = save_feeds(run_feeds, tmp_path / "lazy")
-        lazy = load_feeds(path, lazy=True)
-        assert isinstance(lazy.mobility, ShardedMobilityFeed)
+        # Every load maps the partition; the in-memory run is the oracle.
+        assert isinstance(reloaded.mobility, ShardedMobilityFeed)
         for day in (0, run_feeds.mobility.num_days - 1):
             assert np.array_equal(
-                lazy.mobility.dwell(day), run_feeds.mobility.dwell(day)
+                reloaded.mobility.dwell(day), run_feeds.mobility.dwell(day)
             )
             assert np.array_equal(
-                lazy.mobility.night(day), run_feeds.mobility.night(day)
+                reloaded.mobility.night(day), run_feeds.mobility.night(day)
             )
 
     def test_configless_feeds_rejected(self, run_feeds, tmp_path):
@@ -488,18 +482,31 @@ def _assert_same_table(back, saved):
         assert back[name].tobytes() == saved[name].tobytes(), name
 
 
+def _open(path, via_run):
+    """Open a saved run through ``load_feeds`` or ``api.Run.open``.
+
+    Both spellings reach the one memory-mapped open path; each must
+    give back the feeds exactly as they were saved.
+    """
+    if via_run:
+        from repro import api
+
+        return api.Run.open(path).feeds
+    return load_feeds(path)
+
+
 class TestTableCodec:
     """The KPI and RAT tables load back exactly as they were saved."""
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_simulated_tables_round_trip(self, run_feeds, tmp_path, lazy):
+    @pytest.mark.parametrize("via_run", [False, True])
+    def test_simulated_tables_round_trip(self, run_feeds, tmp_path, via_run):
         path = save_feeds(run_feeds, tmp_path / "run")
-        back = load_feeds(path, lazy=lazy)
+        back = _open(path, via_run)
         _assert_same_table(back.radio_kpis, run_feeds.radio_kpis)
         _assert_same_table(back.rat_time, run_feeds.rat_time)
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_append_grown_tables_match_a_fresh_run(self, tmp_path, lazy):
+    @pytest.mark.parametrize("via_run", [False, True])
+    def test_append_grown_tables_match_a_fresh_run(self, tmp_path, via_run):
         import datetime as dt
         import json
 
@@ -523,13 +530,13 @@ class TestTableCodec:
             "radio_kpis": "radio_kpis.00007.npy",
             "rat_time": "rat_time.00007.npy",
         }
-        back = load_feeds(tmp_path / "grown", lazy=lazy)
+        back = _open(tmp_path / "grown", via_run)
         _assert_same_table(back.radio_kpis, fresh.feeds.radio_kpis)
         _assert_same_table(back.rat_time, fresh.feeds.rat_time)
 
-    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("via_run", [False, True])
     def test_all_nan_column_and_zero_row_table(
-        self, run_feeds, tmp_path, lazy
+        self, run_feeds, tmp_path, via_run
     ):
         import dataclasses
 
@@ -544,7 +551,7 @@ class TestTableCodec:
             rat_time=rat.filter(np.zeros(len(rat), dtype=bool)),
         )
         path = save_feeds(odd, tmp_path / "odd")
-        back = load_feeds(path, lazy=lazy)
+        back = _open(path, via_run)
         assert back.radio_kpis["unmeasured"].dtype.str == "<f8"
         assert len(back.rat_time) == 0
         _assert_same_table(back.radio_kpis, odd.radio_kpis)
@@ -589,9 +596,9 @@ class TestTableCodec:
 class TestLiveReader:
     """A load that straddles a live advance's commit."""
 
-    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("via_run", [False, True])
     def test_load_during_an_advance_reads_the_new_manifest(
-        self, tmp_path, monkeypatch, lazy
+        self, tmp_path, monkeypatch, via_run
     ):
         import datetime as dt
 
@@ -621,9 +628,9 @@ class TestLiveReader:
             return read_mobility(*args, **kwargs)
 
         monkeypatch.setattr(store, "_read_mobility", advance_mid_load)
-        back = load_feeds(path, lazy=lazy)
+        back = _open(path, via_run)
         monkeypatch.undo()
-        fresh = load_feeds(path, lazy=lazy)
+        fresh = _open(path, via_run)
         assert advanced
         assert back.mobility.num_days == fresh.mobility.num_days == 4
         assert back.source_digests == fresh.source_digests
@@ -633,3 +640,31 @@ class TestLiveReader:
             assert np.array_equal(
                 back.mobility.dwell(day), fresh.mobility.dwell(day)
             )
+
+
+class TestConfigPickle:
+    """``config.pkl`` is a function of the configuration alone."""
+
+    def test_equal_configs_save_identical_bytes(self, tmp_path):
+        import pickle
+
+        from repro import api
+
+        # A seed no other test builds, so the first simulate builds the
+        # world (evaluating the calendar's cached arrays on its config)
+        # and the second reuses it (leaving them unevaluated).
+        def config():
+            return SimulationConfig.tiny(seed=91).with_overrides(
+                num_users=120, target_site_count=30
+            )
+
+        api.simulate(config(), tmp_path / "first")
+        api.simulate(config(), tmp_path / "second")
+        for name in ("config.pkl", "manifest.json"):
+            first = (tmp_path / "first" / name).read_bytes()
+            assert first == (tmp_path / "second" / name).read_bytes(), name
+        saved = pickle.loads((tmp_path / "first" / "config.pkl").read_bytes())
+        assert saved.calendar.num_days == config().calendar.num_days
+        assert saved.calendar.weekdays.tolist() == (
+            config().calendar.weekdays.tolist()
+        )

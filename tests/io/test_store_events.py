@@ -2,8 +2,8 @@
 
 PR 10 extends the columnar layout so the event feed persists per shard
 (``shard-NNNN/events_*.npy`` plus day offsets) instead of riding along
-eagerly.  The promises pinned here: a save → lazy load round-trip
-serves every day frame bitwise equal to the engine's in-memory dict,
+in memory.  The promises pinned here: a save → load round-trip serves
+every day frame bitwise equal to the engine's in-memory dict,
 digests cover the event files (tampering is named), a v2 run *without*
 events still loads, the engine's streamed writer commits the same
 bytes as a dict save, and event-bearing runs refuse the live-append
@@ -57,13 +57,13 @@ def _feeds(shards: int):
     return _FEEDS[shards]
 
 
-def _assert_days_bitwise(lazy_feed, eager_dict):
-    assert len(lazy_feed) == len(eager_dict)
-    for day, eager in eager_dict.items():
-        streamed = lazy_feed[day]
+def _assert_days_bitwise(stored_feed, memory_dict):
+    assert len(stored_feed) == len(memory_dict)
+    for day, memory in memory_dict.items():
+        streamed = stored_feed[day]
         for column, _ in EVENT_COLUMNS:
-            assert streamed[column].dtype == eager[column].dtype
-            assert np.array_equal(streamed[column], eager[column]), (
+            assert streamed[column].dtype == memory[column].dtype
+            assert np.array_equal(streamed[column], memory[column]), (
                 f"day {day} column {column} diverged"
             )
 
@@ -73,22 +73,15 @@ class TestRoundTrip:
     def test_lazy_load_serves_days_bitwise(self, shards, tmp_path):
         target = tmp_path / "run"
         save_feeds(_feeds(shards), target)
-        loaded = load_feeds(target, lazy=True)
-        assert isinstance(loaded.signaling, ShardedEventFeed)
-        _assert_days_bitwise(loaded.signaling, _feeds(shards).signaling)
-
-    def test_eager_load_materializes_the_dict(self, shards, tmp_path):
-        target = tmp_path / "run"
-        save_feeds(_feeds(shards), target)
         loaded = load_feeds(target)
-        assert isinstance(loaded.signaling, dict)
+        assert isinstance(loaded.signaling, ShardedEventFeed)
         _assert_days_bitwise(loaded.signaling, _feeds(shards).signaling)
 
     def test_streamed_writer_commits_identical_bytes(
         self, shards, tmp_path
     ):
         # The engine streaming events shard-by-shard during simulation
-        # must write the exact bytes a save of the eager dict writes.
+        # must write the exact bytes a save of the in-memory dict writes.
         streamed_dir = tmp_path / "streamed"
         config = _config(shards)
         feeds = Simulator(config).run(stream_dir=streamed_dir)
@@ -114,20 +107,20 @@ class TestDigestsAndGuards:
         payload[-1] ^= 0xFF
         victim.write_bytes(payload)
         with pytest.raises(RunStoreError, match="events_user_id"):
-            load_feeds(run, lazy=True)
+            load_feeds(run)
 
     def test_missing_event_file_is_named(self, run):
         victim = run / "feeds" / "shard-0001" / "events_offsets.npy"
         victim.unlink()
         with pytest.raises(RunStoreError, match="events_offsets"):
-            load_feeds(run, lazy=True)
+            load_feeds(run)
 
     def test_v2_without_events_still_loads(self, tmp_path):
         target = tmp_path / "run"
         save_feeds(
             Simulator(_config(2, signaling=False)).run(), target
         )
-        loaded = load_feeds(target, lazy=True)
+        loaded = load_feeds(target)
         assert loaded.signaling is None
 
     def test_resave_without_signaling_drops_events(self, tmp_path):
@@ -137,7 +130,7 @@ class TestDigestsAndGuards:
         save_feeds(_feeds(2), target)
         stripped = dataclasses.replace(_feeds(2), signaling=None)
         save_feeds(stripped, target)
-        loaded = load_feeds(target, lazy=True)
+        loaded = load_feeds(target)
         assert loaded.signaling is None
         leftovers = list((target / "feeds").rglob("events_*.npy"))
         assert leftovers == []
@@ -145,7 +138,7 @@ class TestDigestsAndGuards:
     def test_append_rejects_event_bearing_runs(self, tmp_path):
         target = tmp_path / "run"
         save_feeds(_feeds(2), target)
-        base = load_feeds(target, lazy=True)
+        base = load_feeds(target)
         with pytest.raises(RunStoreError, match="event"):
             append_feeds(base, _feeds(2), target)
 
@@ -154,7 +147,7 @@ class TestStreamedSessionization:
     def test_chunked_equals_whole_day(self, tmp_path):
         target = tmp_path / "run"
         save_feeds(_feeds(2), target)
-        events = load_feeds(target, lazy=True).signaling
+        events = load_feeds(target).signaling
         for day in (0, 4, 9):
             whole = sessionize_events(events.day(day))
             chunked = sessionize_events_stream(events.chunks(day))
@@ -164,7 +157,7 @@ class TestStreamedSessionization:
     def test_eager_dict_matches_streamed(self, tmp_path):
         target = tmp_path / "run"
         save_feeds(_feeds(2), target)
-        events = load_feeds(target, lazy=True).signaling
+        events = load_feeds(target).signaling
         eager = _feeds(2).signaling
         day = 3
         streamed = sessionize_events_stream(events.chunks(day))

@@ -158,9 +158,9 @@ class TestWorldBuilder:
         assert build_world(config).config is config
 
     def test_saved_config_reuses_the_world(self, tmp_path):
-        # config.pkl is pickled after the engine cached calendar
-        # properties on the config, so its bytes differ from a pickle of
-        # a fresh config; the digest key matches either way.
+        # config.pkl pickles the calendar's defining fields only, so the
+        # saved config is a fresh object with equal fields: the digest
+        # key matches and the world is reused.
         config = _small_config(seed=31)
         api.simulate(config, tmp_path / "run")
         saved = pickle.loads((tmp_path / "run" / "config.pkl").read_bytes())
@@ -255,12 +255,12 @@ class TestWorldBuilder:
             num_users=300, target_site_count=40
         )
         api.simulate(config, tmp_path / "live", days=70)
-        run = api.Run.open(tmp_path / "live", lazy=True)
+        run = api.Run.open(tmp_path / "live")
         built = world_builds()
         recorder = telemetry.enable()
         try:
             run.advance(1)
-            api.Run.open(tmp_path / "live", lazy=True).study().summary()
+            api.Run.open(tmp_path / "live").study().summary()
         finally:
             telemetry.disable()
         assert world_builds() == built

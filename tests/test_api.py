@@ -65,6 +65,16 @@ class TestRunHandle:
         )
         assert "users" in repr(back)
 
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_open_ignores_the_lazy_keyword(self, tmp_path, lazy):
+        from repro.io import ShardedMobilityFeed
+
+        # Every open is memory-mapped; the keyword is still accepted.
+        rundir = tmp_path / "run"
+        api.simulate(_config(), rundir)
+        back = api.Run.open(rundir, lazy=lazy)
+        assert isinstance(back.feeds.mobility, ShardedMobilityFeed)
+
     def test_study_is_cached(self, tmp_path):
         run = api.simulate(_config())
         assert run.study() is run.study()

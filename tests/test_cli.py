@@ -312,13 +312,29 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "argv",
-        [["bench-summary"], ["watch", "RUN", "--lazy", "--iterations", "1"]],
-        ids=["bench-summary", "watch-lazy"],
+        [
+            ["bench-summary"],
+            ["watch", "RUN", "--lazy", "--iterations", "1"],
+            ["analyze", "RUN", "--lazy"],
+            ["summary", "RUN", "--lazy"],
+            ["verdict", "RUN", "--lazy"],
+            ["export", "RUN", "--lazy", "--out", "RUN"],
+            ["compare", "RUN", "RUN", "--lazy"],
+        ],
+        ids=[
+            "bench-summary", "watch-lazy", "analyze-lazy", "summary-lazy",
+            "verdict-lazy", "export-lazy", "compare-lazy",
+        ],
     )
-    def test_deleted_spellings_are_usage_errors(self, tmp_path, argv):
-        # Collation is benchmarks/collate.py; watch always opens lazily.
+    def test_deleted_spellings_are_usage_errors(
+        self, tmp_path, capsys, argv
+    ):
+        # Collation is benchmarks/collate.py; every verb opens a run
+        # memory-mapped, so there is no --lazy to ask for.
         argv = [str(tmp_path) if arg == "RUN" else arg for arg in argv]
         assert main(argv, out=io.StringIO()) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len([line for line in lines if "error:" in line]) == 1
 
 
 class TestShortLiveRun:
@@ -465,12 +481,9 @@ class TestCrashAndResume:
         clean.advance(5)
         assert _tree(path) == _tree(tmp_path / "clean")
 
-    def test_simulate_matches_the_api(self, tmp_path, monkeypatch):
-        from repro.simulation import engine
-
-        # Each side builds its own world: config.pkl pickles the
-        # calendar's memoized arrays, which a reused world leaves unset.
-        monkeypatch.setattr(engine, "_WORLD_MEMO", None)
+    def test_simulate_matches_the_api(self, tmp_path):
+        # The API call reuses the world the CLI built: config.pkl is a
+        # function of the configuration alone.
         path = tmp_path / "cli"
         argv = [
             "simulate", "--preset", "tiny", "--seed", "7", "--users",
@@ -482,7 +495,6 @@ class TestCrashAndResume:
             .with_overrides(num_users=600, target_site_count=100)
             .with_parallelism(2, workers=1)
         )
-        monkeypatch.setattr(engine, "_WORLD_MEMO", None)
         api.simulate(config, tmp_path / "api")
         assert _tree(path) == _tree(tmp_path / "api")
 

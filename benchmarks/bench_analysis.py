@@ -24,6 +24,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.analysis.cache import ArtifactCache
 from repro.cli import main
 
 RESULTS_PATH = Path(__file__).parent / "results" / "analysis.json"
@@ -32,7 +33,7 @@ BENCH_SEED = 2020
 BENCH_USERS = 2_000
 
 #: Acceptance floor for the warm/cold analyze ratio.  In practice the
-#: warm path is orders of magnitude faster (it reads one NPZ entry
+#: warm path is orders of magnitude faster (it reads one cache entry
 #: instead of loading feeds and recomputing 15 artifacts); 5x is the
 #: contract.
 MIN_WARM_SPEEDUP = 5.0
@@ -78,16 +79,15 @@ def bench_cache(rundir: Path) -> dict:
     nocache_text = _cli(["analyze", str(rundir), "--no-cache"])
     nocache_s = time.perf_counter() - start
 
-    store = rundir / "cache" / "analysis"
-    entries = list(store.glob("*.npz"))
+    info = ArtifactCache.open(rundir).info()
     return {
         "cold_seconds": cold_s,
         "warm_seconds": warm_s,
         "no_cache_seconds": nocache_s,
         "warm_speedup": cold_s / warm_s,
         "byte_identical": warm_text == cold_text == nocache_text,
-        "cache_entries": len(entries),
-        "cache_bytes": sum(path.stat().st_size for path in entries),
+        "cache_entries": info["entries"],
+        "cache_bytes": info["bytes"],
     }
 
 

@@ -30,7 +30,7 @@ BENCH_USERS = 800
 
 #: Acceptance floor for the warm/cold grid ratio.  In practice the
 #: warm rerun is far faster (it loads six small run directories and
-#: reads cached NPZ artifacts instead of simulating six worlds and
+#: reads cached artifacts instead of simulating six worlds and
 #: computing their studies); 5x is the contract.
 MIN_WARM_SPEEDUP = 5.0
 

@@ -21,7 +21,6 @@ from repro.analysis.cache import (
 from repro.analysis.mobility import (
     incremental_daily_metrics,
     incremental_homes,
-    incremental_labeled_kpis,
 )
 from repro.analysis.parallel import (
     ShardPlan,
@@ -37,7 +36,6 @@ __all__ = [
     "artifact_key",
     "incremental_daily_metrics",
     "incremental_homes",
-    "incremental_labeled_kpis",
     "plan_for",
     "report_params",
     "resolve_workers",

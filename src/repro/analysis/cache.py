@@ -3,9 +3,9 @@
 Reproducing the paper's figures is a pure function of (a) the feed
 payloads of a run, (b) the analysis code, and (c) a handful of
 parameters (``gyration_mode``, the KPI percentile, ...).  This module
-keys every artifact — each day range's per-user-day metrics, each
-figure's payload, the headline summary, the rendered report — on
-exactly those three things and stores the result under
+keys every artifact — each day range's per-user-day metrics and night
+win counts, each figure's payload, the headline summary, the rendered
+report — on exactly those three things and stores the result under
 ``<run>/cache/analysis/``, so *no process ever computes the same
 artifact twice*:
 
@@ -14,29 +14,39 @@ artifact twice*:
   *code-epoch* tag (bumped when an implementation changes semantics),
   and the JSON-canonicalized parameters.  Different runs, parameters or
   code generations can never collide.
-- **Entries** are single NPZ files written atomically (``*.tmp`` +
-  ``os.replace``, the checkpoint-store pattern), holding the artifact
-  decomposed into a JSON structure tree plus its numpy arrays, and a
-  SHA-256 payload checksum.  No pickle: a cache file cannot execute
-  code, and a stale or truncated entry simply fails validation.
+- **Entries** are single flat ``*.artifact`` files written atomically
+  (``*.tmp`` + ``os.replace``, the checkpoint-store pattern): a magic
+  tag, a JSON header (artifact name, the entry's digest map, the
+  structure tree and the array table), the raw array bytes, and one
+  SHA-256 over everything before it.  A put streams the file while
+  hashing it; a get is one read plus one hash pass.  No pickle: a cache
+  file cannot execute code, an object array is refused at ``put``, and
+  a stale or truncated entry simply fails validation.
 - **Failure is always a miss.**  A corrupt, stale, unreadable or
   undecodable entry falls back to recomputation — the cache can be
   deleted (``python -m repro cache <run> --clear``) or bit-flipped at
   any time without breaking an analysis.
+- **Unreachable entries are dropped.**  Each entry records the digest
+  map its key was derived from.  After every manifest commit,
+  :mod:`repro.io.store` calls :func:`drop_unreachable`, which deletes
+  the entries whose digest map the committed manifest no longer holds
+  (and format-1 ``*.npz`` entries), so a live run keeps its range
+  entries plus one refresh's whole-window entries.
 - **Telemetry**: ``cache.hits`` / ``cache.misses`` /
-  ``cache.bytes_written`` (plus ``cache.corrupt_entries``) count
-  against the process-wide registry when :mod:`repro.telemetry` is
-  enabled.
+  ``cache.bytes_written`` (plus ``cache.corrupt_entries`` and
+  ``cache.entries_dropped``) count against the process-wide registry
+  when :mod:`repro.telemetry` is enabled.
 
-Cached payloads round-trip bitwise: arrays keep their exact dtype and
-bytes through NPZ, scalars and strings through JSON, so a warm study is
-byte-identical to a cold one.
+Cached payloads round-trip bitwise: arrays keep their exact dtype,
+shape and bytes, scalars and strings go through JSON, so a warm study
+is byte-identical to a cold one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import threading
@@ -52,12 +62,26 @@ __all__ = [
     "CODE_EPOCHS",
     "DEFAULT_GYRATION_MODE",
     "artifact_key",
+    "drop_unreachable",
     "report_params",
     "summary_params",
 ]
 
 CACHE_SUBDIR = Path("cache") / "analysis"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: File suffix of a cache entry.
+ENTRY_SUFFIX = ".artifact"
+
+#: The first bytes of every entry; anything else is not an entry.
+_MAGIC = b"REPROAC" + bytes([FORMAT_VERSION])
+#: Header length field: unsigned, little-endian, after the magic.
+_LENGTH_BYTES = 8
+#: The header and every array start at a multiple of this many bytes,
+#: so decoded arrays are aligned views of the read buffer.
+_ALIGN = 16
+#: The trailing SHA-256 over every byte before it.
+_CHECKSUM_BYTES = 32
 
 #: The study's default gyration mode; shared with the CLI so both sides
 #: derive identical cache keys without importing the study driver.
@@ -70,7 +94,6 @@ DEFAULT_GYRATION_MODE = "weighted"
 CODE_EPOCHS = {
     "metrics_range": 1,
     "homes_range": 1,
-    "labeled_kpis_range": 1,
     "fig2": 1,
     "fig3": 1,
     "fig4": 1,
@@ -123,10 +146,10 @@ class CacheCodecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Codec: arbitrary study payloads <-> (JSON tree, named numpy arrays).
+# Codec: arbitrary study payloads <-> (JSON tree, list of numpy arrays).
 #
 # The tree holds scalars/strings/containers as JSON; every array is
-# hoisted into the NPZ under a generated name the tree references.
+# hoisted into the entry's array table at the index the tree references.
 # Known result dataclasses and Frame are encoded structurally, by
 # field — not pickled — so decoding reconstructs them through their
 # real constructors.
@@ -166,19 +189,20 @@ def _frame_type():
     return Frame
 
 
-def _encode(value, arrays: dict[str, np.ndarray]):
+def _encode(value, arrays: list[np.ndarray]):
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, (int, float)) and not isinstance(value, np.generic):
         return value
-    if isinstance(value, np.ndarray):
-        name = f"a{len(arrays)}"
-        arrays[name] = value
-        return {"__kind__": "array", "ref": name}
-    if isinstance(value, np.generic):
-        name = f"a{len(arrays)}"
-        arrays[name] = np.asarray(value)
-        return {"__kind__": "npscalar", "ref": name}
+    if isinstance(value, (np.ndarray, np.generic)):
+        array = np.asarray(value)
+        if array.dtype.hasobject:
+            raise CacheCodecError(
+                "object arrays cannot be cached without pickling"
+            )
+        arrays.append(array)
+        kind = "array" if isinstance(value, np.ndarray) else "npscalar"
+        return {"__kind__": kind, "ref": len(arrays) - 1}
     if isinstance(value, (list, tuple)):
         return {
             "__kind__": "list" if isinstance(value, list) else "tuple",
@@ -216,7 +240,7 @@ def _encode(value, arrays: dict[str, np.ndarray]):
     raise CacheCodecError(f"cannot cache payloads of type {cls.__name__}")
 
 
-def _decode(tree, arrays: dict[str, np.ndarray]):
+def _decode(tree, arrays: list[np.ndarray]):
     if isinstance(tree, _LITERALS):
         return tree
     if not isinstance(tree, dict):
@@ -224,7 +248,7 @@ def _decode(tree, arrays: dict[str, np.ndarray]):
     kind = tree.get("__kind__")
     if kind in ("array", "npscalar"):
         ref = tree.get("ref")
-        if ref not in arrays:
+        if not isinstance(ref, int) or not 0 <= ref < len(arrays):
             raise CacheCodecError(f"cache entry is missing array {ref!r}")
         array = arrays[ref]
         return array[()] if kind == "npscalar" else array
@@ -254,16 +278,163 @@ def _decode(tree, arrays: dict[str, np.ndarray]):
     raise CacheCodecError(f"unknown cache tree kind {kind!r}")
 
 
-def _payload_digest(meta: str, arrays: dict[str, np.ndarray]) -> str:
+# ---------------------------------------------------------------------------
+# Entry file: magic | header length | JSON header | arrays | SHA-256.
+#
+# The header is padded with spaces and each array with zero bytes to
+# the next multiple of _ALIGN; the array table lists (dtype descr,
+# shape) per array, from which every offset follows.  The checksum
+# covers every byte before it, the magic included.
+# ---------------------------------------------------------------------------
+def _dtype_from(descr) -> np.dtype:
+    if isinstance(descr, str):
+        return np.dtype(descr)
+    return np.lib.format.descr_to_dtype(descr)
+
+
+@lru_cache(maxsize=256)
+def _descr(dtype: np.dtype):
+    """The JSON form of a dtype, checked to decode to the same dtype."""
+    descr = np.lib.format.dtype_to_descr(dtype)
+    if _dtype_from(json.loads(json.dumps(descr))) != dtype:
+        raise CacheCodecError(f"dtype {dtype} does not round-trip")
+    return descr
+
+
+def _padding(size: int) -> int:
+    return -size % _ALIGN
+
+
+def _header_bytes(
+    artifact: str, digests: dict, tree, arrays: list[np.ndarray]
+) -> bytes:
+    header = json.dumps({
+        "artifact": artifact,
+        "digests": digests,
+        "arrays": [[_descr(array.dtype), array.shape] for array in arrays],
+        "tree": tree,
+    }).encode()
+    lead = len(_MAGIC) + _LENGTH_BYTES + len(header)
+    return header + b" " * _padding(lead)
+
+
+def _write_entry(handle, header: bytes, arrays: list[np.ndarray]) -> None:
     sha = hashlib.sha256()
-    sha.update(meta.encode())
-    for name in sorted(arrays):
-        array = np.ascontiguousarray(arrays[name])
-        sha.update(name.encode())
-        sha.update(repr(array.shape).encode())
-        sha.update(array.dtype.str.encode())
-        sha.update(array.tobytes())
-    return sha.hexdigest()
+
+    def emit(chunk) -> None:
+        sha.update(chunk)
+        handle.write(chunk)
+
+    emit(_MAGIC)
+    emit(len(header).to_bytes(_LENGTH_BYTES, "little"))
+    emit(header)
+    for array in arrays:
+        if array.nbytes:
+            # A view of the array's memory; only an array that is not
+            # C-contiguous is copied, on its own.
+            emit(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
+            emit(bytes(_padding(array.nbytes)))
+    handle.write(sha.digest())
+
+
+def _read_entry(path: Path) -> tuple[dict, list[np.ndarray]]:
+    """The verified header and arrays of one entry (one read, one hash).
+
+    The arrays are writable views of the read buffer.  Raises on a
+    wrong magic, a checksum mismatch or a table that does not fit the
+    file.
+    """
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        raw = np.empty(size, dtype=np.uint8)
+        if handle.readinto(raw) != size:
+            raise CacheCodecError("entry changed size while read")
+    lead = len(_MAGIC) + _LENGTH_BYTES
+    end = size - _CHECKSUM_BYTES
+    if end < lead or raw[: len(_MAGIC)].tobytes() != _MAGIC:
+        raise CacheCodecError("not a cache entry")
+    if hashlib.sha256(raw[:end]).digest() != raw[end:].tobytes():
+        raise CacheCodecError("checksum mismatch")
+    length = int.from_bytes(raw[len(_MAGIC):lead].tobytes(), "little")
+    offset = lead + length
+    header = json.loads(raw[lead:offset].tobytes())
+    arrays = []
+    for descr, shape in header["arrays"]:
+        dtype = _dtype_from(descr)
+        shape = tuple(shape)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if offset + nbytes > end:
+            raise CacheCodecError("array table overruns the entry")
+        if nbytes == 0:
+            arrays.append(np.empty(shape, dtype=dtype))
+        else:
+            arrays.append(
+                raw[offset:offset + nbytes].view(dtype).reshape(shape)
+            )
+        offset += nbytes + _padding(nbytes)
+    if offset != end:
+        raise CacheCodecError("entry size does not match its array table")
+    return header, arrays
+
+
+def _recorded_digests(path: Path) -> dict | None:
+    """The digest map in an entry's header (``None`` when unreadable).
+
+    Reads only the header; the checksum is not verified.
+    """
+    lead = len(_MAGIC) + _LENGTH_BYTES
+    try:
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            prefix = handle.read(lead)
+            if len(prefix) != lead or prefix[: len(_MAGIC)] != _MAGIC:
+                return None
+            length = int.from_bytes(prefix[len(_MAGIC):], "little")
+            if length > size - lead - _CHECKSUM_BYTES:
+                return None
+            header = json.loads(handle.read(length))
+    except (OSError, ValueError):
+        return None
+    digests = header.get("digests") if isinstance(header, dict) else None
+    return digests if isinstance(digests, dict) else None
+
+
+def drop_unreachable(
+    run_directory: str | Path, feed_digests: dict[str, str]
+) -> int:
+    """Delete the run's cache entries a committed manifest cannot reach.
+
+    ``feed_digests`` is the committed manifest's ``feeds_sha256`` map.
+    An entry stays when every ``(file, digest)`` pair of its recorded
+    digest map is in it; an entry that records other digests, an entry
+    whose header cannot be read, and a format-1 ``*.npz`` entry are
+    deleted.  ``*.tmp`` files (a concurrent ``put`` in flight) and any
+    other file are left alone.  A reader that still holds the previous
+    manifest's key finds nothing and recomputes: a miss.  Returns the
+    number of entries deleted (counted as ``cache.entries_dropped``).
+    """
+    directory = Path(run_directory) / CACHE_SUBDIR
+    held = feed_digests.items()
+    try:
+        paths = list(directory.iterdir())
+    except OSError:
+        return 0
+    dropped = 0
+    for path in paths:
+        if path.suffix == ENTRY_SUFFIX:
+            recorded = _recorded_digests(path)
+            if recorded is not None and recorded.items() <= held:
+                continue
+        elif path.suffix != ".npz":
+            continue
+        try:
+            path.unlink()
+        except OSError:
+            continue
+        dropped += 1
+    if dropped:
+        telemetry.count("cache.entries_dropped", dropped)
+    return dropped
 
 
 class ArtifactCache:
@@ -327,7 +498,7 @@ class ArtifactCache:
         self, artifact: str, params: dict, *, digests=None
     ) -> Path:
         key = self.key(artifact, params, digests=digests)
-        return self.directory / f"{key}.npz"
+        return self.directory / f"{key}{ENTRY_SUFFIX}"
 
     def get(self, artifact: str, params: dict, *, digests=None):
         """The cached payload, or ``None`` on any kind of miss.
@@ -336,21 +507,14 @@ class ArtifactCache:
         (and bump ``cache.corrupt_entries``); they are never an error.
         """
         path = self.entry_path(artifact, params, digests=digests)
-        if not path.exists():
+        try:
+            header, arrays = _read_entry(path)
+            if header.get("artifact") != artifact:
+                raise CacheCodecError("entry names a different artifact")
+            payload = _decode(header["tree"], arrays)
+        except FileNotFoundError:
             telemetry.count("cache.misses")
             return None
-        try:
-            with np.load(path) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-            meta_array = arrays.pop("__meta__")
-            checksum = arrays.pop("__checksum__")
-            meta = str(meta_array[()])
-            if str(checksum[()]) != _payload_digest(meta, arrays):
-                raise CacheCodecError("checksum mismatch")
-            envelope = json.loads(meta)
-            if envelope.get("artifact") != artifact:
-                raise CacheCodecError("entry names a different artifact")
-            payload = _decode(envelope["tree"], arrays)
         except Exception:
             # Present but wrong — recompute rather than crash; the
             # entry will be atomically replaced by the fresh result.
@@ -365,11 +529,11 @@ class ArtifactCache:
     ) -> bool:
         """Persist a payload; returns False (and stores nothing) when
         the payload cannot be encoded or the write fails."""
+        feed_digests = self.feed_digests if digests is None else digests
         try:
-            arrays: dict[str, np.ndarray] = {}
+            arrays: list[np.ndarray] = []
             tree = _encode(payload, arrays)
-            meta = json.dumps({"artifact": artifact, "tree": tree})
-            checksum = _payload_digest(meta, arrays)
+            header = _header_bytes(artifact, feed_digests, tree, arrays)
         except CacheCodecError:
             return False
         final = self.entry_path(artifact, params, digests=digests)
@@ -379,13 +543,8 @@ class ArtifactCache:
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             with open(temporary, "wb") as handle:
-                np.savez(
-                    handle,
-                    __meta__=np.array(meta),
-                    __checksum__=np.array(checksum),
-                    **arrays,
-                )
-            size = temporary.stat().st_size
+                _write_entry(handle, header, arrays)
+                size = handle.tell()
             os.replace(temporary, final)
         except OSError:
             temporary.unlink(missing_ok=True)
@@ -410,7 +569,7 @@ class ArtifactCache:
         entries = 0
         total = 0
         if self.directory.is_dir():
-            for path in self.directory.glob("*.npz"):
+            for path in self.directory.glob(f"*{ENTRY_SUFFIX}"):
                 entries += 1
                 total += path.stat().st_size
         return {

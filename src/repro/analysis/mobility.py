@@ -4,22 +4,22 @@ A run grown through :meth:`repro.api.Run.advance` stores its mobility
 partition as contiguous day segments — the base save plus one segment
 per append commit (``feeds.feed_segments``).  Re-analyzing such a run
 from scratch after every appended day wastes almost all of its work:
-the per-user-day metrics, the February night win counts, and the KPI
-labels of the already-analyzed prefix cannot change (appends only add
-days; the covering files are immutable until a compacting re-save).
+the per-user-day metrics and the February night win counts of the
+already-analyzed prefix cannot change (appends only add days; the
+covering files are immutable until a compacting re-save).
 
-This module exploits that.  Each whole-window artifact the study needs
-is decomposed into *per-segment range artifacts* that compose
-associatively:
+This module exploits that.  The two whole-window intermediates that
+cost more to recompute than to read back are decomposed into
+*per-segment range artifacts* that compose associatively:
 
 - **Daily metrics** are per-(user, day) independent, so a day range's
   matrix block equals the same rows of a whole-window call bitwise and
   ranges concatenate (:func:`incremental_daily_metrics`).
 - **Home detection** folds int64 night win counts over February; counts
   over disjoint ranges simply add (:func:`incremental_homes`).
-- **KPI labeling** is strictly row-wise; per-range label frames
-  concatenate in segment order back into the whole-feed frame
-  (:func:`incremental_labeled_kpis`).
+
+(The labeled KPI frame is not cached: labeling the whole feed is
+cheaper than reading a stored copy back, so the study recomputes it.)
 
 Range artifacts are cached under keys derived from exactly the files
 that pin the range's content: the run's ``config.pkl`` digest (every
@@ -42,7 +42,6 @@ from repro.core.home import (
     finalize_homes,
     night_win_counts,
 )
-from repro.core.performance import label_kpis
 from repro.core.statistics import MobilityDailyMetrics, compute_daily_metrics
 from repro.simulation.feeds import DataFeeds
 
@@ -50,7 +49,6 @@ __all__ = [
     "feed_segments",
     "incremental_daily_metrics",
     "incremental_homes",
-    "incremental_labeled_kpis",
     "segment_digests",
 ]
 
@@ -215,38 +213,3 @@ def incremental_homes(
             )
         total = counts if total is None else total + counts
     return finalize_homes(feeds, total, min_nights)
-
-
-def incremental_labeled_kpis(feeds: DataFeeds, cache=None):
-    """The whole-feed labeled KPI frame, composed segment by segment.
-
-    Bitwise-identical to :func:`~repro.core.performance.label_kpis`
-    over the whole feed: the KPI frame is ordered by day, so per-range
-    label frames concatenated in segment order restore the original row
-    order exactly.  Range keys derive from the segment's dwell/config
-    digests — the KPI rows of a day range are a pure function of the
-    same (configuration, day range) those pin — so they survive the
-    whole-run KPI table being rewritten on every append.
-    """
-    from repro.frames import concat
-
-    segments = feed_segments(feeds)
-    if cache is None or not segments:
-        return label_kpis(feeds)
-    parts = []
-    for start, days in segments:
-        params = {"start": start, "days": days}
-
-        def compute(start=start, days=days):
-            return label_kpis(feeds, day_range=(start, start + days))
-
-        digests = segment_digests(feeds, start)
-        if digests is None:
-            parts.append(compute())
-        else:
-            parts.append(
-                cache.get_or_compute(
-                    "labeled_kpis_range", params, compute, digests=digests
-                )
-            )
-    return parts[0] if len(parts) == 1 else concat(parts)

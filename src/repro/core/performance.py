@@ -92,36 +92,24 @@ class WeeklySeries:
         )
 
 
-def label_kpis(
-    feeds: DataFeeds, day_range: tuple[int, int] | None = None
-) -> Frame:
+def label_kpis(feeds: DataFeeds) -> Frame:
     """Attach week / county / region / area / OAC labels to KPI rows.
 
     Uses direct array mapping (not a relational join) because the KPI
     frame has one row per (cell, day) and the labels are functions of
-    the cell's postcode district.
-
-    ``day_range`` keeps only rows whose day falls in ``[start, stop)``.
-    Labeling is strictly row-wise, so the filtered result equals the
-    same rows of the whole-feed call bitwise — the live-run analytics
-    label each appended day range once and concatenate
-    (:mod:`repro.analysis.mobility`).
+    the cell's postcode district: each distinct postcode is looked up
+    once and its district index spread back over the rows.
     """
     kpis = feeds.radio_kpis
-    if day_range is not None:
-        lo, hi = int(day_range[0]), int(day_range[1])
-        mask = (kpis["day"] >= lo) & (kpis["day"] < hi)
-        kpis = Frame(
-            {name: kpis[name][mask] for name in kpis.column_names}
-        )
     geography = feeds.geography
     code_to_index = {
         district.code: index
         for index, district in enumerate(geography.districts)
     }
+    codes, code_rows = np.unique(kpis["postcode"], return_inverse=True)
     district_index = np.array(
-        [code_to_index[code] for code in kpis["postcode"]], dtype=np.int64
-    )
+        [code_to_index[code] for code in codes.tolist()], dtype=np.int64
+    )[code_rows]
     districts = geography.districts
     county = np.array([d.county for d in districts])[district_index]
     region = np.array([d.region for d in districts])[district_index]
@@ -280,12 +268,13 @@ def performance_series(
 class _WeeklyGroups:
     """The value-independent half of the grouped weekly percentile.
 
-    Factorizes (label, week) to composite segment codes once; the
-    segments, the week axis of every selected label and the position
-    of its baseline week then serve any number of value columns, each
-    costing one ``lexsort`` and one percentile pass.  Labels with no
-    rows are skipped; ``wanted`` restricts and orders the output
-    (default: all labels in sorted order).
+    Factorizes (label, week) to composite segment codes and sorts the
+    rows by segment once; the segments, the week axis of every selected
+    label and the position of its baseline week then serve any number
+    of value columns, each costing one gather, a stable sort inside
+    every segment and one percentile pass.  Labels with no rows are
+    skipped; ``wanted`` restricts and orders the output (default: all
+    labels in sorted order).
     """
 
     def __init__(
@@ -298,14 +287,17 @@ class _WeeklyGroups:
     ) -> None:
         label_keys, label_codes = np.unique(labels, return_inverse=True)
         week_keys, week_codes = np.unique(weeks, return_inverse=True)
-        self._composite = (
-            label_codes.astype(np.int64) * week_keys.size + week_codes
-        )
-        sorted_composite = np.sort(self._composite)
+        composite = label_codes.astype(np.int64) * week_keys.size + week_codes
+        # Rows in (label, week) order, ties in row order: with a stable
+        # sort inside each segment this is np.lexsort((values,
+        # composite)), one value column at a time.
+        self._order = np.argsort(composite, kind="stable")
+        sorted_composite = composite[self._order]
         boundaries = np.ones(sorted_composite.size, dtype=bool)
         boundaries[1:] = sorted_composite[1:] != sorted_composite[:-1]
         self._starts = np.flatnonzero(boundaries)
         self._ends = np.append(self._starts[1:], sorted_composite.size)
+        self._bounds = list(zip(self._starts.tolist(), self._ends.tolist()))
         cell_codes = sorted_composite[self._starts]
         cell_labels = cell_codes // week_keys.size
         self._cell_weeks = week_keys[cell_codes % week_keys.size]
@@ -341,12 +333,11 @@ class _WeeklyGroups:
         self, values: np.ndarray
     ) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """Per-group ``(name, weeks, delta_pct)`` series of one column."""
-        order = np.lexsort((values, self._composite))
+        ordered = np.asarray(values, dtype=np.float64)[self._order]
+        for start, end in self._bounds:
+            ordered[start:end].sort(kind="stable")
         per_cell = kernels.presorted_percentile(
-            np.asarray(values, dtype=np.float64)[order],
-            self._starts,
-            self._ends,
-            self._percentile,
+            ordered, self._starts, self._ends, self._percentile
         )
         out = []
         for name, cells, baseline in self._groups:

@@ -17,11 +17,13 @@ Given an :class:`~repro.analysis.cache.ArtifactCache` (attached
 automatically by :meth:`repro.api.Run.study` and the CLI for persisted
 runs), every figure payload is fetched from / stored into the run's
 content-addressed ``cache/analysis/`` store, so a second process never
-recomputes what the first already produced.  The three shared
-intermediates are stored once, as the per-segment range artifacts of
-:mod:`repro.analysis.mobility`, and composed in memory.  Cached and
-fresh results are bitwise identical; without a cache the cost is one
-``None`` check per artifact.
+recomputes what the first already produced.  Two of the three shared
+intermediates, the daily metrics and home detection, are stored once,
+as the per-segment range artifacts of :mod:`repro.analysis.mobility`,
+and composed in memory; the third, the labeled KPI frame, is recomputed
+by every study, because labeling takes less time than reading a stored
+copy back.  Cached and fresh results are bitwise identical; without a
+cache the cost is one ``None`` check per artifact.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from repro.core.mobility_series import (
 from repro.core.performance import (
     PERF_METRICS,
     WeeklySeries,
+    label_kpis,
     performance_panel,
 )
 from repro.core.relocation import RelocationMatrix, relocation_matrix
@@ -152,12 +155,11 @@ class CovidImpactStudy:
     # cached re-reads cost nothing — and nest by call stack, so the
     # phase table shows each stage under whichever artifact actually
     # triggered it.
-    # The three shared intermediates compute through
-    # repro.analysis.mobility, which stores them only as segment-keyed
-    # range artifacts: on a segmented live run an advance recomputes
-    # just the appended segment, the prefix ranges are cache hits, and
-    # the composition is bitwise-identical to a from-scratch
-    # recomputation.
+    # metrics and homes compute through repro.analysis.mobility, which
+    # stores them only as segment-keyed range artifacts: on a segmented
+    # live run an advance recomputes just the appended segment, the
+    # prefix ranges are cache hits, and the composition is
+    # bitwise-identical to a from-scratch recomputation.
     @cached_property
     def metrics(self) -> MobilityDailyMetrics:
         """Per-user-day entropy/gyration over the whole window."""
@@ -187,10 +189,10 @@ class CovidImpactStudy:
 
     @cached_property
     def labeled_kpis(self):
-        from repro.analysis.mobility import incremental_labeled_kpis
-
+        """The KPI feed with its week and geography labels (never cached:
+        labeling is cheaper than reading a stored copy back)."""
         with telemetry.span("label_kpis"):
-            return incremental_labeled_kpis(self._feeds, cache=self._cache)
+            return label_kpis(self._feeds)
 
     # -- paper artifacts ------------------------------------------------------
     def table1(self) -> list[tuple[str, str]]:

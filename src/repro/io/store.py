@@ -96,6 +96,11 @@ _DIGESTED_FILES = (_KPIS, _RAT, _CONFIG)
 _FORMAT_VERSION = 3
 _SUPPORTED_VERSIONS = {_FORMAT_VERSION}
 
+#: The run's analysis artifact cache (``repro.analysis.cache.CACHE_SUBDIR``),
+#: named here so that a commit on a run without one imports nothing from
+#: the analysis layer.
+_ANALYSIS_CACHE = Path("cache") / "analysis"
+
 
 def _table_name(base: str, num_days: int) -> str:
     """Versioned table file name used by append commits.
@@ -153,6 +158,17 @@ def _atomic_text(text: str, final: Path) -> None:
     tmp = final.with_name(final.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     _replace_into_place(tmp, final)
+
+
+def _drop_unreachable_artifacts(path: Path, digests: dict) -> None:
+    """After a manifest commit: delete the cache entries it cannot reach.
+
+    Only a run that has an artifact cache imports the cache module.
+    """
+    if (path / _ANALYSIS_CACHE).is_dir():
+        from repro.analysis.cache import drop_unreachable
+
+        drop_unreachable(path, digests)
 
 
 def _commit_mobility(feeds: DataFeeds, path: Path) -> tuple[list[str], int]:
@@ -240,7 +256,9 @@ def save_feeds(feeds: DataFeeds, directory: str | Path) -> Path:
     extend it bitwise-identically.  Saving always produces the
     canonical single-segment layout — re-saving a segmented live run
     compacts its append segments back into one file per shard column,
-    byte-identical to a batch run of the same day count.
+    byte-identical to a batch run of the same day count.  After the
+    commit, the run's artifact-cache entries keyed on digests the new
+    manifest no longer holds are deleted.
     """
     if feeds.config is None:
         raise ValueError(
@@ -343,6 +361,7 @@ def save_feeds(feeds: DataFeeds, directory: str | Path) -> Path:
             # A save without signalling frames stops referencing any
             # event partition a previous save left behind.
             columnar.drop_stale_events(path)
+        _drop_unreachable_artifacts(path, digests)
     return path
 
 
@@ -362,7 +381,9 @@ def append_feeds(feeds: DataFeeds, chunk: DataFeeds, directory: str | Path) -> P
     3. ``manifest.json`` — new day count, extended segment list,
        updated digest map and live block — is atomically rewritten
        *last*, as the single commit point;
-    4. only then are the superseded table files removed.
+    4. only then are the superseded table files removed, and the
+       artifact-cache entries keyed on digests the new manifest no
+       longer holds (:func:`repro.analysis.cache.drop_unreachable`).
 
     A crash anywhere before step 3 leaves the previous manifest
     pointing exclusively at untouched files, so the run stays loadable
@@ -503,10 +524,12 @@ def append_feeds(feeds: DataFeeds, chunk: DataFeeds, directory: str | Path) -> P
         # references only untouched files.
         _atomic_text(json.dumps(new_manifest, indent=2), path / _MANIFEST)
 
-        # 4. Post-commit cleanup of superseded table files.
+        # 4. Post-commit cleanup of superseded table files and of the
+        # cache entries keyed on digests the manifest no longer holds.
         for name in (old_kpis, old_rat):
             if name not in (new_kpis, new_rat):
                 (path / name).unlink(missing_ok=True)
+        _drop_unreachable_artifacts(path, digests)
     return path
 
 

@@ -303,6 +303,29 @@ def weekly_observations(draw, max_size=80):
     return values, weeks
 
 
+@st.composite
+def awkward_weekly_observations(draw, max_size=160):
+    """Observations rich in signed zeros, NaNs and tied values, in
+    segments long enough for an unstable sort to reorder ties."""
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    weeks = np.array(
+        draw(st.lists(st.integers(9, 10), min_size=size, max_size=size)),
+        dtype=np.int64,
+    )
+    pool = st.sampled_from([-0.0, 0.0, 1.0, 1.0, 2.5, -3.0, np.nan])
+    values = np.array(draw(st.lists(pool, min_size=size, max_size=size)))
+    labels = np.array(
+        draw(st.lists(st.sampled_from("ABC"), min_size=size, max_size=size))
+    )
+    # Every label observes the baseline week, so both paths reach the
+    # percentile (a zero or NaN baseline is still possible).
+    for label in "ABC":
+        hit = np.flatnonzero(labels == label)
+        if hit.size:
+            weeks[hit[0]] = 9
+    return values, weeks, labels
+
+
 class TestWeeklyDifferential:
     @given(data=weekly_observations())
     @settings(max_examples=100, deadline=None)
@@ -354,6 +377,66 @@ class TestWeeklyDifferential:
             assert v_name == n_name
             assert np.array_equal(v_weeks, n_weeks)
             assert np.array_equal(v_delta, n_delta)
+
+
+    @given(data=awkward_weekly_observations())
+    @settings(max_examples=100, deadline=None)
+    def test_grouped_weekly_delta_signed_zero_nan_and_ties(self, data):
+        values, weeks, labels = data
+
+        def run():
+            try:
+                return _grouped_weekly_delta(
+                    values, weeks, labels, None, baseline_week=9,
+                    percentile=50.0,
+                )
+            except ValueError as err:  # a zero baseline, in both modes
+                return str(err)
+
+        vectorized, naive = both_modes(run)
+        if isinstance(naive, str):
+            assert vectorized == naive
+            return
+        assert len(vectorized) == len(naive)
+        for (v_name, v_weeks, v_delta), (n_name, n_weeks, n_delta) in zip(
+            vectorized, naive
+        ):
+            assert v_name == n_name
+            assert np.array_equal(v_weeks, n_weeks)
+            assert np.array_equal(np.isnan(v_delta), np.isnan(n_delta))
+            finite = ~np.isnan(n_delta)
+            assert v_delta[finite].tobytes() == n_delta[finite].tobytes()
+
+    @given(data=awkward_weekly_observations())
+    @settings(max_examples=100, deadline=None)
+    def test_grouped_sort_is_lexsorts_bit_for_bit(self, data):
+        # The column the percentile kernel receives is np.lexsort's
+        # ((value, then row) inside each (label, week) segment), so
+        # signed zeros and NaNs sit where lexsort puts them.
+        from repro.core import performance
+        from repro.frames import kernels
+
+        values, weeks, labels = data
+        captured = []
+        real = kernels.presorted_percentile
+
+        def capture(sorted_values, starts, ends, q):
+            captured.append(sorted_values.copy())
+            return real(sorted_values, starts, ends, q)
+
+        _, label_codes = np.unique(labels, return_inverse=True)
+        week_keys, week_codes = np.unique(weeks, return_inverse=True)
+        composite = label_codes * week_keys.size + week_codes
+        expected = values[np.lexsort((values, composite))]
+        with pytest.MonkeyPatch.context() as patch, frames_mode(False):
+            patch.setattr(kernels, "presorted_percentile", capture)
+            groups = performance._WeeklyGroups(labels, weeks, None, 9, 50.0)
+            try:
+                groups.deltas(values)
+            except ValueError:
+                pass  # a zero baseline; the sort already ran
+        assert len(captured) == 1
+        assert captured[0].tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------

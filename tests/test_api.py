@@ -141,11 +141,11 @@ class TestStudyCache:
         api.simulate(config, rundir)
         api.Run.open(rundir).study().report(full=True)
         store = ArtifactCache.open(rundir)
-        # The one segment's metrics_range, homes_range and
-        # labeled_kpis_range, fig2-fig12, rat_share,
-        # cluster_correlations, summary and report: no whole-window
-        # copy of an intermediate.
-        assert store.info()["entries"] == 18
+        # The one segment's metrics_range and homes_range, fig2-fig12,
+        # rat_share, cluster_correlations, summary and report: no
+        # whole-window copy of an intermediate, and no labeled KPI
+        # frame (recomputed, not cached).
+        assert store.info()["entries"] == 17
         assert store.get("metrics", {"gyration_mode": "weighted"}) is None
 
     def test_cache_false_runs_in_memory(self, tmp_path):

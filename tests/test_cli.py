@@ -273,11 +273,22 @@ class TestAnalysisCache:
         assert "Traceback" not in text
 
     def test_corrupt_entry_recovers_identically(self, run_dir):
+        from repro.analysis.cache import (
+            ENTRY_SUFFIX,
+            ArtifactCache,
+            summary_params,
+        )
+
         code, cold = self._run(["summary", str(run_dir)])
         assert code == 0
-        store = run_dir / "cache" / "analysis"
-        for entry in store.glob("*.npz"):
+        store = ArtifactCache.open(run_dir)
+        damaged = 0
+        for entry in store.directory.glob(f"*{ENTRY_SUFFIX}"):
             entry.write_bytes(b"\x00" * 48)
+            damaged += 1
+        # Every entry the cache counts was damaged, and there were some.
+        assert damaged == store.info()["entries"] > 0
+        assert store.get("summary", summary_params()) is None
         code, recovered = self._run(["summary", str(run_dir)])
         assert code == 0
         assert recovered == cold

@@ -10,10 +10,15 @@ at any point of an append (including the manifest commit itself) must
 leave the directory loadable at its previous day count.
 """
 
+import collections
 import dataclasses
 import datetime as dt
+import json
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +295,147 @@ class TestIncrementalAnalytics:
         assert np.array_equal(
             metrics_8.entropy[:6], metrics_6.entropy
         )
+
+
+def _entry_names(rundir: Path) -> collections.Counter:
+    """Artifact name -> entry count of a run's cache, read from the
+    entry headers."""
+    from repro.analysis.cache import ENTRY_SUFFIX, ArtifactCache, _read_entry
+
+    store = ArtifactCache.open(rundir)
+    names: collections.Counter = collections.Counter()
+    for path in store.directory.glob(f"*{ENTRY_SUFFIX}"):
+        header, _ = _read_entry(path)
+        names[header["artifact"]] += 1
+    assert sum(names.values()) == store.info()["entries"]
+    return names
+
+
+class TestCacheSweep:
+    """Every manifest commit drops the cache entries its digest map no
+    longer reaches, so a live run's cache stays bounded."""
+
+    def test_live_cache_holds_ranges_plus_one_refresh(self, tmp_path):
+        from repro.analysis.cache import ENTRY_SUFFIX, _read_entry
+
+        # Past the lockdown (day 49) so a summary exists; 7 days short of
+        # the 98-day horizon, so the run stays live.
+        config = SimulationConfig.tiny(seed=31).with_overrides(
+            num_users=220, target_site_count=40
+        )
+        rundir = tmp_path / "run"
+        run = api.simulate(config, rundir, days=63)
+        run.study().summary()
+        for _ in range(7):
+            run.advance(1)
+            warm = api.Run.open(rundir).study().summary()
+            cold = api.Run.open(rundir).study(cache=False).summary()
+            assert json.dumps(warm, sort_keys=True) == json.dumps(
+                cold, sort_keys=True
+            )
+        assert len(run.feeds.feed_segments) == 8
+        whole_window = {
+            "fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "fig10",
+            "fig11", "rat_share", "cluster_correlations", "summary",
+        }
+        # One metrics range per segment, one February night-count range
+        # (the prefix holds all of February), and the last refresh's
+        # whole-window entries; each earlier refresh's whole-window
+        # entries were dropped by the advance that made them unreachable.
+        assert _entry_names(rundir) == collections.Counter(
+            metrics_range=8, homes_range=1, **dict.fromkeys(whole_window, 1)
+        )
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        held = manifest["feeds_sha256"].items()
+        for path in (rundir / "cache" / "analysis").glob(f"*{ENTRY_SUFFIX}"):
+            header, _ = _read_entry(path)
+            assert header["digests"].items() <= held
+            if header["artifact"] in whole_window:
+                assert header["digests"] == manifest["feeds_sha256"]
+
+    def test_freezing_compaction_drops_vanished_segment_ranges(
+        self, tmp_path
+    ):
+        from repro import telemetry
+        from repro.core.statistics import compute_daily_metrics
+
+        rundir = tmp_path / "run"
+        run = api.simulate(_config(), rundir, days=6)
+        run.study().metrics
+        run.advance(3)
+        run.study().metrics
+        assert _entry_names(rundir) == {"metrics_range": 2}
+
+        telemetry.enable()
+        try:
+            run.advance(3)  # reaches the horizon: the compacting re-save
+            counters = telemetry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        assert run.frozen()
+        # Both ranges were keyed on dwell files the compaction replaced.
+        assert counters["cache.entries_dropped"] == 2
+        assert _entry_names(rundir) == {}
+        metrics = run.study().metrics
+        assert _entry_names(rundir) == {"metrics_range": 1}
+        fresh = compute_daily_metrics(run.feeds)
+        assert np.array_equal(metrics.entropy, fresh.entropy)
+        assert np.array_equal(metrics.gyration_km, fresh.gyration_km)
+
+    def test_format_1_entries_drop_and_temporaries_survive(self, tmp_path):
+        from repro.analysis.cache import ENTRY_SUFFIX
+
+        rundir = tmp_path / "run"
+        run = api.simulate(_config(), rundir, days=4)
+        store = rundir / "cache" / "analysis"
+        store.mkdir(parents=True)
+        old_entry = store / ("0" * 64 + ".npz")
+        old_entry.write_bytes(b"PK\x03\x04")
+        in_flight = store / f"{'1' * 64}{ENTRY_SUFFIX}.123.456.tmp"
+        in_flight.write_bytes(b"a put in progress")
+        run.advance(1)
+        assert not old_entry.exists()
+        assert in_flight.read_bytes() == b"a put in progress"
+
+    def test_a_run_without_cache_imports_no_analysis(self, tmp_path):
+        # The batch save and the live commits look for a cache directory
+        # before they import the cache module, which would pull in
+        # repro.analysis and repro.core.
+        script = textwrap.dedent("""
+            import datetime as dt
+            import sys
+            from repro import api
+            from repro.simulation.clock import StudyCalendar
+            from repro.simulation.config import SimulationConfig
+
+            config = SimulationConfig.tiny(seed=23).with_overrides(
+                num_users=96,
+                target_site_count=30,
+                calendar=StudyCalendar(
+                    first_day=dt.date(2020, 2, 24), num_days=12
+                ),
+            ).with_parallelism(2, workers=1)
+            api.simulate(config, sys.argv[1] + "/batch")
+            run = api.simulate(config, sys.argv[1] + "/live", days=9)
+            run.advance(3)
+            assert run.frozen()
+            print(sorted(
+                name for name in sys.modules
+                if name.startswith(("repro.analysis", "repro.core"))
+            ))
+        """)
+        source = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(source), env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+        assert not (tmp_path / "batch" / "cache").exists()
 
 
 try:

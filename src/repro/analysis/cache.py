@@ -31,7 +31,9 @@ artifact twice*:
   :mod:`repro.io.store` calls :func:`drop_unreachable`, which deletes
   the entries whose digest map the committed manifest no longer holds
   (and format-1 ``*.npz`` entries), so a live run keeps its range
-  entries plus one refresh's whole-window entries.
+  entries plus one refresh's whole-window entries.  A batch or frozen
+  run commits no more, so the first ``put`` of each handle also drops
+  the format-1 entries.
 - **Telemetry**: ``cache.hits`` / ``cache.misses`` /
   ``cache.bytes_written`` (plus ``cache.corrupt_entries`` and
   ``cache.entries_dropped``) count against the process-wide registry
@@ -419,14 +421,24 @@ def drop_unreachable(
         paths = list(directory.iterdir())
     except OSError:
         return 0
+    return _drop(
+        path
+        for path in paths
+        if path.suffix == ".npz"
+        or (path.suffix == ENTRY_SUFFIX and not _reachable(path, held))
+    )
+
+
+def _reachable(path: Path, held) -> bool:
+    """Whether every digest an entry records is among ``held``."""
+    recorded = _recorded_digests(path)
+    return recorded is not None and recorded.items() <= held
+
+
+def _drop(paths) -> int:
+    """Delete ``paths``, counting those deleted as ``cache.entries_dropped``."""
     dropped = 0
     for path in paths:
-        if path.suffix == ENTRY_SUFFIX:
-            recorded = _recorded_digests(path)
-            if recorded is not None and recorded.items() <= held:
-                continue
-        elif path.suffix != ".npz":
-            continue
         try:
             path.unlink()
         except OSError:
@@ -452,6 +464,10 @@ class ArtifactCache:
     ) -> None:
         self.directory = Path(directory)
         self.feed_digests = dict(feed_digests)
+        # Whether the first put has dropped the format-1 entries: a
+        # batch or frozen run never commits again, so drop_unreachable
+        # never reaches them there.
+        self._format1_dropped = False
 
     @classmethod
     def open(cls, run_directory: str | Path) -> "ArtifactCache | None":
@@ -528,7 +544,11 @@ class ArtifactCache:
         self, artifact: str, params: dict, payload, *, digests=None
     ) -> bool:
         """Persist a payload; returns False (and stores nothing) when
-        the payload cannot be encoded or the write fails."""
+        the payload cannot be encoded or the write fails.
+
+        The first put of a handle also deletes the directory's
+        format-1 ``*.npz`` entries.
+        """
         feed_digests = self.feed_digests if digests is None else digests
         try:
             arrays: list[np.ndarray] = []
@@ -542,6 +562,10 @@ class ArtifactCache:
         )
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
+            if not self._format1_dropped:
+                # No key reaches them: FORMAT_VERSION is a key input.
+                self._format1_dropped = True
+                _drop(self.directory.glob("*.npz"))
             with open(temporary, "wb") as handle:
                 _write_entry(handle, header, arrays)
                 size = handle.tell()
@@ -565,11 +589,17 @@ class ArtifactCache:
 
     # -- maintenance ---------------------------------------------------------
     def info(self) -> dict:
-        """Entry count and total size of the store (zeros when absent)."""
+        """File count and total size of the store (zeros when absent).
+
+        Counts every file but a ``*.tmp`` (a ``put`` in flight): what
+        the store holds on disk, entries of any format included.
+        """
         entries = 0
         total = 0
         if self.directory.is_dir():
-            for path in self.directory.glob(f"*{ENTRY_SUFFIX}"):
+            for path in self.directory.iterdir():
+                if path.suffix == ".tmp" or not path.is_file():
+                    continue
                 entries += 1
                 total += path.stat().st_size
         return {

@@ -28,8 +28,8 @@ shard identity columns, and the segment's dwell stack files — *not* the
 whole-run digest map, which changes on every append.  Advancing a run
 therefore recomputes only the new segment; the prefix is served from
 cache, and the composed result is bitwise-identical to a from-scratch
-recomputation.  Anything missing (in-memory feeds, no digests, no
-cache) falls back to the whole-window computation.
+recomputation.  Anything missing (in-memory feeds, no cache) falls
+back to the whole-window computation.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ _IDENTITY_FILES = ("rows.npy", "user_ids.npy", "anchor_sites.npy")
 def feed_segments(feeds: DataFeeds) -> list[tuple[int, int]] | None:
     """The run's ``(start_day, num_days)`` storage segments.
 
-    ``None`` when the feeds cannot support segment-keyed artifacts —
-    in-memory bundles, or runs persisted without digests.
+    ``None`` when the feeds cannot support segment-keyed artifacts:
+    in-memory bundles, which carry no segments or digests.
     """
     segments = getattr(feeds, "feed_segments", None)
     digests = getattr(feeds, "source_digests", None)

@@ -46,15 +46,10 @@ from pathlib import Path
 
 __all__ = ["Run", "experiment", "resume", "simulate"]
 
-#: Configuration flags whose outputs never reach the run directory —
+#: Configuration flags whose outputs an append commit cannot extend —
 #: a live run would silently diverge from its persisted form, so
 #: day-at-a-time mode refuses them up front.
-_LIVE_INCOMPATIBLE_FLAGS = (
-    "emit_signaling",
-    "keep_hourly_kpis",
-    "keep_sector_kpis",
-    "keep_bin_dwell",
-)
+_LIVE_INCOMPATIBLE_FLAGS = ("emit_signaling",)
 
 
 def _reject_live_config(config) -> None:
@@ -65,9 +60,9 @@ def _reject_live_config(config) -> None:
     ]
     if heavy:
         raise ValueError(
-            "live (day-at-a-time) runs persist every produced feed, but "
-            f"{', '.join(heavy)} outputs are never stored in the run "
-            "directory; disable them or simulate the whole window at once"
+            "live (day-at-a-time) runs grow by append commits, which "
+            f"never extend the event partition that {', '.join(heavy)} "
+            "writes; disable it or simulate the whole window at once"
         )
 
 

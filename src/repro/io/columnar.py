@@ -262,13 +262,11 @@ class ShardedMobilityFeed:
         self,
         shards: list[MobilityShard],
         *,
-        bin_dwell: list[np.ndarray] | None = None,
         pending_writer: "ColumnarWriter | None" = None,
     ) -> None:
         if not shards:
             raise ValueError("a sharded feed needs at least one shard")
         self.shards = list(shards)
-        self.bin_dwell = bin_dwell
         #: Set while the backing files are still uncommitted (engine
         #: streaming mode); :func:`repro.io.store.save_feeds` commits
         #: the writer instead of rewriting the arrays.
@@ -477,9 +475,7 @@ class ColumnarWriter:
                 self.day_offset + day, mobility.dwell(day), mobility.night(day)
             )
 
-    def finish(
-        self, bin_dwell: list[np.ndarray] | None = None
-    ) -> ShardedMobilityFeed:
+    def finish(self) -> ShardedMobilityFeed:
         """The feed view over the (still uncommitted) partition."""
         shards = [
             MobilityShard(
@@ -494,9 +490,7 @@ class ColumnarWriter:
                 zip(self._rows, self._daily, self._night)
             )
         ]
-        return ShardedMobilityFeed(
-            shards, bin_dwell=bin_dwell, pending_writer=self
-        )
+        return ShardedMobilityFeed(shards, pending_writer=self)
 
     def commit(self) -> list[str]:
         """Flush, rename every new column file into place.

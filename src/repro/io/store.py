@@ -49,11 +49,12 @@ single-file layout, and a run that reaches its horizon is byte-for-byte
 a batch run.
 
 Every way a run directory can be wrong — missing, interrupted, a file
-deleted, truncated or bit-flipped — surfaces as :class:`RunStoreError`
-naming the offending file, never as a leaked ``KeyError`` /
-``FileNotFoundError`` / pickle traceback.  An interrupted run (a
-``checkpoints/`` store but no ``manifest.json`` yet) gets a dedicated
-message pointing at ``--resume``.
+deleted, truncated or bit-flipped, a manifest whose digest map lost an
+entry — surfaces as :class:`RunStoreError` naming the offending file,
+never as a leaked ``KeyError`` / ``FileNotFoundError`` / pickle
+traceback.  An interrupted run (a ``checkpoints/`` store but no
+``manifest.json`` yet) gets a dedicated message pointing at
+``--resume``.
 """
 
 from __future__ import annotations
@@ -399,12 +400,7 @@ def append_feeds(feeds: DataFeeds, chunk: DataFeeds, directory: str | Path) -> P
             "there are no further days to append",
             path=path / _MANIFEST,
         )
-    old_digests = manifest.get("feeds_sha256")
-    if not isinstance(old_digests, dict) or not old_digests:
-        raise RunStoreError(
-            f"run {path} records no feed digests; it cannot be advanced",
-            path=path / _MANIFEST,
-        )
+    old_digests = manifest["feeds_sha256"]
     block = manifest.get("feeds") or {}
     if block.get("events"):
         raise RunStoreError(
@@ -562,6 +558,15 @@ def _read_manifest(path: Path) -> dict:
             f"{manifest.get('format_version')!r} in {manifest_path}",
             path=manifest_path,
         )
+    digests = manifest.get("feeds_sha256")
+    if not isinstance(digests, dict) or not digests:
+        # Every save of this format records one; without the map no
+        # file of the run can be checked.
+        raise RunStoreError(
+            f"manifest {manifest_path} records no feed digests "
+            "(feeds_sha256); the manifest was damaged after the save",
+            path=manifest_path,
+        )
     for key in ("num_users", "num_days"):
         if not isinstance(manifest.get(key), int):
             raise RunStoreError(
@@ -587,8 +592,8 @@ def _read_config(path: Path):
         ) from err
 
 
-def _read_mobility(path: Path, manifest: dict) -> ShardedMobilityFeed:
-    """Open the columnar partition described by the manifest, mapped."""
+def _feed_layout(path: Path, manifest: dict) -> tuple[dict, int]:
+    """The manifest's validated ``feeds`` block and its shard count."""
     block = manifest.get("feeds")
     if not isinstance(block, dict) or block.get("layout") != "columnar":
         raise RunStoreError(
@@ -603,9 +608,33 @@ def _read_mobility(path: Path, manifest: dict) -> ShardedMobilityFeed:
             f"count {num_shards!r}",
             path=path / _MANIFEST,
         )
+    return block, num_shards
+
+
+def _read_mobility(path: Path, manifest: dict) -> ShardedMobilityFeed:
+    """Open the columnar partition described by the manifest, mapped."""
+    block, num_shards = _feed_layout(path, manifest)
     return open_columnar(
         path, num_shards, segments=_read_segments(path, block)
     )
+
+
+def _files_read(path: Path, manifest: dict) -> list[str]:
+    """Manifest-relative paths of every file a load of ``manifest`` reads."""
+    block, num_shards = _feed_layout(path, manifest)
+    tables = block.get("tables") or {}
+    names = [
+        _CONFIG,
+        tables.get("radio_kpis", _KPIS),
+        tables.get("rat_time", _RAT),
+        *columnar.shard_relative_paths(num_shards),
+    ]
+    for start, _ in _read_segments(path, block) or ():
+        if start > 0:
+            names.extend(columnar.segment_relative_paths(num_shards, start))
+    if isinstance(block.get("events"), dict):
+        names.extend(columnar.event_relative_paths(num_shards))
+    return names
 
 
 def _read_segments(path: Path, block: dict) -> list[tuple[int, int]] | None:
@@ -786,19 +815,26 @@ def _load(path: Path, manifest: dict) -> DataFeeds:
     )
 
 
-def _verify_digests(path: Path, manifest: dict) -> dict | None:
+def _verify_digests(path: Path, manifest: dict) -> dict:
     """Check every digested feed file against the manifest's record.
 
-    Returns the digest map (``None`` for runs saved before digests were
-    recorded — those load fine, they just cannot feed the analysis
-    cache).  A file whose bytes no longer hash to the recorded digest,
-    and equally a file the manifest promises that is *missing* from
-    disk, raises :class:`RunStoreError` naming it — a deleted shard
+    Returns the digest map.  Every save records a digest for each file
+    it writes, so a file the load reads that the map does not name
+    (``config.pkl``, the two tables, a shard, segment or event file)
+    raises :class:`RunStoreError` naming it.  So does a file whose
+    bytes no longer hash to the recorded digest, and equally a file
+    the manifest promises that is *missing* from disk — a deleted shard
     must fail here, precisely, not in a later, vaguer reader.
     """
-    digests = manifest.get("feeds_sha256")
-    if not isinstance(digests, dict) or not digests:
-        return None
+    digests = manifest["feeds_sha256"]
+    for name in _files_read(path, manifest):
+        if name not in digests:
+            raise RunStoreError(
+                f"manifest {path / _MANIFEST} records no digest for "
+                f"{path / name}, which the load reads; the manifest was "
+                "damaged after the save",
+                path=path / name,
+            )
     for name, expected in sorted(digests.items()):
         file_path = path / name
         if not file_path.exists():

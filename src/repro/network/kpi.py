@@ -3,9 +3,11 @@
 The paper's commercial KPI solution exports hourly per-cell metrics;
 the analysis then "aggregate[s] them per day and extract[s] the (hourly)
 median value per cell" (§2.4). :class:`KpiAccumulator` implements that
-exact reduction: the simulation pushes hourly vectors, and the
-accumulator emits one row per (cell, day) holding the median over the
-day's hours for every metric — the shape all of Figs 8–12 consume.
+exact reduction: the simulation pushes a day's hourly values (one
+``(hours, cells)`` block per metric through ``add_day``, or one hour at
+a time through ``add_hour`` and ``finalize_day``), and the accumulator
+keeps only one row per (cell, day) holding the median over the day's
+hours for every metric — the shape all of Figs 8–12 consume.
 
 Metrics (hourly, per 4G cell), following §2.4:
 
@@ -60,26 +62,16 @@ class KpiAccumulator:
     postcodes:
         Postcode district of each cell (same order), carried on every
         output row so the analysis can merge administrative labels.
-    keep_hourly:
-        Also retain the raw hourly rows (memory-heavy; meant for small
-        configurations and tests that exercise the hourly→daily path).
     """
 
-    def __init__(
-        self,
-        cell_ids: np.ndarray,
-        postcodes: np.ndarray,
-        keep_hourly: bool = False,
-    ) -> None:
+    def __init__(self, cell_ids: np.ndarray, postcodes: np.ndarray) -> None:
         if cell_ids.shape != postcodes.shape:
             raise ValueError("cell_ids and postcodes must align")
         self._cell_ids = cell_ids.astype(np.int64)
         self._postcodes = postcodes
-        self._keep_hourly = keep_hourly
         self._pending: dict[str, list[np.ndarray]] = {}
         self._pending_day: int | None = None
         self._daily_frames: list[Frame] = []
-        self._hourly_frames: list[Frame] = []
 
     @property
     def num_cells(self) -> int:
@@ -88,7 +80,11 @@ class KpiAccumulator:
     def add_hour(
         self, day: int, hour: int, metrics: dict[str, np.ndarray]
     ) -> None:
-        """Push one hour of per-cell metric vectors for ``day``."""
+        """Push one hour of per-cell metric vectors for ``day``.
+
+        The daily median does not depend on the order of the pushes,
+        so ``hour`` only labels the push.
+        """
         telemetry.count("sim.kpi.add_hour")
         if self._pending_day is not None and day != self._pending_day:
             raise ValueError(
@@ -106,18 +102,6 @@ class KpiAccumulator:
                     f"{self._cell_ids.shape}"
                 )
             self._pending.setdefault(name, []).append(vector)
-        if self._keep_hourly:
-            data = {
-                "cell_id": self._cell_ids,
-                "postcode": self._postcodes,
-                "day": np.full(self.num_cells, day, dtype=np.int64),
-                "hour": np.full(self.num_cells, hour, dtype=np.int64),
-            }
-            data.update(
-                {name: np.asarray(metrics[name], dtype=np.float64)
-                 for name in KPI_COLUMNS}
-            )
-            self._hourly_frames.append(Frame(data))
 
     def add_day(
         self, day: int, metrics: dict[str, np.ndarray], num_hours: int
@@ -141,7 +125,11 @@ class KpiAccumulator:
         missing = set(KPI_COLUMNS) - set(metrics)
         if missing:
             raise ValueError(f"missing KPI metrics: {sorted(missing)}")
-        blocks: dict[str, np.ndarray] = {}
+        data = {
+            "cell_id": self._cell_ids,
+            "postcode": self._postcodes,
+            "day": np.full(self.num_cells, day, dtype=np.int64),
+        }
         for name in KPI_COLUMNS:
             block = np.asarray(metrics[name], dtype=np.float64)
             if block.ndim == 1:
@@ -153,30 +141,8 @@ class KpiAccumulator:
                     f"metric {name} has shape {block.shape}, expected "
                     f"({num_hours}, {self.num_cells})"
                 )
-            blocks[name] = block
-        data = {
-            "cell_id": self._cell_ids,
-            "postcode": self._postcodes,
-            "day": np.full(self.num_cells, day, dtype=np.int64),
-        }
-        for name in KPI_COLUMNS:
-            data[name] = np.median(blocks[name], axis=0)
+            data[name] = np.median(block, axis=0)
         self._daily_frames.append(Frame(data))
-        if self._keep_hourly:
-            for hour in range(num_hours):
-                hourly = {
-                    "cell_id": self._cell_ids,
-                    "postcode": self._postcodes,
-                    "day": np.full(self.num_cells, day, dtype=np.int64),
-                    "hour": np.full(self.num_cells, hour, dtype=np.int64),
-                }
-                hourly.update(
-                    {
-                        name: np.ascontiguousarray(blocks[name][hour])
-                        for name in KPI_COLUMNS
-                    }
-                )
-                self._hourly_frames.append(Frame(hourly))
 
     def finalize_day(self) -> None:
         """Reduce the pending day's hours to per-cell medians."""
@@ -208,11 +174,3 @@ class KpiAccumulator:
                  **{name: np.empty(0) for name in KPI_COLUMNS}}
             )
         return concat(self._daily_frames)
-
-    def hourly_frame(self) -> Frame:
-        """Raw hourly rows (only if ``keep_hourly`` was requested)."""
-        if not self._keep_hourly:
-            raise ValueError("accumulator was created with keep_hourly=False")
-        if not self._hourly_frames:
-            return Frame()
-        return concat(self._hourly_frames)

@@ -74,8 +74,8 @@ _SUBDIR = "checkpoints"
 _STATE = "state.json"
 _CONFIG = "config.pkl"
 
-#: ShardDayLoad array fields in serialization order; optional ones are
-#: simply absent from the archive when the configuration skips them.
+#: ShardDayLoad array fields in serialization order; ``dwell_s`` is
+#: absent from the archive unless the configuration emits signalling.
 _REQUIRED_FIELDS = (
     "presence",
     "activity",
@@ -85,7 +85,6 @@ _REQUIRED_FIELDS = (
     "daily_dwell",
     "night_dwell",
 )
-_OPTIONAL_FIELDS = ("sector_presence", "sector_dl", "sector_voice", "dwell_s")
 
 
 class CheckpointError(RunStoreError):
@@ -234,10 +233,8 @@ class CheckpointStore:
         payload: dict[str, np.ndarray] = {}
         for name in _REQUIRED_FIELDS:
             payload[name] = np.asarray(getattr(load, name))
-        for name in _OPTIONAL_FIELDS:
-            value = getattr(load, name)
-            if value is not None:
-                payload[name] = np.asarray(value)
+        if load.dwell_s is not None:
+            payload["dwell_s"] = np.asarray(load.dwell_s)
         payload["total_connected_s"] = np.float64(load.total_connected_s)
         payload["shard_day"] = np.array([shard, day], dtype=np.int64)
         checksum = _payload_digest(payload)
@@ -302,9 +299,6 @@ class CheckpointStore:
             daily_dwell=arrays["daily_dwell"],
             night_dwell=arrays["night_dwell"],
             total_connected_s=float(arrays["total_connected_s"]),
-            sector_presence=arrays.get("sector_presence"),
-            sector_dl=arrays.get("sector_dl"),
-            sector_voice=arrays.get("sector_voice"),
             dwell_s=arrays.get("dwell_s"),
         )
 

@@ -79,13 +79,9 @@ class SimulationConfig:
     # only: decides whether an attempt fails, never what it computes.
     fault_spec: str | None = None
 
-    # Heavyweight optional outputs.
-    keep_hourly_kpis: bool = False
-    keep_bin_dwell: bool = False
+    # The one optional output: the General Signalling Dataset's raw
+    # per-event frames (§2.2), stored as the run's event partition.
     emit_signaling: bool = False
-    # Per-sector daily KPI feed (§2.1: "we collect KPI for every radio
-    # sector"); users attach to a stable sector of each site they visit.
-    keep_sector_kpis: bool = False
 
     def __post_init__(self) -> None:
         if self.num_users <= 0:

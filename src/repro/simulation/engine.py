@@ -11,7 +11,8 @@ substrate:
    presence/demand/voice onto cell sites, run the scheduler per hour,
    process the voice interconnect, and reduce hourly KPIs to the
    per-cell daily medians of §2.4;
-4. return a :class:`~repro.simulation.feeds.DataFeeds` bundle.
+4. return a :class:`~repro.simulation.feeds.DataFeeds` bundle, every
+   output of which :func:`repro.io.save_feeds` persists.
 
 The spatial scatters use ``np.bincount`` over the flattened
 (user × anchor) axis, which keeps a ~20k-user, ~1k-site, 98-day run in
@@ -417,7 +418,6 @@ def _compute_shard(
     agents = world.agents
     demand_model = world.demand_model
     voice_model = world.voice_model
-    num_sites = world.topology.num_sites
 
     anchor_sites = _take(agents.anchor_sites, indices)
     flat_sites = anchor_sites.ravel()
@@ -426,19 +426,6 @@ def _compute_shard(
     wifi_quality = _take(context.wifi_quality, indices)
     base_dl_mb = demand_model.base_daily_dl_mb()
     base_minutes = voice_model.settings.base_minutes_per_day
-
-    keep_dwell = config.keep_bin_dwell or config.emit_signaling
-    keep_sectors = config.keep_sector_kpis
-    if keep_sectors:
-        # Per-sector attachment: each (user, site) pair lands on a
-        # stable sector of the site's 3-sector deployment.
-        user_ids = _take(agents.user_ids, indices)
-        user_grid = np.repeat(
-            user_ids[:, None], anchor_sites.shape[1], axis=1
-        )
-        sector_of_anchor = (user_grid * 7 + anchor_sites * 13) % 3
-        flat_sectors = (anchor_sites * 3 + sector_of_anchor).ravel()
-        sector_width = num_sites * 3
 
     if day_stop is None:
         day_stop = int(calendar.num_days)
@@ -471,10 +458,7 @@ def _compute_shard(
                 wifi_quality=wifi_quality,
                 base_dl_mb=base_dl_mb,
                 base_minutes=base_minutes,
-                keep_dwell=keep_dwell,
-                sector_scatter=(
-                    (flat_sectors, sector_width) if keep_sectors else None
-                ),
+                keep_dwell=config.emit_signaling,
             )
             if checkpoint is not None:
                 checkpoint.save_day(shard_index, day, load)
@@ -500,7 +484,6 @@ def _compute_shard_day(
     base_dl_mb: float,
     base_minutes: float,
     keep_dwell: bool,
-    sector_scatter: tuple[np.ndarray, int] | None,
 ) -> ShardDayLoad:
     """One day of one shard: dwell assembly plus the bincount scatters."""
     world = context.world
@@ -586,7 +569,7 @@ def _compute_shard_day(
             "scattered_weights", int(flat_sites.size) * 5 * NUM_BINS
         )
 
-    load = ShardDayLoad(
+    return ShardDayLoad(
         presence=presence,
         activity=activity,
         dl_mb=dl_mb,
@@ -597,33 +580,6 @@ def _compute_shard_day(
         total_connected_s=float(dwell.dwell_s.sum()),
         dwell_s=dwell.dwell_s if keep_dwell else None,
     )
-
-    if sector_scatter is not None:
-        flat_sectors, sector_width = sector_scatter
-        with telemetry.span("sector_scatter"):
-            daily_dwell_s = dwell.daily_dwell()
-            daily_dl_flat = (
-                daily_dwell_s / 86_400.0
-                * user_dl_mb[:, None]
-                * cell_factor
-            ).ravel()
-            daily_voice_flat = (
-                daily_dwell_s / 86_400.0 * user_voice_min[:, None]
-            ).ravel()
-            load.sector_presence = np.bincount(
-                flat_sectors, weights=daily_dwell_s.ravel(),
-                minlength=sector_width,
-            )
-            load.sector_dl = np.bincount(
-                flat_sectors, weights=daily_dl_flat,
-                minlength=sector_width,
-            )
-            load.sector_voice = np.bincount(
-                flat_sectors, weights=daily_voice_flat,
-                minlength=sector_width,
-            ) * (context.mb_dl + context.mb_ul)
-
-    return load
 
 
 # -- (shard, window) tasks --------------------------------------------------
@@ -1075,14 +1031,9 @@ class Simulator:
             if cell.rat is Rat.LTE_4G:
                 capacity_mbps[cell.site_id] = cell.capacity_mbps
         accumulator = KpiAccumulator(
-            cell_ids=cell_of_site,
-            postcodes=topology.site_postcodes,
-            keep_hourly=config.keep_hourly_kpis,
+            cell_ids=cell_of_site, postcodes=topology.site_postcodes
         )
 
-        bin_dwell: list[np.ndarray] | None = (
-            [] if config.keep_bin_dwell else None
-        )
         stream_writer = None
         if stream_dir is not None:
             from repro.io import columnar
@@ -1099,9 +1050,7 @@ class Simulator:
             None
             if stream_writer is not None
             else MobilityFeed(
-                user_ids=agents.user_ids,
-                anchor_sites=agents.anchor_sites,
-                bin_dwell=bin_dwell,
+                user_ids=agents.user_ids, anchor_sites=agents.anchor_sites
             )
         )
         signaling_frames: dict[int, Frame] | None = (
@@ -1128,7 +1077,6 @@ class Simulator:
         act_profile = activity_hour_profile()
         voice_w = hour_weights_within_bins(voice_hour_profile())
 
-        sector_rows: list[Frame] = []
         # RAT connected-time feed: the per-RAT share sums are
         # day-independent, so they are taken once, out of the day loop.
         rat_time_rows: list[dict] = []
@@ -1189,8 +1137,6 @@ class Simulator:
             else:
                 mobility.daily_dwell.append(merged.daily_dwell)
                 mobility.night_dwell.append(night)
-            if bin_dwell is not None:
-                bin_dwell.append(merged.dwell_s.astype(np.float32))
 
             params = demand_model.day_parameters(date)
             presence = merged.presence
@@ -1206,26 +1152,6 @@ class Simulator:
             dl_mb[~active_sites] = 0.0
             ul_mb[~active_sites] = 0.0
             voice_minutes[~active_sites] = 0.0
-
-            if config.keep_sector_kpis:
-                occupied = merged.sector_presence > 0
-                indices = np.flatnonzero(occupied)
-                sector_rows.append(
-                    Frame(
-                        {
-                            "day": np.full(
-                                indices.size, day, dtype=np.int64
-                            ),
-                            "site_id": indices // 3,
-                            "sector": indices % 3,
-                            "connected_users": (
-                                merged.sector_presence[indices] / 86_400.0
-                            ),
-                            "dl_volume_mb": merged.sector_dl[indices],
-                            "voice_volume_mb": merged.sector_voice[indices],
-                        }
-                    )
-                )
 
             # Voice interconnect (daily) and radio-side UL loss.
             with telemetry.span("voice_interconnect") as voice_span:
@@ -1389,7 +1315,7 @@ class Simulator:
         if stream_writer is not None:
             # The mapped feed over the still-uncommitted partition;
             # save_feeds to the same directory commits it in place.
-            mobility = stream_writer.finish(bin_dwell)
+            mobility = stream_writer.finish()
         signaling_feed = signaling_frames
         if events_writer is not None:
             signaling_feed = events_writer.finish()
@@ -1410,14 +1336,6 @@ class Simulator:
             radio_kpis=radio_kpis,
             rat_time=Frame.from_rows(rat_time_rows),
             epidemic=world.epidemic,
-            hourly_kpis=(
-                accumulator.hourly_frame() if config.keep_hourly_kpis else None
-            ),
-            sector_kpis=(
-                _concat_frames(sector_rows)
-                if config.keep_sector_kpis
-                else None
-            ),
             signaling=signaling_feed,
             interconnect_upgrade_day=upgrade_day,
             config=config,
@@ -1429,9 +1347,3 @@ class Simulator:
                 "baseline_dl_total": baseline_dl_total,
             },
         )
-
-
-def _concat_frames(frames: list[Frame]) -> Frame:
-    from repro.frames import concat
-
-    return concat(frames) if frames else Frame()

@@ -70,7 +70,6 @@ class MobilityFeed:
     anchor_sites: np.ndarray
     daily_dwell: list[np.ndarray] = field(default_factory=list)
     night_dwell: list[np.ndarray] = field(default_factory=list)
-    bin_dwell: list[np.ndarray] | None = None
 
     @property
     def num_users(self) -> int:
@@ -129,8 +128,9 @@ class DataFeeds:
     radio_kpis: Frame  # daily per-cell medians (the §2.4 reduction)
     rat_time: Frame  # (day, rat, connected-seconds)
     epidemic: EpidemicCurve
-    hourly_kpis: Frame | None = None
-    sector_kpis: Frame | None = None
+    # Per-day signalling-event frames (the configuration's
+    # ``emit_signaling``): a dict in memory, or a repro.io.columnar.
+    # ShardedEventFeed over the stored event partition.
     signaling: dict[int, Frame] | None = None
     interconnect_upgrade_day: int | None = None
     # The configuration that produced the feeds (provenance; lets
@@ -176,27 +176,6 @@ class DataFeeds:
         from repro.simulation.sharding import parallelism_of
 
         return parallelism_of(self.config)
-
-    def cell_info(self) -> Frame:
-        """Cell → (site, postcode) metadata for merges."""
-        sites = self.topology.sites
-        cell_ids = []
-        site_ids = []
-        postcodes = []
-        for site in sites:
-            cell = self.topology.site_to_4g_cell.get(site.site_id)
-            if cell is None:
-                continue
-            cell_ids.append(cell)
-            site_ids.append(site.site_id)
-            postcodes.append(site.postcode)
-        return Frame(
-            {
-                "cell_id": np.asarray(cell_ids, dtype=np.int64),
-                "site_id": np.asarray(site_ids, dtype=np.int64),
-                "postcode": np.asarray(postcodes),
-            }
-        )
 
     def site_locations(self) -> tuple[np.ndarray, np.ndarray]:
         """(lats, lons) arrays indexed by site id."""

@@ -11,8 +11,6 @@ This module owns everything that makes that decomposition safe:
   ``workers``);
 - :func:`stable_shard_of` / :func:`shard_user_indices` — a seed- and
   platform-stable hash partition of the agent population;
-- :func:`shard_seed_sequences` — per-shard ``SeedSequence.spawn``
-  streams for shard-local scratch randomness;
 - :class:`ShardDayLoad` / :class:`ShardResult` — the per-day
   accumulators one (shard, window) task ships back to the coordinator;
 - :func:`merge_day_loads` — the associative reduction that combines
@@ -33,9 +31,7 @@ Per-user arrays (dwell matrices) are therefore *bitwise* identical for
 every shard count.  Per-cell aggregates are summed shard-by-shard, so
 floating-point association makes them ``allclose``-equal (not bitwise)
 between different shard counts; repeated runs at the same shard count
-are bitwise identical.  ``shard_seed_sequences`` exists for randomness
-that is genuinely shard-local (e.g. scratch noise in future backends)
-and must never feed a quantity the equivalence contract covers.
+are bitwise identical.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ __all__ = [
     "MergedDay",
     "stable_shard_of",
     "shard_user_indices",
-    "shard_seed_sequences",
     "merge_day_loads",
     "parallelism_of",
 ]
@@ -148,19 +143,6 @@ def shard_user_indices(
     ]
 
 
-def shard_seed_sequences(
-    seed: int, num_shards: int, stream_key: int = 1000
-) -> list[np.random.SeedSequence]:
-    """Independent per-shard seed sequences via ``SeedSequence.spawn``.
-
-    For randomness that is *shard-local by design* (never anything the
-    serial-equivalence contract covers).  The ``stream_key`` namespaces
-    these spawns away from the engine's own ``spawn_key`` usage.
-    """
-    root = np.random.SeedSequence(entropy=seed, spawn_key=(stream_key,))
-    return root.spawn(num_shards)
-
-
 # -- per-shard payloads -----------------------------------------------------
 
 @dataclass
@@ -169,8 +151,9 @@ class ShardDayLoad:
 
     The five ``(num_sites, NUM_BINS)`` site loads reduce across shards
     by summation; the per-user rows (``daily_dwell`` etc.) reassemble
-    by the shard's row indices; the sector vectors (present only when
-    the configuration keeps sector KPIs) reduce by summation.
+    by the shard's row indices.  ``dwell_s``, the per-bin dwell the
+    signalling emitter reads, is present only when the configuration
+    emits signalling.
     """
 
     presence: np.ndarray
@@ -181,9 +164,6 @@ class ShardDayLoad:
     daily_dwell: np.ndarray  # (n, NUM_ANCHORS) float32
     night_dwell: np.ndarray  # (n, NUM_ANCHORS) float32, pre-dropout
     total_connected_s: float
-    sector_presence: np.ndarray | None = None
-    sector_dl: np.ndarray | None = None
-    sector_voice: np.ndarray | None = None
     dwell_s: np.ndarray | None = None  # (n, NUM_BINS, NUM_ANCHORS) float64
 
 
@@ -221,26 +201,20 @@ class MergedDay:
     daily_dwell: np.ndarray  # (num_users, NUM_ANCHORS) float32
     night_dwell: np.ndarray
     total_connected_s: float
-    sector_presence: np.ndarray | None
-    sector_dl: np.ndarray | None
-    sector_voice: np.ndarray | None
     dwell_s: np.ndarray | None
 
 
-def _reduce_sum(arrays: list[np.ndarray | None]) -> np.ndarray | None:
+def _reduce_sum(arrays: list[np.ndarray]) -> np.ndarray:
     """Sum payload arrays in shard order; pass single payloads through.
 
     The single-shard fast path returns the array unchanged, which keeps
     the serial engine bitwise-identical to the historical implementation
     (no extra copy, no extra addition).
     """
-    present = [array for array in arrays if array is not None]
-    if not present:
-        return None
-    if len(present) == 1:
-        return present[0]
-    total = present[0].copy()
-    for array in present[1:]:
+    if len(arrays) == 1:
+        return arrays[0]
+    total = arrays[0].copy()
+    for array in arrays[1:]:
         total += array
     return total
 
@@ -270,7 +244,7 @@ def merge_day_loads(
 ) -> MergedDay:
     """Associatively reduce one day's shard payloads.
 
-    Site and sector loads are summed in shard order (hence
+    Site loads are summed in shard order (hence
     ``allclose``-equal, not bitwise, across different shard counts);
     per-user rows are scattered back to population order (bitwise for
     every shard count).
@@ -292,11 +266,6 @@ def merge_day_loads(
         total_connected_s=float(
             sum(load.total_connected_s for load in loads)
         ),
-        sector_presence=_reduce_sum(
-            [load.sector_presence for load in loads]
-        ),
-        sector_dl=_reduce_sum([load.sector_dl for load in loads]),
-        sector_voice=_reduce_sum([load.sector_voice for load in loads]),
         dwell_s=(
             _scatter_rows(
                 num_users,

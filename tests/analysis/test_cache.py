@@ -396,6 +396,45 @@ class TestMaintenance:
         assert info["bytes"] > 0
         assert info["directory"] == str(store.directory)
 
+    def test_info_counts_every_file_but_temporaries(self, store):
+        store.put("fig9", {}, {"x": np.arange(4)})
+        entry = store.entry_path("fig9", {})
+        (store.directory / f"{entry.name}.11.22.tmp").write_bytes(b"half")
+        (store.directory / "notes.txt").write_bytes(b"abc")
+        info = store.info()
+        assert info["entries"] == 2
+        assert info["bytes"] == entry.stat().st_size + 3
+
+    def test_first_put_drops_format_1_entries(self, tmp_path):
+        store = ArtifactCache(tmp_path / CACHE_SUBDIR, DIGESTS)
+        store.directory.mkdir(parents=True)
+        old_entry = store.directory / "0123abcd.npz"
+        old_entry.write_bytes(b"PK\x03\x04")
+        assert store.info() == {
+            "directory": str(store.directory), "entries": 1, "bytes": 4,
+        }
+        # A get does no extra work.
+        assert store.get("fig9", {}) is None
+        assert old_entry.exists()
+        telemetry.enable()
+        try:
+            assert store.put("fig9", {}, {"x": np.arange(3)})
+            later = store.directory / "4567cdef.npz"
+            later.write_bytes(b"PK\x03\x04")
+            assert store.put("fig10", {}, {"x": np.arange(3)})
+            counters = telemetry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        assert not old_entry.exists()
+        assert counters["cache.entries_dropped"] == 1
+        # Once per handle: a later file waits for the next handle.
+        assert later.exists()
+        assert ArtifactCache(store.directory, DIGESTS).put(
+            "fig11", {}, {"x": np.arange(3)}
+        )
+        assert not later.exists()
+        assert store.info()["entries"] == 3
+
     def test_clear_removes_everything(self, store):
         store.put("fig9", {}, {"x": np.arange(4)})
         store.clear()

@@ -20,6 +20,18 @@ def reloaded(run_feeds, tmp_path_factory):
     return load_feeds(path)
 
 
+def _record_digest(run, name):
+    """Re-record ``name``'s digest in the run's manifest."""
+    import hashlib
+    import json
+
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["feeds_sha256"][name] = hashlib.sha256(
+        (run / name).read_bytes()
+    ).hexdigest()
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestRoundTrip:
     def test_kpis_identical(self, run_feeds, reloaded):
         original = run_feeds.radio_kpis
@@ -202,30 +214,26 @@ class TestPreciseErrors:
             load_feeds(saved)
 
     def test_missing_shard_file_without_digests(self, saved):
-        # Strip the recorded digests (an old-format manifest) so the
-        # missing file reaches the columnar reader's own diagnosis.
-        import json
+        # The opener pool workers use verifies no digests: the missing
+        # file reaches the columnar reader's own diagnosis.
+        from repro.io import columnar
 
-        manifest = json.loads((saved / "manifest.json").read_text())
-        del manifest["feeds_sha256"]
-        (saved / "manifest.json").write_text(json.dumps(manifest))
         target = saved / "feeds" / "shard-0000" / "anchor_sites.npy"
         target.unlink()
         with pytest.raises(RunStoreError, match="anchor_sites.npy") as exc:
-            load_feeds(saved)
+            columnar.open_shard(saved, 0)
         assert exc.value.path == target
 
     def test_shard_shape_inconsistency_without_digests(self, saved):
-        import json
-
-        manifest = json.loads((saved / "manifest.json").read_text())
-        del manifest["feeds_sha256"]
-        (saved / "manifest.json").write_text(json.dumps(manifest))
+        # The damaged file's digest is re-recorded, so the digest check
+        # passes and the shape check of the reader itself fires.
         target = saved / "feeds" / "shard-0000" / "daily_dwell.npy"
         with open(target, "wb") as handle:
             np.save(handle, np.zeros((3, 1, 8), dtype=np.float32))
-        with pytest.raises(RunStoreError, match="inconsistent"):
+        _record_digest(saved, "feeds/shard-0000/daily_dwell.npy")
+        with pytest.raises(RunStoreError, match="inconsistent") as exc:
             load_feeds(saved)
+        assert exc.value.path == target
 
     def test_manifest_mobility_disagreement(self, saved):
         import json
@@ -304,14 +312,63 @@ class TestFeedDigests:
             load_feeds(saved)
         assert excinfo.value.path == saved / name
 
-    def test_digestless_manifest_still_loads(self, saved):
+    def test_manifest_without_digests_is_refused(self, saved):
         import json
+
+        from repro import api
 
         manifest = json.loads((saved / "manifest.json").read_text())
         del manifest["feeds_sha256"]
         (saved / "manifest.json").write_text(json.dumps(manifest))
-        feeds = load_feeds(saved)
-        assert feeds.source_digests is None
+        # A damaged table the missing map could no longer catch.
+        blob = bytearray((saved / "radio_kpis.npy").read_bytes())
+        blob[-1] ^= 0xFF
+        (saved / "radio_kpis.npy").write_bytes(bytes(blob))
+        for opener in (load_feeds, api.Run.open):
+            with pytest.raises(
+                RunStoreError, match="records no feed digests"
+            ) as exc:
+                opener(saved)
+            assert exc.value.path == saved / "manifest.json"
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_manifest_missing_a_digest_is_refused(self, saved, name):
+        import json
+
+        manifest = json.loads((saved / "manifest.json").read_text())
+        del manifest["feeds_sha256"][name]
+        (saved / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(
+            RunStoreError, match="records no digest for"
+        ) as exc:
+            load_feeds(saved)
+        assert exc.value.path == saved / name
+
+    def test_live_segment_missing_a_digest_is_refused(self, tmp_path):
+        import datetime as dt
+        import json
+
+        from repro import api
+        from repro.simulation.clock import StudyCalendar
+
+        config = SimulationConfig.tiny(seed=23).with_overrides(
+            num_users=96,
+            target_site_count=30,
+            calendar=StudyCalendar(
+                first_day=dt.date(2020, 2, 24), num_days=12
+            ),
+        )
+        path = tmp_path / "live"
+        api.simulate(config, path, days=3).advance(2)
+        name = "feeds/shard-0000/night_dwell.00003.npy"
+        manifest = json.loads((path / "manifest.json").read_text())
+        del manifest["feeds_sha256"][name]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(
+            RunStoreError, match="records no digest for"
+        ) as exc:
+            load_feeds(path)
+        assert exc.value.path == path / name
 
 
 class TestAtomicPersistence:
@@ -559,13 +616,7 @@ class TestTableCodec:
 
     @pytest.mark.parametrize("damage", ["truncated", "not_structured"])
     def test_corrupt_table_names_the_file(self, run_feeds, tmp_path, damage):
-        import json
-
         path = save_feeds(run_feeds, tmp_path / "run")
-        # Without digests the damaged table reaches the reader itself.
-        manifest = json.loads((path / "manifest.json").read_text())
-        del manifest["feeds_sha256"]
-        (path / "manifest.json").write_text(json.dumps(manifest))
         target = path / "rat_time.npy"
         if damage == "truncated":
             blob = target.read_bytes()
@@ -573,6 +624,9 @@ class TestTableCodec:
         else:
             with open(target, "wb") as handle:
                 np.save(handle, np.arange(4.0))
+        # With the damaged file's digest re-recorded, the damage
+        # reaches the reader itself.
+        _record_digest(path, "rat_time.npy")
         with pytest.raises(RunStoreError, match="rat_time.npy") as exc:
             load_feeds(path)
         assert exc.value.path == target

@@ -115,6 +115,17 @@ class TestDigestsAndGuards:
         with pytest.raises(RunStoreError, match="events_offsets"):
             load_feeds(run)
 
+    def test_unrecorded_event_file_is_named(self, run):
+        import json
+
+        name = "feeds/shard-0001/events_timestamp_s.npy"
+        manifest = json.loads((run / "manifest.json").read_text())
+        del manifest["feeds_sha256"][name]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(RunStoreError, match="records no digest") as exc:
+            load_feeds(run)
+        assert exc.value.path == run / name
+
     def test_v2_without_events_still_loads(self, tmp_path):
         target = tmp_path / "run"
         save_feeds(

@@ -168,12 +168,15 @@ class TestKpiAccumulator:
     def make_metrics(self, value: float, cells: int = 3):
         return {name: np.full(cells, value) for name in KPI_COLUMNS}
 
-    def make_accumulator(self, cells: int = 3, keep_hourly: bool = False):
+    def make_accumulator(self, cells: int = 3):
         return KpiAccumulator(
             cell_ids=np.arange(cells, dtype=np.int64),
             postcodes=np.array([f"PC{i}" for i in range(cells)]),
-            keep_hourly=keep_hourly,
         )
+
+    def make_blocks(self, seed: int, hours: int = 24, cells: int = 3):
+        rng = np.random.default_rng(seed)
+        return {name: rng.random((hours, cells)) for name in KPI_COLUMNS}
 
     def test_daily_median_of_hours(self):
         acc = self.make_accumulator()
@@ -223,18 +226,65 @@ class TestKpiAccumulator:
         with pytest.raises(ValueError, match="shape"):
             acc.add_hour(0, 0, metrics)
 
-    def test_hourly_frame_retained_when_asked(self):
-        acc = self.make_accumulator(keep_hourly=True)
-        acc.add_hour(0, 7, self.make_metrics(2.0))
-        acc.finalize_day()
-        hourly = acc.hourly_frame()
-        assert len(hourly) == 3
-        assert set(hourly["hour"].tolist()) == {7}
+    def test_add_day_is_the_median_over_hours(self):
+        cells = 5
+        daily = self.make_accumulator(cells)
+        hourly = self.make_accumulator(cells)
+        for day in range(3):
+            blocks = self.make_blocks(seed=day, cells=cells)
+            daily.add_day(day, blocks, num_hours=24)
+            for hour in range(24):
+                hourly.add_hour(
+                    day, hour,
+                    {name: block[hour] for name, block in blocks.items()},
+                )
+            hourly.finalize_day()
+            rows = daily.daily_frame().filter(
+                daily.daily_frame()["day"] == day
+            )
+            for name in KPI_COLUMNS:
+                assert np.array_equal(
+                    rows[name], np.median(blocks[name], axis=0)
+                ), name
+        bulk, pushed = daily.daily_frame(), hourly.daily_frame()
+        assert bulk.column_names == pushed.column_names
+        for name in bulk.column_names:
+            assert bulk[name].dtype == pushed[name].dtype, name
+            assert bulk[name].tobytes() == pushed[name].tobytes(), name
 
-    def test_hourly_frame_requires_flag(self):
+    def test_add_day_broadcasts_a_vector_over_the_hours(self):
         acc = self.make_accumulator()
-        with pytest.raises(ValueError):
-            acc.hourly_frame()
+        blocks = self.make_blocks(seed=7)
+        constant = np.array([0.5, 1.5, 2.5])
+        blocks["voice_ul_loss_rate"] = constant
+        acc.add_day(0, blocks, num_hours=24)
+        daily = acc.daily_frame()
+        assert np.array_equal(daily["voice_ul_loss_rate"], constant)
+        assert np.array_equal(daily["day"], np.zeros(3, dtype=np.int64))
+
+    def test_add_day_wrong_shape_rejected(self):
+        acc = self.make_accumulator()
+        blocks = self.make_blocks(seed=1)
+        blocks["radio_load_pct"] = np.ones((23, 3))
+        with pytest.raises(ValueError, match="shape"):
+            acc.add_day(0, blocks, num_hours=24)
+        blocks["radio_load_pct"] = np.ones(4)
+        with pytest.raises(ValueError, match="shape"):
+            acc.add_day(0, blocks, num_hours=24)
+        assert len(acc.daily_frame()) == 0
+
+    def test_add_day_missing_metric_rejected(self):
+        acc = self.make_accumulator()
+        blocks = self.make_blocks(seed=2)
+        del blocks["voice_users"]
+        with pytest.raises(ValueError, match="missing"):
+            acc.add_day(0, blocks, num_hours=24)
+
+    def test_add_day_with_pending_hours_rejected(self):
+        acc = self.make_accumulator()
+        acc.add_hour(0, 0, self.make_metrics(1.0))
+        with pytest.raises(ValueError, match="pending"):
+            acc.add_day(1, self.make_blocks(seed=3), num_hours=24)
 
     def test_empty_daily_frame_has_schema(self):
         daily = self.make_accumulator().daily_frame()

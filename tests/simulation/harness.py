@@ -6,9 +6,8 @@ The parallel engine's determinism contract
 - **bitwise** — per-user arrays (dwell matrices) and anything derived
   from them row-wise are identical for every shard layout, and *all*
   outputs are identical between repeated runs of the same layout;
-- **allclose** — per-cell/per-sector aggregates are summed shard by
-  shard, so different shard counts agree only up to floating-point
-  association.
+- **allclose** — per-cell aggregates are summed shard by shard, so
+  different shard counts agree only up to floating-point association.
 
 :func:`assert_feeds_equivalent` encodes that contract once so every
 equivalence test asserts exactly the documented guarantee, and
@@ -81,8 +80,8 @@ def assert_feeds_equivalent(expected, actual, bitwise: bool = False) -> None:
     """Assert two feed bundles agree per the determinism contract.
 
     ``bitwise=False`` (the default) asserts the cross-shard-layout
-    contract: per-user mobility arrays and signalling bitwise, cell and
-    sector aggregates allclose.  ``bitwise=True`` asserts byte-for-byte
+    contract: per-user mobility arrays and signalling bitwise, cell
+    aggregates allclose.  ``bitwise=True`` asserts byte-for-byte
     equality of everything — the guarantee for repeated runs of the
     *same* layout.
     """
@@ -121,15 +120,6 @@ def assert_feeds_equivalent(expected, actual, bitwise: bool = False) -> None:
             mobility_actual.night_dwell[day],
             bitwise=True,
         )
-    if mobility_expected.bin_dwell is not None:
-        assert mobility_actual.bin_dwell is not None
-        for day, expected_bins in enumerate(mobility_expected.bin_dwell):
-            _assert_array(
-                f"mobility.bin_dwell[{day}]",
-                expected_bins,
-                mobility_actual.bin_dwell[day],
-                bitwise=True,
-            )
 
     # -- cell aggregates: allclose across layouts -------------------------
     _assert_frame(
@@ -140,24 +130,6 @@ def assert_feeds_equivalent(expected, actual, bitwise: bool = False) -> None:
         key_columns=_KPI_KEY_COLUMNS,
     )
     _assert_frame("rat_time", expected.rat_time, actual.rat_time, bitwise)
-    if expected.hourly_kpis is not None:
-        assert actual.hourly_kpis is not None
-        _assert_frame(
-            "hourly_kpis",
-            expected.hourly_kpis,
-            actual.hourly_kpis,
-            bitwise,
-            key_columns=(*_KPI_KEY_COLUMNS, "hour"),
-        )
-    if expected.sector_kpis is not None:
-        assert actual.sector_kpis is not None
-        _assert_frame(
-            "sector_kpis",
-            expected.sector_kpis,
-            actual.sector_kpis,
-            bitwise,
-            key_columns=("day", "site_id", "sector"),
-        )
 
     # -- signalling: derived row-wise from bitwise dwell ⇒ bitwise --------
     if expected.signaling is not None:

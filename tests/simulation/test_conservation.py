@@ -2,8 +2,10 @@
 
 Every user is attached somewhere at every instant, and every megabyte
 of demand lands on exactly one cell — the scatters must conserve both.
-These tests run a tiny simulation with hourly KPIs retained and check
-the invariants against first principles.
+These tests take one day's site loads straight from the engine's shard
+computation (the whole population as one shard, before the topology
+snapshot removes inactive sites) and check the invariants against first
+principles.
 """
 
 import datetime as dt
@@ -11,39 +13,38 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from repro.mobility.trajectories import BIN_SECONDS, NUM_BINS
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import Simulator, build_world
+from repro.simulation.engine import _compute_shard, _RunContext, build_world
 
 
 @pytest.fixture(scope="module")
-def world_and_feeds():
-    config = SimulationConfig(
-        num_users=600, target_site_count=80, seed=61,
-        keep_hourly_kpis=True,
-    )
-    world = build_world(config)
-    feeds = Simulator(config).run()
-    return world, feeds
+def context():
+    config = SimulationConfig(num_users=600, target_site_count=80, seed=61)
+    return _RunContext.from_world(build_world(config))
+
+
+def _day_load(context, day):
+    """The engine's (site, bin) loads of one day."""
+    result = _compute_shard(context, None, day_start=day, day_stop=day + 1)
+    return result.days[0]
 
 
 class TestConservation:
-    def test_connected_users_sum_to_population(self, world_and_feeds):
-        world, feeds = world_and_feeds
-        hourly = feeds.hourly_kpis
-        num_study = world.agents.num_users
+    def test_connected_users_sum_to_population(self, context):
+        num_study = context.world.agents.num_users
         for day in (3, 40, 90):
-            for hour in (3, 12, 20):
-                rows = hourly.filter(
-                    (hourly["day"] == day) & (hourly["hour"] == hour)
-                )
-                total = rows["connected_users"].sum()
-                # Outages remove a fraction of a percent of presence.
-                assert total == pytest.approx(num_study, rel=0.02)
+            presence = _day_load(context, day).presence
+            assert presence.shape[1] == NUM_BINS
+            np.testing.assert_allclose(
+                presence.sum(axis=0) / BIN_SECONDS,
+                np.full(NUM_BINS, float(num_study)),
+                rtol=1e-9,
+            )
 
-    def test_voice_minutes_conserved_per_day(self, world_and_feeds):
-        world, feeds = world_and_feeds
-        hourly = feeds.hourly_kpis
-        calendar = feeds.calendar
+    def test_voice_minutes_conserved_per_day(self, context):
+        world = context.world
+        calendar = world.config.calendar
         voice = world.voice_model
         multipliers = voice.user_minute_multipliers(
             world.agents.num_users
@@ -55,70 +56,36 @@ class TestConservation:
                 * voice.settings.base_minutes_per_day
                 * voice.minutes_multiplier(date)
             )
-            rows = hourly.filter(hourly["day"] == day)
-            measured_minutes = rows["voice_users"].sum() * 60.0
+            measured_minutes = _day_load(context, day).voice_minutes.sum()
             assert measured_minutes == pytest.approx(
-                expected_minutes, rel=0.02
+                expected_minutes, rel=1e-9
             )
 
-    def test_dl_volume_bounded_by_total_demand(self, world_and_feeds):
-        world, feeds = world_and_feeds
-        hourly = feeds.hourly_kpis
+    def test_dl_volume_bounded_by_total_demand(self, context):
+        world = context.world
         demand = world.demand_model
         multipliers = demand.user_demand_multipliers(
             world.agents.num_users
         )
-        day = feeds.calendar.day_of(dt.date(2020, 2, 25))
-        params = demand.day_parameters(dt.date(2020, 2, 25))
+        date = dt.date(2020, 2, 25)
+        params = demand.day_parameters(date)
         ceiling = (
             demand.base_daily_dl_mb()
             * multipliers.sum()
             * params.demand_multiplier
         )
-        rows = hourly.filter(hourly["day"] == day)
-        measured = rows["dl_volume_mb"].sum()
-        # Cellular DL is the offload-discounted share of total demand
-        # (plus the comparatively small voice volume).
+        day = world.config.calendar.day_of(date)
+        measured = _day_load(context, day).dl_mb.sum()
+        # Cellular DL is the offload-discounted share of total demand.
         assert measured < ceiling
         assert measured > ceiling * 0.25
 
-    def test_lockdown_moves_volume_not_users(self, world_and_feeds):
-        __, feeds = world_and_feeds
-        hourly = feeds.hourly_kpis
-        calendar = feeds.calendar
-        before = calendar.day_of(dt.date(2020, 2, 25))
-        during = calendar.day_of(dt.date(2020, 3, 31))
-        connected_before = hourly.filter(hourly["day"] == before)[
-            "connected_users"
-        ].sum()
-        connected_during = hourly.filter(hourly["day"] == during)[
-            "connected_users"
-        ].sum()
-        dl_before = hourly.filter(hourly["day"] == before)[
-            "dl_volume_mb"
-        ].sum()
-        dl_during = hourly.filter(hourly["day"] == during)[
-            "dl_volume_mb"
-        ].sum()
+    def test_lockdown_moves_volume_not_users(self, context):
+        calendar = context.world.config.calendar
+        before = _day_load(context, calendar.day_of(dt.date(2020, 2, 25)))
+        during = _day_load(context, calendar.day_of(dt.date(2020, 3, 31)))
         # Users don't leave the network — their traffic does.
-        assert connected_during == pytest.approx(
-            connected_before, rel=0.03
+        assert during.presence.sum() == pytest.approx(
+            before.presence.sum(), rel=1e-9
         )
-        assert dl_during < dl_before * 0.9
-
-    def test_median_reduction_matches_numpy(self, world_and_feeds):
-        __, feeds = world_and_feeds
-        hourly = feeds.hourly_kpis
-        daily = feeds.radio_kpis
-        cell = int(daily["cell_id"][0])
-        day = 10
-        hours = hourly.filter(
-            (hourly["cell_id"] == cell) & (hourly["day"] == day)
-        )
-        row = daily.filter(
-            (daily["cell_id"] == cell) & (daily["day"] == day)
-        )
-        for metric in ("dl_volume_mb", "radio_load_pct", "voice_users"):
-            assert row[metric][0] == pytest.approx(
-                np.median(hours[metric])
-            )
+        assert during.dl_mb.sum() < before.dl_mb.sum() * 0.9

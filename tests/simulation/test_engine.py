@@ -58,10 +58,10 @@ class TestFeedsStructure:
         assert 0.25 < unobserved_share < 0.6
 
     def test_cell_info_consistent(self, feeds):
-        info = feeds.cell_info()
-        assert len(info) == feeds.topology.num_sites
+        site_to_cell = feeds.topology.site_to_4g_cell
+        assert len(site_to_cell) == feeds.topology.num_sites
         kpi_cells = set(np.unique(feeds.radio_kpis["cell_id"]).tolist())
-        assert kpi_cells == set(info["cell_id"].tolist())
+        assert kpi_cells == set(site_to_cell.values())
 
     def test_rat_time_rows(self, feeds):
         assert len(feeds.rat_time) == feeds.calendar.num_days * 3
@@ -95,40 +95,6 @@ class TestFeedsStructure:
 
 
 class TestOptionalOutputs:
-    def test_hourly_kpis_when_requested(self):
-        config = SimulationConfig(
-            num_users=400, target_site_count=60, seed=3,
-            keep_hourly_kpis=True,
-        )
-        feeds = Simulator(config).run()
-        hourly = feeds.hourly_kpis
-        assert hourly is not None
-        # One row per (site, day, hour); the ≥1-site-per-district floor
-        # means the deployment exceeds the nominal target.
-        assert len(hourly) == (
-            feeds.topology.num_sites * feeds.calendar.num_days * 24
-        )
-        # Daily medians must equal the median over the stored hours.
-        day0 = hourly.filter(
-            (hourly["day"] == 0) & (hourly["cell_id"] == hourly["cell_id"][0])
-        )
-        daily = feeds.radio_kpis.filter(
-            (feeds.radio_kpis["day"] == 0)
-            & (feeds.radio_kpis["cell_id"] == hourly["cell_id"][0])
-        )
-        assert daily["dl_volume_mb"][0] == pytest.approx(
-            np.median(day0["dl_volume_mb"])
-        )
-
-    def test_bin_dwell_when_requested(self):
-        config = SimulationConfig(
-            num_users=300, target_site_count=50, seed=4,
-            keep_bin_dwell=True,
-        )
-        feeds = Simulator(config).run()
-        assert feeds.mobility.bin_dwell is not None
-        assert feeds.mobility.bin_dwell[0].shape[1] == 6
-
     def test_signaling_when_requested(self):
         config = SimulationConfig(
             num_users=200, target_site_count=40, seed=5,

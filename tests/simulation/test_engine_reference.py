@@ -1,9 +1,9 @@
 """Reference-implementation check of the engine's traffic scatter.
 
-Recomputes one cell-hour's downlink volume from first principles
-(dwell × demand × offload × diurnal shares) with naive loops and
-compares it against the engine's hourly KPI feed. Any regression in the
-vectorized scatter shows up here.
+Recomputes one (site, bin) downlink volume and voice minutes from first
+principles (dwell × demand × offload × diurnal shares) with naive loops
+and compares them against the engine's per-shard day loads. Any
+regression in the vectorized scatter shows up here.
 """
 
 import numpy as np
@@ -13,13 +13,13 @@ from repro.geo.oac import OAC_DEFINITIONS
 from repro.mobility.trajectories import BIN_SECONDS
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import (
-    Simulator,
     _HOME_LIKE_SLOTS,
+    _compute_shard,
+    _RunContext,
     build_world,
 )
 from repro.traffic.profiles import (
     BIN_OF_HOUR,
-    hour_weights_within_bins,
     traffic_hour_profile,
     voice_hour_profile,
 )
@@ -27,22 +27,22 @@ from repro.traffic.profiles import (
 DAY = 10
 HOUR = 18
 
-pytestmark = pytest.mark.slow
-
 
 @pytest.fixture(scope="module")
 def setup():
-    config = SimulationConfig(
-        num_users=300, target_site_count=50, seed=91,
-        keep_hourly_kpis=True, keep_bin_dwell=True,
-    )
+    config = SimulationConfig(num_users=300, target_site_count=50, seed=91)
     world = build_world(config)
-    feeds = Simulator(config).run()
-    return config, world, feeds
+    load = _compute_shard(
+        _RunContext.from_world(world), None,
+        day_start=DAY, day_stop=DAY + 1,
+    ).days[0]
+    # The same call the engine makes to assemble the day's dwell.
+    bin_dwell = world.trajectories.day_dwell(DAY).dwell_s  # (N, 6, 8)
+    return config, world, load, bin_dwell
 
 
-def reference_dl_for_site(config, world, feeds, site_id):
-    """Naive per-user loop reproducing the engine's DL scatter."""
+def reference_load_for_site(config, world, bin_dwell, site_id, bin_index):
+    """Naive per-user loop: (DL MB, voice minutes) at one (site, bin)."""
     agents = world.agents
     demand = world.demand_model
     voice = world.voice_model
@@ -61,10 +61,6 @@ def reference_dl_for_site(config, world, feeds, site_id):
     )
     cell_share, __ = params.blended_home_factors(wifi)
 
-    bin_dwell = feeds.mobility.bin_dwell[DAY]  # (N, 6, 8)
-    bin_index = int(BIN_OF_HOUR[HOUR])
-    traffic_w = hour_weights_within_bins(traffic_hour_profile())
-    voice_w = hour_weights_within_bins(voice_hour_profile())
     bin_share = np.add.reduceat(
         traffic_hour_profile(), np.arange(0, 24, 4)
     )[bin_index]
@@ -73,7 +69,6 @@ def reference_dl_for_site(config, world, feeds, site_id):
     )[bin_index]
 
     base_dl = demand.base_daily_dl_mb()
-    mb_dl, mb_ul = voice.volume_mb_per_minute()
     minutes_mult = voice.minutes_multiplier(date)
 
     data_dl = 0.0
@@ -101,35 +96,22 @@ def reference_dl_for_site(config, world, feeds, site_id):
                 * minutes_mult
                 * voice_bin_share
             )
-    return (
-        data_dl * traffic_w[HOUR]
-        + voice_minutes * voice_w[HOUR] * mb_dl
-    )
+    return data_dl, voice_minutes
 
 
 def test_engine_scatter_matches_reference(setup):
-    config, world, feeds = setup
-    hourly = feeds.hourly_kpis
-    active = world.topology.snapshot(DAY)
-    # Pick the three busiest active sites for a meaningful comparison.
-    day_rows = hourly.filter(
-        (hourly["day"] == DAY) & (hourly["hour"] == HOUR)
-    )
-    order = np.argsort(day_rows["dl_volume_mb"])[::-1]
-    cell_to_site = {
-        cell: site
-        for site, cell in world.topology.site_to_4g_cell.items()
-    }
-    checked = 0
-    for row_index in order[:6]:
-        cell_id = int(day_rows["cell_id"][row_index])
-        site_id = cell_to_site[cell_id]
-        if not active[site_id]:
-            continue
-        expected = reference_dl_for_site(config, world, feeds, site_id)
-        measured = float(day_rows["dl_volume_mb"][row_index])
-        assert measured == pytest.approx(expected, rel=1e-6), site_id
-        checked += 1
-        if checked >= 3:
-            break
-    assert checked >= 3
+    config, world, load, bin_dwell = setup
+    bin_index = int(BIN_OF_HOUR[HOUR])
+    # The three busiest sites of the bin, for a meaningful comparison.
+    busiest = np.argsort(load.dl_mb[:, bin_index])[::-1][:3]
+    assert load.dl_mb[busiest, bin_index].min() > 0
+    for site_id in busiest:
+        expected_dl, expected_minutes = reference_load_for_site(
+            config, world, bin_dwell, int(site_id), bin_index
+        )
+        assert load.dl_mb[site_id, bin_index] == pytest.approx(
+            expected_dl, rel=1e-9
+        ), site_id
+        assert load.voice_minutes[site_id, bin_index] == pytest.approx(
+            expected_minutes, rel=1e-9
+        ), site_id

@@ -261,6 +261,29 @@ class TestAnalysisCache:
         assert code == 0
         assert "0 cached artifacts" in text
 
+    def test_format_1_entries_are_counted_then_dropped(self, run_dir):
+        from repro.analysis.cache import ENTRY_SUFFIX
+
+        code, _ = self._run(["cache", str(run_dir), "--clear"])
+        assert code == 0
+        store = run_dir / "cache" / "analysis"
+        store.mkdir(parents=True)
+        old_entry = store / "0123abcd.npz"
+        old_entry.write_bytes(b"PK\x03\x04")
+        code, text = self._run(["cache", str(run_dir), "--info"])
+        assert code == 0
+        assert ": 1 cached artifacts, 4 bytes" in text
+        # A batch run never commits again: the first put drops it.
+        code, _ = self._run(["summary", str(run_dir)])
+        assert code == 0
+        assert not old_entry.exists()
+        entries = list(store.glob(f"*{ENTRY_SUFFIX}"))
+        assert entries
+        code, text = self._run(["cache", str(run_dir), "--info"])
+        assert code == 0
+        total = sum(entry.stat().st_size for entry in entries)
+        assert f": {len(entries)} cached artifacts, {total} bytes" in text
+
     def test_cache_flags_mutually_exclusive(self, run_dir):
         code, text = self._run(
             ["cache", str(run_dir), "--info", "--clear"]

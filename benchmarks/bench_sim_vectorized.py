@@ -9,10 +9,6 @@ part is enforced by ``tests/simulation/test_sim_differential.py`` and
 the golden fingerprints; here a spot-check day guards the bench
 itself).
 
-The hourly KPI reduction (``add_day`` vs the 24 ``add_hour`` pushes)
-is timed separately and recorded, not gated: its cost is per-cell, not
-per-agent, so it rides a different axis.
-
 Results land as JSON in ``benchmarks/results/sim_vectorized.json``.
 
 Run with::
@@ -30,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.mobility.trajectories import BIN_SECONDS
-from repro.network.kpi import KPI_COLUMNS, KpiAccumulator
 from repro.network.signaling import SignalingGenerator, segments_from_dwell
 from repro.simulation.clock import StudyCalendar
 from repro.simulation.config import SimulationConfig
@@ -123,50 +118,6 @@ def bench_event_chain(world) -> dict:
     }
 
 
-def bench_kpi_reduction() -> dict:
-    """Blocked add_day vs 24 hourly pushes, same synthetic metrics."""
-    rng = np.random.default_rng(BENCH_SEED)
-    cells = np.arange(BENCH_SITES, dtype=np.int64)
-    postcodes = np.array([f"PC{i % 40}" for i in range(BENCH_SITES)])
-    blocks = {
-        name: rng.random((24, BENCH_SITES)) for name in KPI_COLUMNS
-    }
-    repeats = 40
-
-    start = time.perf_counter()
-    hourly = KpiAccumulator(cells, postcodes)
-    for day in range(repeats):
-        for hour in range(24):
-            hourly.add_hour(
-                day,
-                hour,
-                {name: blocks[name][hour] for name in KPI_COLUMNS},
-            )
-        hourly.finalize_day()
-    hourly_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    blocked = KpiAccumulator(cells, postcodes)
-    for day in range(repeats):
-        blocked.add_day(day, blocks, num_hours=24)
-    blocked_s = time.perf_counter() - start
-
-    identical = True
-    frame_h, frame_b = hourly.daily_frame(), blocked.daily_frame()
-    for column in frame_h.column_names:
-        identical = identical and bool(
-            np.array_equal(frame_h[column], frame_b[column])
-        )
-    return {
-        "cells": BENCH_SITES,
-        "days": repeats,
-        "hourly_seconds": hourly_s,
-        "blocked_seconds": blocked_s,
-        "speedup": hourly_s / blocked_s,
-        "bitwise_identical": identical,
-    }
-
-
 def test_sim_vectorized_bench():
     calendar = StudyCalendar(
         first_day=dt.date(2020, 2, 17), num_days=max(BENCH_DAYS, 7)
@@ -183,13 +134,11 @@ def test_sim_vectorized_bench():
         "seed": BENCH_SEED,
         "cpu_count": os.cpu_count(),
         "event_chain": bench_event_chain(world),
-        "kpi_reduction": bench_kpi_reduction(),
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     chain = report["event_chain"]
-    kpi = report["kpi_reduction"]
     print("\nVectorized event-generation benchmark")
     print(
         f"  event chain ({chain['users']} agents x {chain['days']} days, "
@@ -200,17 +149,9 @@ def test_sim_vectorized_bench():
         f"({chain['vectorized_agent_days_per_sec']:.0f} agent-days/s) "
         f"-> {chain['speedup']:.1f}x"
     )
-    print(
-        f"  kpi reduction ({kpi['cells']} cells x {kpi['days']} days): "
-        f"hourly {kpi['hourly_seconds']:.3f}s, blocked "
-        f"{kpi['blocked_seconds']:.3f}s -> {kpi['speedup']:.1f}x"
-    )
 
     assert chain["bitwise_identical"], (
         "vectorized event chain diverged from the naive oracle"
-    )
-    assert kpi["bitwise_identical"], (
-        "blocked KPI reduction diverged from the hourly pushes"
     )
     assert chain["speedup"] >= MIN_SPEEDUP, (
         f"vectorized event generation only "

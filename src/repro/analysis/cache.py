@@ -14,8 +14,8 @@ artifact twice*:
   *code-epoch* tag (bumped when an implementation changes semantics),
   and the JSON-canonicalized parameters.  Different runs, parameters or
   code generations can never collide.
-- **Entries** are single flat ``*.artifact`` files written atomically
-  (``*.tmp`` + ``os.replace``, the checkpoint-store pattern): a magic
+- **Entries** are single flat ``*.artifact`` files, staged and
+  published like every file of a run (:mod:`repro.io.durable`): a magic
   tag, a JSON header (artifact name, the entry's digest map, the
   structure tree and the array table), the raw array bytes, and one
   SHA-256 over everything before it.  A put streams the file while
@@ -51,13 +51,13 @@ import json
 import math
 import os
 import shutil
-import threading
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from repro import telemetry
+from repro.io.durable import writing
 
 __all__ = [
     "ArtifactCache",
@@ -557,21 +557,16 @@ class ArtifactCache:
         except CacheCodecError:
             return False
         final = self.entry_path(artifact, params, digests=digests)
-        temporary = final.with_name(
-            f"{final.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             if not self._format1_dropped:
                 # No key reaches them: FORMAT_VERSION is a key input.
                 self._format1_dropped = True
                 _drop(self.directory.glob("*.npz"))
-            with open(temporary, "wb") as handle:
+            with writing(final) as staging, open(staging, "wb") as handle:
                 _write_entry(handle, header, arrays)
                 size = handle.tell()
-            os.replace(temporary, final)
         except OSError:
-            temporary.unlink(missing_ok=True)
             return False
         telemetry.count("cache.bytes_written", size)
         return True

@@ -37,6 +37,7 @@ import numpy as np
 from repro import telemetry
 from repro.datasets.scenarios import scenario_config, scenario_names
 from repro.datasets.spec import config_digest
+from repro.io.durable import writing
 
 __all__ = ["ExperimentSpec", "GridCell", "GridResult", "run_grid"]
 
@@ -325,9 +326,7 @@ def _write_sidecar(
         "num_users": spec.num_users,
         "config_digest": digest,
     }
-    path = directory / CELL_SIDECAR
-    temporary = path.with_suffix(".json.tmp")
-    temporary.write_text(
-        json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-    )
-    temporary.replace(path)
+    with writing(directory / CELL_SIDECAR) as staging:
+        staging.write_text(
+            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
+        )

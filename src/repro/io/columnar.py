@@ -22,10 +22,9 @@ Three cooperating pieces:
 - :class:`ColumnarWriter` — creates the partition and accepts one
   merged day at a time (``write_day``), so the engine can land shard
   outputs directly on disk instead of accumulating 98 days of matrices
-  in RAM.  All files are written under temporary names;
-  :meth:`ColumnarWriter.commit` flushes and atomically renames them
-  (the tmp+rename pattern of :mod:`repro.analysis.cache`), returning
-  the relative paths for the manifest's per-shard digests.
+  in RAM.  Every file is written under its staging name and
+  :meth:`ColumnarWriter.commit` publishes it (:mod:`repro.io.durable`),
+  returning the relative paths for the manifest's per-shard digests.
 - :class:`ShardedMobilityFeed` — a
   :class:`~repro.simulation.feeds.MobilityFeed`-compatible view over
   the partition.  ``dwell(day)`` / ``night(day)`` assemble one day at
@@ -55,12 +54,12 @@ a per-shard mobility kernel (:mod:`repro.core.statistics`,
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
 
 from repro import telemetry
+from repro.io import durable
 from repro.io.errors import RunStoreError
 from repro.simulation.feeds import MobilityShard
 from repro.simulation.sharding import WINDOW_DAYS
@@ -75,7 +74,6 @@ __all__ = [
     "SegmentedStack",
     "ShardedEventFeed",
     "ShardedMobilityFeed",
-    "drop_stale_events",
     "event_file_name",
     "event_relative_paths",
     "open_columnar",
@@ -324,26 +322,21 @@ class ShardedMobilityFeed:
         return out
 
 
-def _save_npy(path: Path, array: np.ndarray) -> None:
-    """``np.save`` to the exact path (no implicit ``.npy`` suffixing)."""
-    with open(path, "wb") as handle:
-        np.save(handle, array)
-
-
 class _StackFile:
     """One float32 ``(num_days, rows, anchors)`` ``.npy`` written by day.
 
-    Each day's rows go through the file at that day's offset rather
-    than into a writable map of the whole stack, so written days sit in
-    the page cache, not in the writer's resident memory.  Days never
-    written read back as zeros, as from a fresh map.
+    Each day's rows go through the staging file of ``final`` at that
+    day's offset rather than into a writable map of the whole stack, so
+    written days sit in the page cache, not in the writer's resident
+    memory.  Days never written read back as zeros, as from a fresh map.
     """
 
-    def __init__(self, path: Path, shape: tuple[int, int, int]) -> None:
-        self.path = path
+    def __init__(self, final: Path, shape: tuple[int, int, int]) -> None:
+        self.final = final
+        self.path = durable.staged(final)
         self.shape = tuple(int(size) for size in shape)
         self._day_bytes = self.shape[1] * self.shape[2] * 4
-        self._handle = open(path, "wb+")
+        self._handle = open(self.path, "wb+")
         np.lib.format.write_array_header_1_0(
             self._handle,
             {
@@ -387,13 +380,13 @@ class ColumnarWriter:
     ``shard_indices`` follows the engine's convention: a list of
     population row-index arrays, or ``[None]`` for the serial
     whole-population shard.  Each :meth:`write_day` writes the day's
-    rows of every shard through its ``*.npy.tmp`` dwell files at that
-    day's offset (no writable map, so written days do not stay
-    resident); :meth:`finish` maps the tmp files read-only for the
-    feed view, and :meth:`commit` closes them, writes the small
-    identity columns, and atomically renames everything into place.
-    Until commit, a crash leaves only ``*.tmp`` files — a reader never
-    half-accepts them.
+    rows of every shard through its staged dwell files at that day's
+    offset (no writable map, so written days do not stay resident);
+    :meth:`finish` maps the staged files read-only for the feed view,
+    and :meth:`commit` closes them, writes the small identity columns,
+    and publishes everything (:mod:`repro.io.durable`).  Until commit,
+    a crash leaves only ``*.tmp`` staging files — a reader never
+    half-accepts them, and the next manifest commit deletes them.
 
     With ``day_offset > 0`` the writer runs in *append* mode for a live
     run: it lands days ``[day_offset, day_offset + num_days)`` in a new
@@ -434,10 +427,10 @@ class ColumnarWriter:
             shard_dir.mkdir(parents=True, exist_ok=True)
             shape = (self.num_days, rows.shape[0], num_anchors)
             self._daily.append(
-                _StackFile(self._tmp(index, "daily_dwell"), shape)
+                _StackFile(self._final(index, "daily_dwell"), shape)
             )
             self._night.append(
-                _StackFile(self._tmp(index, "night_dwell"), shape)
+                _StackFile(self._final(index, "night_dwell"), shape)
             )
 
     @property
@@ -451,10 +444,6 @@ class ColumnarWriter:
             else f"{column}.npy"
         )
         return self.feeds_directory / shard_dir_name(index) / name
-
-    def _tmp(self, index: int, column: str) -> Path:
-        final = self._final(index, column)
-        return final.with_name(final.name + ".tmp")
 
     def write_day(
         self, day: int, daily: np.ndarray, night: np.ndarray
@@ -493,18 +482,17 @@ class ColumnarWriter:
         return ShardedMobilityFeed(shards, pending_writer=self)
 
     def commit(self) -> list[str]:
-        """Flush, rename every new column file into place.
+        """Close and publish every new column file.
 
         Returns the manifest-relative paths of the committed files (the
-        digest set).  Every rename is atomic; the caller's manifest
-        write is the overall commit point.  A base-segment commit
-        (``day_offset == 0``) also writes the identity columns and
-        drops shard directories and dwell segments a previous layout
-        left behind; an append commit touches nothing but its own new
-        segment files.
+        digest set).  Every publish is one atomic rename; the caller's
+        manifest write is the overall commit point, and the files a
+        previous layout left behind are deleted only after it (see
+        :func:`repro.io.store.save_feeds`).  A base-segment commit
+        (``day_offset == 0``) also writes the identity columns; an
+        append commit publishes nothing but its own new segment files.
         """
         appending = self.day_offset > 0
-        columns = _DWELL_COLUMNS if appending else SHARD_COLUMNS
         with telemetry.span("columnar_commit") as sp:
             written = 0
             for index, rows in enumerate(self._rows):
@@ -514,56 +502,20 @@ class ColumnarWriter:
                         ("user_ids", self._user_ids[rows]),
                         ("anchor_sites", self._anchor_sites[rows]),
                     ):
-                        _save_npy(self._tmp(index, column), array)
-                self._daily[index].close()
-                self._night[index].close()
-                for column in columns:
-                    tmp = self._tmp(index, column)
-                    os.replace(tmp, self._final(index, column))
-                    written += self._final(index, column).stat().st_size
-            if not appending:
-                self._drop_stale_shards()
-                self._drop_stale_segments()
+                        final = self._final(index, column)
+                        with durable.writing(final) as staging, open(
+                            staging, "wb"
+                        ) as handle:
+                            np.save(handle, array)
+                        written += final.stat().st_size
+                for stack in (self._daily[index], self._night[index]):
+                    stack.close()
+                    durable.publish(stack.path, stack.final)
+                    written += stack.final.stat().st_size
             sp.add("bytes", written)
         if appending:
             return segment_relative_paths(self.num_shards, self.day_offset)
         return shard_relative_paths(self.num_shards)
-
-    def _drop_stale_shards(self) -> None:
-        """Remove shard directories a previous save left behind.
-
-        A re-save with a different shard count must not leave orphan
-        ``shard-*`` directories that the new manifest never mentions.
-        """
-        import shutil
-
-        for entry in sorted(self.feeds_directory.glob("shard-*")):
-            try:
-                index = int(entry.name.split("-", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            if index >= self.num_shards and entry.is_dir():
-                shutil.rmtree(entry, ignore_errors=True)
-
-    def _drop_stale_segments(self) -> None:
-        """Remove appended-segment files after a compacting full save.
-
-        A full (base) commit writes the whole window into the canonical
-        single-file stacks, so ``daily_dwell.00042.npy``-style segment
-        files from a previous live phase — and any ``*.tmp`` leftovers
-        — are superseded and must not outlive the manifest that stops
-        referencing them.  The event partition (``events_*``) has its
-        own writer and staleness rules (:func:`drop_stale_events`), so
-        it is left alone here.
-        """
-        keep = {f"{column}.npy" for column in SHARD_COLUMNS}
-        for index in range(self.num_shards):
-            shard_dir = self.feeds_directory / shard_dir_name(index)
-            for entry in shard_dir.glob("*.npy*"):
-                if entry.name not in keep and not entry.name.startswith(
-                    "events_"
-                ):
-                    entry.unlink(missing_ok=True)
 
 
 def _require(path: Path) -> None:
@@ -770,16 +722,17 @@ class _AppendColumn:
     final shape — same padded length, so the data never moves.  The
     bytes are a function of the appended arrays alone: streaming from
     the engine and rewriting from an in-memory dict produce identical
-    files.
+    files.  The file grows under the staging name of ``final``.
     """
 
     _HEADER_BYTES = 128
 
-    def __init__(self, path: Path, dtype: np.dtype) -> None:
-        self.path = path
+    def __init__(self, final: Path, dtype: np.dtype) -> None:
+        self.final = final
+        self.path = durable.staged(final)
         self.dtype = np.dtype(dtype)
         self.rows = 0
-        self._handle = open(path, "wb")
+        self._handle = open(self.path, "wb")
         self._handle.write(self._header(0))
 
     def _header(self, rows: int) -> bytes:
@@ -830,9 +783,9 @@ class EventsWriter:
           events_event.npy
           events_result.npy
 
-    Like :class:`ColumnarWriter`, everything lands under ``*.tmp``
-    names and :meth:`commit` renames atomically; the caller's manifest
-    write is the overall commit point.
+    Like :class:`ColumnarWriter`, everything lands under staging names
+    and :meth:`commit` publishes it; the caller's manifest write is the
+    overall commit point.
     """
 
     def __init__(
@@ -854,8 +807,7 @@ class EventsWriter:
             self._columns.append(
                 {
                     column: _AppendColumn(
-                        shard_dir / (event_file_name(column) + ".tmp"),
-                        dtype,
+                        shard_dir / event_file_name(column), dtype
                     )
                     for column, dtype in EVENT_COLUMNS
                 }
@@ -907,7 +859,7 @@ class EventsWriter:
         )
 
     def commit(self) -> list[str]:
-        """Flush, patch headers, rename every event file into place."""
+        """Flush, patch headers, publish every event file."""
         if self._next_day != self.num_days:
             raise RunStoreError(
                 f"event partition covers {self._next_day} of "
@@ -923,33 +875,16 @@ class EventsWriter:
                         np.cumsum(self._counts[index]),
                     ]
                 )
-                tmp = shard_dir / (_EVENT_OFFSETS + ".tmp")
-                _save_npy(tmp, offsets)
-                os.replace(tmp, shard_dir / _EVENT_OFFSETS)
+                with durable.writing(
+                    shard_dir / _EVENT_OFFSETS
+                ) as staging, open(staging, "wb") as handle:
+                    np.save(handle, offsets)
                 for writer in self._columns[index].values():
                     written += writer.close()
-                    os.replace(
-                        writer.path, writer.path.with_suffix("")
-                    )
+                    durable.publish(writer.path, writer.final)
             sp.add("bytes", written)
         self.committed = True
         return event_relative_paths(self.num_shards)
-
-
-def drop_stale_events(directory: str | Path) -> None:
-    """Remove every event-partition file under a run's shard dirs.
-
-    Called when a save stops referencing events (the feed bundle has
-    no signalling frames) so a previous event-bearing save cannot leave
-    orphans behind, and to clear ``*.tmp`` leftovers of a crashed
-    events commit.
-    """
-    feeds_dir = Path(directory) / FEEDS_SUBDIR
-    if not feeds_dir.is_dir():
-        return
-    for shard_dir in feeds_dir.glob("shard-*"):
-        for entry in shard_dir.glob("events_*"):
-            entry.unlink(missing_ok=True)
 
 
 class ShardedEventFeed:

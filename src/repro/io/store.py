@@ -32,11 +32,17 @@ exactly what the simulator produced.  A load takes it from
 process and configuration: reloading a run whose world the process
 already holds (a live advance, a reopen) builds nothing.
 
-Persistence is atomic: every file is written under a temporary name and
-``os.replace``d into place, and ``manifest.json`` is written last as
-the commit point.  A crash mid-save therefore leaves either the old
-run intact or a directory without a (matching) manifest — never a
-half-written file a reader would silently accept.
+Every file is staged and published with one rename
+(:mod:`repro.io.durable`), and ``manifest.json`` is published last as
+the commit point of a save or an append.  Only after that rename does
+:func:`_commit_manifest` delete what the new manifest no longer names,
+so a crash never deletes a file the committed manifest names.  A crash
+before a directory's first commit leaves no manifest; a crash during a
+re-save leaves the old manifest beside new files, which the digest
+check refuses, naming the file — the old run is not kept intact.  The
+freezing compaction of a live run is such a re-save: it rewrites each
+shard's ``daily_dwell.npy``/``night_dwell.npy`` in place, so a crash
+before its commit fails the digest check on ``daily_dwell.npy``.
 
 Live runs (:meth:`repro.api.Run.advance`) extend a persisted directory
 through :func:`append_feeds`: new dwell days land in append-only
@@ -61,7 +67,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 from pathlib import Path
 
@@ -76,6 +81,7 @@ from repro.io.columnar import (
     ShardedMobilityFeed,
     open_columnar,
 )
+from repro.io.durable import writing
 from repro.io.errors import RunStoreError
 from repro.simulation.feeds import DataFeeds
 
@@ -102,6 +108,19 @@ _SUPPORTED_VERSIONS = {_FORMAT_VERSION}
 #: the analysis layer.
 _ANALYSIS_CACHE = Path("cache") / "analysis"
 
+#: The files at the run root a manifest commit deletes when its digest
+#: map does not name them: table versions, and the staging files of the
+#: tables, the configuration and the manifest.  Nothing else at the
+#: root is the store's.
+_SWEPT_AT_ROOT = (
+    "radio_kpis*.npy",
+    "rat_time*.npy",
+    "radio_kpis*.tmp",
+    "rat_time*.tmp",
+    "config.pkl*.tmp",
+    "manifest.json*.tmp",
+)
+
 
 def _table_name(base: str, num_days: int) -> str:
     """Versioned table file name used by append commits.
@@ -124,10 +143,6 @@ def _sha256_file(path: Path) -> str:
     return sha.hexdigest()
 
 
-def _replace_into_place(tmp: Path, final: Path) -> None:
-    os.replace(tmp, final)
-
-
 def _atomic_table(frame: Frame, final: Path) -> None:
     """Write ``frame`` as one ``.npy`` structured array, a field per column."""
     for name in frame.column_names:
@@ -142,30 +157,39 @@ def _atomic_table(frame: Frame, final: Path) -> None:
     )
     for name in frame.column_names:
         table[name] = frame[name]
-    tmp = final.with_name(final.name + ".tmp")
-    with open(tmp, "wb") as handle:
+    with writing(final) as staging, open(staging, "wb") as handle:
         np.save(handle, table, allow_pickle=False)
-    _replace_into_place(tmp, final)
-
-
-def _atomic_pickle(obj, final: Path) -> None:
-    tmp = final.with_name(final.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        pickle.dump(obj, handle)
-    _replace_into_place(tmp, final)
 
 
 def _atomic_text(text: str, final: Path) -> None:
-    tmp = final.with_name(final.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    _replace_into_place(tmp, final)
+    with writing(final) as staging:
+        staging.write_text(text, encoding="utf-8")
 
 
-def _drop_unreachable_artifacts(path: Path, digests: dict) -> None:
-    """After a manifest commit: delete the cache entries it cannot reach.
+def _commit_manifest(path: Path, manifest: dict) -> None:
+    """Publish ``manifest`` (the commit point), then sweep what it drops.
 
-    Only a run that has an artifact cache imports the cache module.
+    Nothing is deleted before the publish.  After it go the files under
+    ``feeds/`` its digest map does not name, the root files matching
+    :data:`_SWEPT_AT_ROOT` it does not name, the shard directories left
+    empty, and the cache entries the map cannot reach
+    (:func:`repro.analysis.cache.drop_unreachable`; only a run with an
+    artifact cache imports that module).
     """
+    _atomic_text(json.dumps(manifest, indent=2), path / _MANIFEST)
+    digests = manifest["feeds_sha256"]
+    feeds_dir = path / columnar.FEEDS_SUBDIR
+    # Reverse order visits a directory after the files inside it.
+    for entry in sorted(feeds_dir.rglob("*"), reverse=True):
+        if entry.is_dir():
+            if not any(entry.iterdir()):
+                entry.rmdir()
+        elif entry.relative_to(path).as_posix() not in digests:
+            entry.unlink(missing_ok=True)
+    for pattern in _SWEPT_AT_ROOT:
+        for entry in path.glob(pattern):
+            if entry.name not in digests:
+                entry.unlink(missing_ok=True)
     if (path / _ANALYSIS_CACHE).is_dir():
         from repro.analysis.cache import drop_unreachable
 
@@ -190,9 +214,9 @@ def _commit_mobility(feeds: DataFeeds, path: Path) -> tuple[list[str], int]:
         mobility.pending_writer = None
         return relative, writer.num_shards
 
-    from repro.simulation.sharding import parallelism_of, shard_user_indices
+    from repro.simulation.sharding import shard_user_indices
 
-    num_shards = parallelism_of(feeds.config).num_shards
+    num_shards = feeds.config.parallelism.num_shards
     indices = shard_user_indices(mobility.user_ids, num_shards)
     writer = ColumnarWriter(
         path,
@@ -247,9 +271,9 @@ def _commit_events(
 def save_feeds(feeds: DataFeeds, directory: str | Path) -> Path:
     """Persist a simulation run to ``directory`` (created if missing).
 
-    All writes are atomic (tmp + rename), with ``manifest.json``
-    written last as the commit point; a crash mid-save never leaves a
-    file a reader would half-accept.
+    Every file is staged and published (:mod:`repro.io.durable`), with
+    ``manifest.json`` published last as the commit point; a crash
+    mid-save never leaves a file a reader would half-accept.
 
     A feed bundle shorter than its configured horizon (a live run
     growing through ``Run.advance``) additionally persists a ``live``
@@ -258,8 +282,8 @@ def save_feeds(feeds: DataFeeds, directory: str | Path) -> Path:
     canonical single-segment layout — re-saving a segmented live run
     compacts its append segments back into one file per shard column,
     byte-identical to a batch run of the same day count.  After the
-    commit, the run's artifact-cache entries keyed on digests the new
-    manifest no longer holds are deleted.
+    commit, the files and artifact-cache entries the new manifest no
+    longer names are deleted (:func:`_commit_manifest`).
     """
     if feeds.config is None:
         raise ValueError(
@@ -282,11 +306,10 @@ def save_feeds(feeds: DataFeeds, directory: str | Path) -> Path:
         event_files = _commit_events(feeds, path, num_shards)
         _atomic_table(feeds.radio_kpis, path / _KPIS)
         _atomic_table(feeds.rat_time, path / _RAT)
-        _atomic_pickle(feeds.config, path / _CONFIG)
+        with writing(path / _CONFIG) as staging, open(staging, "wb") as handle:
+            pickle.dump(feeds.config, handle)
 
-        from repro.simulation.sharding import parallelism_of
-
-        parallelism = parallelism_of(feeds.config)
+        parallelism = feeds.config.parallelism
         digests = {
             name: _sha256_file(path / name)
             for name in (*_DIGESTED_FILES, *shard_files, *event_files)
@@ -349,20 +372,7 @@ def save_feeds(feeds: DataFeeds, directory: str | Path) -> Path:
         sp.add("kpi_rows", len(feeds.radio_kpis))
         sp.add("rat_rows", len(feeds.rat_time))
         sp.add("shards", num_shards)
-        _atomic_text(json.dumps(manifest, indent=2), path / _MANIFEST)
-        # Only after the commit point: a compacting re-save of a
-        # segmented live run supersedes its day-count-versioned table
-        # files (the canonical names were just rewritten; a crash
-        # before the manifest rename must leave them referenced).
-        for base in (_KPIS, _RAT):
-            stem, _, suffix = base.partition(".")
-            for stale in path.glob(f"{stem}.*.{suffix}"):
-                stale.unlink(missing_ok=True)
-        if not event_files:
-            # A save without signalling frames stops referencing any
-            # event partition a previous save left behind.
-            columnar.drop_stale_events(path)
-        _drop_unreachable_artifacts(path, digests)
+        _commit_manifest(path, manifest)
     return path
 
 
@@ -382,9 +392,9 @@ def append_feeds(feeds: DataFeeds, chunk: DataFeeds, directory: str | Path) -> P
     3. ``manifest.json`` — new day count, extended segment list,
        updated digest map and live block — is atomically rewritten
        *last*, as the single commit point;
-    4. only then are the superseded table files removed, and the
-       artifact-cache entries keyed on digests the new manifest no
-       longer holds (:func:`repro.analysis.cache.drop_unreachable`).
+    4. only then are the superseded table files removed, with any
+       other file and artifact-cache entry the new manifest no longer
+       names (:func:`_commit_manifest`).
 
     A crash anywhere before step 3 leaves the previous manifest
     pointing exclusively at untouched files, so the run stays loadable
@@ -518,14 +528,7 @@ def append_feeds(feeds: DataFeeds, chunk: DataFeeds, directory: str | Path) -> P
         sp.add("kpi_rows", len(combined_kpis))
         # The commit point: until this rename, the previous manifest
         # references only untouched files.
-        _atomic_text(json.dumps(new_manifest, indent=2), path / _MANIFEST)
-
-        # 4. Post-commit cleanup of superseded table files and of the
-        # cache entries keyed on digests the manifest no longer holds.
-        for name in (old_kpis, old_rat):
-            if name not in (new_kpis, new_rat):
-                (path / name).unlink(missing_ok=True)
-        _drop_unreachable_artifacts(path, digests)
+        _commit_manifest(path, new_manifest)
     return path
 
 

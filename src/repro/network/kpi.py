@@ -4,10 +4,9 @@ The paper's commercial KPI solution exports hourly per-cell metrics;
 the analysis then "aggregate[s] them per day and extract[s] the (hourly)
 median value per cell" (§2.4). :class:`KpiAccumulator` implements that
 exact reduction: the simulation pushes a day's hourly values (one
-``(hours, cells)`` block per metric through ``add_day``, or one hour at
-a time through ``add_hour`` and ``finalize_day``), and the accumulator
-keeps only one row per (cell, day) holding the median over the day's
-hours for every metric — the shape all of Figs 8–12 consume.
+``(hours, cells)`` block per metric through ``add_day``), and the
+accumulator keeps only one row per (cell, day) holding the median over
+the day's hours for every metric — the shape all of Figs 8–12 consume.
 
 Metrics (hourly, per 4G cell), following §2.4:
 
@@ -69,59 +68,24 @@ class KpiAccumulator:
             raise ValueError("cell_ids and postcodes must align")
         self._cell_ids = cell_ids.astype(np.int64)
         self._postcodes = postcodes
-        self._pending: dict[str, list[np.ndarray]] = {}
-        self._pending_day: int | None = None
         self._daily_frames: list[Frame] = []
 
     @property
     def num_cells(self) -> int:
         return int(self._cell_ids.shape[0])
 
-    def add_hour(
-        self, day: int, hour: int, metrics: dict[str, np.ndarray]
-    ) -> None:
-        """Push one hour of per-cell metric vectors for ``day``.
-
-        The daily median does not depend on the order of the pushes,
-        so ``hour`` only labels the push.
-        """
-        telemetry.count("sim.kpi.add_hour")
-        if self._pending_day is not None and day != self._pending_day:
-            raise ValueError(
-                f"day {day} pushed before finalizing day {self._pending_day}"
-            )
-        missing = set(KPI_COLUMNS) - set(metrics)
-        if missing:
-            raise ValueError(f"missing KPI metrics: {sorted(missing)}")
-        self._pending_day = day
-        for name in KPI_COLUMNS:
-            vector = np.asarray(metrics[name], dtype=np.float64)
-            if vector.shape != self._cell_ids.shape:
-                raise ValueError(
-                    f"metric {name} has shape {vector.shape}, expected "
-                    f"{self._cell_ids.shape}"
-                )
-            self._pending.setdefault(name, []).append(vector)
-
     def add_day(
         self, day: int, metrics: dict[str, np.ndarray], num_hours: int
     ) -> None:
-        """Push a whole day of per-cell metric blocks and finalize it.
+        """Push a whole day of per-cell metric blocks and reduce it.
 
         Each metric is either ``(num_hours, num_cells)`` or a
         ``(num_cells,)`` vector that is broadcast over the hours (a
-        metric constant within the day).  The daily reduction is the
-        same per-cell median over hours as the ``add_hour`` +
-        ``finalize_day`` path — ``np.median`` over the hour axis — so
-        both paths produce bitwise-identical daily frames.  The bulk
-        form exists for the engine's vectorized day loop, where pushing
-        24 separate hourly dictionaries dominated small-array overhead.
+        metric constant within the day).  The day's row per cell holds
+        the per-cell median over the hours, ``np.median`` over the hour
+        axis.
         """
         telemetry.count("sim.kpi.add_day")
-        if self._pending_day is not None:
-            raise ValueError(
-                f"day {self._pending_day} is still pending; finalize it first"
-            )
         missing = set(KPI_COLUMNS) - set(metrics)
         if missing:
             raise ValueError(f"missing KPI metrics: {sorted(missing)}")
@@ -144,28 +108,8 @@ class KpiAccumulator:
             data[name] = np.median(block, axis=0)
         self._daily_frames.append(Frame(data))
 
-    def finalize_day(self) -> None:
-        """Reduce the pending day's hours to per-cell medians."""
-        if self._pending_day is None:
-            raise ValueError("no pending day to finalize")
-        data = {
-            "cell_id": self._cell_ids,
-            "postcode": self._postcodes,
-            "day": np.full(self.num_cells, self._pending_day, dtype=np.int64),
-        }
-        for name in KPI_COLUMNS:
-            stacked = np.vstack(self._pending[name])
-            data[name] = np.median(stacked, axis=0)
-        self._daily_frames.append(Frame(data))
-        self._pending = {}
-        self._pending_day = None
-
     def daily_frame(self) -> Frame:
-        """All finalized (cell, day) rows."""
-        if self._pending_day is not None:
-            raise ValueError(
-                f"day {self._pending_day} is still pending; finalize it first"
-            )
+        """All (cell, day) rows pushed so far."""
         if not self._daily_frames:
             return Frame(
                 {"cell_id": np.empty(0, dtype=np.int64),

@@ -93,23 +93,6 @@ class CellScheduler:
             )
         return transfer_seconds / 3600.0 + 0.01 * connected_users
 
-    def schedule_hour(
-        self,
-        capacity_mbps: np.ndarray,
-        offered_dl_mb: np.ndarray,
-        offered_ul_mb: np.ndarray,
-        active_users: np.ndarray,
-        app_rate_dl_mbps: np.ndarray,
-    ) -> HourlyRadioKpis:
-        """Schedule one hour across all cells (arrays are per-cell)."""
-        return self.schedule_hours(
-            capacity_mbps=capacity_mbps,
-            offered_dl_mb=offered_dl_mb,
-            offered_ul_mb=offered_ul_mb,
-            active_users=active_users,
-            app_rate_dl_mbps=app_rate_dl_mbps,
-        )
-
     def schedule_hours(
         self,
         capacity_mbps: np.ndarray,

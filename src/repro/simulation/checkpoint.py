@@ -32,10 +32,10 @@ Layout::
 Safety properties:
 
 - **atomic** — day files, ``config.pkl`` and ``state.json`` (last)
-  are written to a ``*.tmp`` name and ``os.replace``d into place; a
-  crash mid-write leaves no file under the final name, so a partial
-  day is recomputed, never trusted, and a torn ``attach`` leaves no
-  store at all;
+  are staged and published like every file of a run
+  (:mod:`repro.io.durable`); a crash mid-write leaves no file under the
+  final name, so a partial day is recomputed, never trusted, and a
+  torn ``attach`` leaves no store at all;
 - **validated** — every day file embeds a SHA-256 over its payload
   arrays plus its (shard, day) identity; corruption or a misplaced
   file raises :class:`CheckpointError` naming the offending file;
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import shutil
 from dataclasses import replace
@@ -63,8 +62,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.io.store import RunStoreError, _atomic_pickle, _atomic_text
-from repro.simulation.sharding import ShardDayLoad, parallelism_of
+from repro.io.durable import writing
+from repro.io.errors import RunStoreError
+from repro.simulation.sharding import ShardDayLoad
 
 __all__ = ["CheckpointError", "CheckpointStore", "config_digest"]
 
@@ -109,7 +109,7 @@ def config_digest(config) -> str:
         fault_spec=None,
         recovery=RecoverySettings(),
         parallelism=ParallelismSettings(
-            num_shards=parallelism_of(config).num_shards, workers=1
+            num_shards=config.parallelism.num_shards, workers=1
         ),
     )
     return hashlib.sha256(pickle.dumps(normalized)).hexdigest()
@@ -166,17 +166,21 @@ class CheckpointStore:
             return store
         directory = Path(run_directory) / _SUBDIR
         directory.mkdir(parents=True, exist_ok=True)
-        _atomic_pickle(config, directory / _CONFIG)
+        with writing(directory / _CONFIG) as staging, open(
+            staging, "wb"
+        ) as handle:
+            pickle.dump(config, handle)
         state = {
             "format_version": FORMAT_VERSION,
             "config_digest": digest,
-            "num_shards": parallelism_of(config).num_shards,
+            "num_shards": config.parallelism.num_shards,
             "num_days": int(config.calendar.num_days),
             "num_users": int(config.num_users),
         }
         # Last: state.json is what present() looks for, so a crash
-        # before this replace leaves no store rather than a torn one.
-        _atomic_text(json.dumps(state, indent=2), directory / _STATE)
+        # before this publish leaves no store rather than a torn one.
+        with writing(directory / _STATE) as staging:
+            staging.write_text(json.dumps(state, indent=2), encoding="utf-8")
         return cls(run_directory, state)
 
     @classmethod
@@ -205,16 +209,32 @@ class CheckpointStore:
         return cls(run_directory, state)
 
     def load_config(self):
-        """The exact configuration the checkpointed run started with."""
+        """The exact configuration the checkpointed run started with.
+
+        Raises :class:`CheckpointError` naming ``state.json`` when the
+        stored configuration no longer hashes to the digest recorded
+        there: another version of repro wrote the store (its
+        configuration has other fields) or it was damaged, and its days
+        cannot be trusted.
+        """
         path = self.directory / _CONFIG
         try:
             with open(path, "rb") as handle:
-                return pickle.load(handle)
+                config = pickle.load(handle)
         except (OSError, pickle.UnpicklingError, EOFError,
                 AttributeError, ImportError) as err:
             raise CheckpointError(
                 f"unreadable checkpoint config {path}: {err}", path=path
             ) from err
+        if config_digest(config) != self._state.get("config_digest"):
+            raise CheckpointError(
+                f"checkpoints in {self.directory} were written by another "
+                "version of repro (or damaged): their configuration does "
+                f"not match the digest in {_STATE}, so they cannot be "
+                f"resumed; delete {self.directory} and simulate again",
+                path=self.directory / _STATE,
+            )
+        return config
 
     def clear(self) -> None:
         """Delete the store (after the run is saved successfully)."""
@@ -239,11 +259,10 @@ class CheckpointStore:
         payload["shard_day"] = np.array([shard, day], dtype=np.int64)
         checksum = _payload_digest(payload)
 
-        final = self.day_path(shard, day)
-        temporary = final.with_name(final.name + ".tmp")
-        with open(temporary, "wb") as handle:
+        with writing(self.day_path(shard, day)) as staging, open(
+            staging, "wb"
+        ) as handle:
             np.savez(handle, checksum=np.array(checksum), **payload)
-        os.replace(temporary, final)
 
     def load_day(
         self, shard: int, day: int, *, missing_ok: bool = False

@@ -103,7 +103,6 @@ from repro.network.scheduler import CellScheduler
 from repro.network.signaling import SignalingGenerator, segments_from_dwell
 from repro.network.subscribers import build_subscriber_base
 from repro.network.topology import build_topology
-from repro.simulation import kernels
 from repro.simulation.checkpoint import CheckpointError, CheckpointStore
 from repro.simulation.config import SimulationConfig
 from repro.simulation.faults import (
@@ -111,7 +110,6 @@ from repro.simulation.faults import (
     InjectedFault,
     ShardExecutionError,
     corrupt_file,
-    recovery_of,
 )
 from repro.simulation.feeds import DataFeeds, MobilityFeed
 from repro.simulation.sharding import (
@@ -120,7 +118,6 @@ from repro.simulation.sharding import (
     ShardDayLoad,
     ShardResult,
     merge_day_loads,
-    parallelism_of,
     shard_user_indices,
 )
 from repro.traffic.demand import DemandModel
@@ -699,7 +696,7 @@ class _ShardWindows:
             None if checkpoint is None else str(checkpoint.run_directory)
         )
         self._faults = FaultPlan.active(config)
-        self._recovery = recovery_of(config)
+        self._recovery = config.recovery
         self._day_start = day_start
         self._windows = [
             (start, min(start + WINDOW_DAYS, day_stop))
@@ -711,7 +708,7 @@ class _ShardWindows:
         self._tasks: dict[tuple[int, int], tuple] = {}
         self._current: list[ShardResult] = []
         self._pool = None
-        parallelism = parallelism_of(config)
+        parallelism = config.parallelism
         if parallelism.uses_pool:
             try:
                 self._pool = ProcessPoolExecutor(
@@ -857,6 +854,8 @@ class Simulator:
         result is bitwise-identical to an uninterrupted run.  With
         ``stream=True`` the mobility feed lands directly in the run
         directory's columnar partition instead of RAM (see :meth:`run`).
+        A store another version of repro wrote is refused before
+        anything runs (:meth:`CheckpointStore.load_config`).
         """
         store = CheckpointStore.open(directory)
         config = store.load_config()
@@ -942,7 +941,7 @@ class Simulator:
                 world_span.add("sites", int(world.topology.num_sites))
             with telemetry.span("run_context"):
                 context = _RunContext.from_world(world)
-            parallelism = parallelism_of(config)
+            parallelism = config.parallelism
 
             if parallelism.num_shards <= 1:
                 shard_indices: list[np.ndarray | None] = [None]
@@ -1196,81 +1195,36 @@ class Simulator:
                 * act_profile[:, None]
                 * np.sqrt(params.demand_multiplier)
             )
-            if kernels.dispatch_naive("engine.kpi_day"):
-                # Reference path: schedule and push one hour at a time.
-                # Every scheduler operation is elementwise over (hour,
-                # cell) and the accumulator's hourly median equals the
-                # blocked one, so this is bitwise identical to add_day.
-                with telemetry.span("scheduler") as sched_span:
-                    for hour in range(HOURS_PER_DAY):
-                        kpis = scheduler.schedule_hour(
-                            capacity_mbps=capacity_mbps,
-                            offered_dl_mb=total_dl_hour[hour],
-                            offered_ul_mb=total_ul_hour[hour],
-                            active_users=active_users[hour],
-                            app_rate_dl_mbps=app_rate_cells,
-                        )
-                        accumulator.add_hour(
-                            day,
-                            hour,
-                            {
-                                "dl_volume_mb": kpis.served_dl_mb,
-                                "ul_volume_mb": kpis.served_ul_mb,
-                                "dl_active_users": kpis.dl_active_users,
-                                "radio_load_pct": kpis.radio_load_pct,
-                                "user_dl_throughput_mbps": (
-                                    kpis.user_dl_throughput_mbps
-                                ),
-                                "active_seconds": kpis.active_seconds,
-                                "connected_users": connected[hour],
-                                "voice_volume_mb": (
-                                    voice_dl_hour[hour]
-                                    + voice_ul_hour[hour]
-                                ),
-                                "voice_users": voice_min_hour[hour] / 60.0,
-                                "voice_ul_loss_rate": (
-                                    ul_loss_today * loss_noise[0]
-                                ),
-                                "voice_dl_loss_rate": (
-                                    dl_loss_today * loss_noise[1]
-                                ),
-                            },
-                        )
-                    sched_span.add(
-                        "cell_hours", int(num_sites) * HOURS_PER_DAY
-                    )
-                accumulator.finalize_day()
-            else:
-                with telemetry.span("scheduler") as sched_span:
-                    kpis = scheduler.schedule_hours(
-                        capacity_mbps=capacity_mbps,
-                        offered_dl_mb=total_dl_hour,
-                        offered_ul_mb=total_ul_hour,
-                        active_users=active_users,
-                        app_rate_dl_mbps=app_rate_cells,
-                    )
-                    sched_span.add(
-                        "cell_hours", int(num_sites) * HOURS_PER_DAY
-                    )
-                accumulator.add_day(
-                    day,
-                    {
-                        "dl_volume_mb": kpis.served_dl_mb,
-                        "ul_volume_mb": kpis.served_ul_mb,
-                        "dl_active_users": kpis.dl_active_users,
-                        "radio_load_pct": kpis.radio_load_pct,
-                        "user_dl_throughput_mbps": (
-                            kpis.user_dl_throughput_mbps
-                        ),
-                        "active_seconds": kpis.active_seconds,
-                        "connected_users": connected,
-                        "voice_volume_mb": voice_dl_hour + voice_ul_hour,
-                        "voice_users": voice_min_hour / 60.0,
-                        "voice_ul_loss_rate": ul_loss_today * loss_noise[0],
-                        "voice_dl_loss_rate": dl_loss_today * loss_noise[1],
-                    },
-                    num_hours=HOURS_PER_DAY,
+            with telemetry.span("scheduler") as sched_span:
+                kpis = scheduler.schedule_hours(
+                    capacity_mbps=capacity_mbps,
+                    offered_dl_mb=total_dl_hour,
+                    offered_ul_mb=total_ul_hour,
+                    active_users=active_users,
+                    app_rate_dl_mbps=app_rate_cells,
                 )
+                sched_span.add(
+                    "cell_hours", int(num_sites) * HOURS_PER_DAY
+                )
+            accumulator.add_day(
+                day,
+                {
+                    "dl_volume_mb": kpis.served_dl_mb,
+                    "ul_volume_mb": kpis.served_ul_mb,
+                    "dl_active_users": kpis.dl_active_users,
+                    "radio_load_pct": kpis.radio_load_pct,
+                    "user_dl_throughput_mbps": (
+                        kpis.user_dl_throughput_mbps
+                    ),
+                    "active_seconds": kpis.active_seconds,
+                    "connected_users": connected,
+                    "voice_volume_mb": voice_dl_hour + voice_ul_hour,
+                    "voice_users": voice_min_hour / 60.0,
+                    "voice_ul_loss_rate": ul_loss_today * loss_noise[0],
+                    "voice_dl_loss_rate": dl_loss_today * loss_noise[1],
+                },
+                num_hours=HOURS_PER_DAY,
+            )
 
             # RAT connected-time feed (§2.4's 75%-on-4G measurement).
             connected_share = merged.total_connected_s / (

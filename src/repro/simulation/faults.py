@@ -56,7 +56,6 @@ __all__ = [
     "RecoverySettings",
     "ShardExecutionError",
     "corrupt_file",
-    "recovery_of",
 ]
 
 #: Environment override for the fault plan (takes precedence over
@@ -126,17 +125,6 @@ class RecoverySettings:
     def delay(self, attempt: int) -> float:
         """Backoff before retrying after failed attempt ``attempt``."""
         return min(self.backoff_base_s * (2.0 ** attempt), self.backoff_cap_s)
-
-
-def recovery_of(config) -> RecoverySettings:
-    """The recovery block of ``config``, defaulting to the standard one.
-
-    Tolerates configurations pickled before the block existed (saved
-    runs reloaded by :mod:`repro.io`), mirroring
-    :func:`repro.simulation.sharding.parallelism_of`.
-    """
-    settings = getattr(config, "recovery", None)
-    return settings if settings is not None else RecoverySettings()
 
 
 @dataclass(frozen=True)

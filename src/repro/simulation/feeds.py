@@ -164,19 +164,6 @@ class DataFeeds:
     def num_users(self) -> int:
         return self.mobility.num_users
 
-    @property
-    def parallelism(self):
-        """The shard layout the producing run executed with.
-
-        A :class:`~repro.simulation.sharding.ParallelismSettings` (the
-        serial default when the config predates sharded execution).
-        Provenance only — feed contents are independent of the layout
-        per the contract in :mod:`repro.simulation.sharding`.
-        """
-        from repro.simulation.sharding import parallelism_of
-
-        return parallelism_of(self.config)
-
     def site_locations(self) -> tuple[np.ndarray, np.ndarray]:
         """(lats, lons) arrays indexed by site id."""
         return self.topology.site_lats, self.topology.site_lons

@@ -1,8 +1,8 @@
 """The simulation-side kernel/naive dispatch gate.
 
 Event generation — behaviour day-states, dwell assembly, dwell→segment
-flattening, signalling emission, the hourly KPI reduction — runs on
-whole-population array programs by default.  The historical per-agent /
+flattening, signalling emission — runs on whole-population array
+programs by default.  The historical per-agent /
 per-event Python loops are kept, verbatim in structure, as the
 *differential oracle* behind the ``REPRO_SIM_NAIVE=1`` environment
 switch — the exact pattern of ``REPRO_FRAMES_NAIVE`` for the frames

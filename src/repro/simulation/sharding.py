@@ -49,7 +49,6 @@ __all__ = [
     "stable_shard_of",
     "shard_user_indices",
     "merge_day_loads",
-    "parallelism_of",
 ]
 
 #: Study days per window: the engine runs each shard one window at a
@@ -88,16 +87,6 @@ class ParallelismSettings:
     @property
     def uses_pool(self) -> bool:
         return self.workers > 1 and self.num_shards > 1
-
-
-def parallelism_of(config) -> ParallelismSettings:
-    """The parallelism block of ``config``, defaulting to serial.
-
-    Tolerates configurations pickled before the block existed (saved
-    runs reloaded by :mod:`repro.io`).
-    """
-    settings = getattr(config, "parallelism", None)
-    return settings if settings is not None else ParallelismSettings()
 
 
 # -- partitioning -----------------------------------------------------------

@@ -404,27 +404,23 @@ class TestAtomicPersistence:
         # A save over an existing good run that dies mid-rename leaves
         # the OLD manifest next to a mix of old and new files; the
         # digest check must refuse the run, naming an offending file.
-        import os as os_module
-
-        import repro.io.columnar as columnar_module
+        import repro.io.durable as durable_module
 
         target = save_feeds(run_feeds, tmp_path / "run")
         # Perturb the feeds so the re-saved bytes differ (new seed's
         # dwell values), then crash partway through the shard renames.
         other = Simulator(SimulationConfig.tiny(seed=99)).run()
 
-        real_replace = os_module.replace
+        real_publish = durable_module.publish
         calls = {"n": 0}
 
-        def flaky_replace(src, dst):
+        def flaky_publish(staging, final):
             calls["n"] += 1
             if calls["n"] > 2:
                 raise OSError("crash mid-rename")
-            return real_replace(src, dst)
+            return real_publish(staging, final)
 
-        monkeypatch.setattr(
-            columnar_module.os, "replace", flaky_replace
-        )
+        monkeypatch.setattr(durable_module, "publish", flaky_publish)
         with pytest.raises(OSError):
             save_feeds(other, target)
         monkeypatch.undo()
@@ -447,6 +443,102 @@ class TestAtomicPersistence:
         save_feeds(run_feeds, path)
         assert not stale.exists()
         load_feeds(path)
+
+
+def _sweep_config(shards: int = 4, **overrides) -> SimulationConfig:
+    import datetime as dt
+
+    from repro.simulation.clock import StudyCalendar
+
+    return SimulationConfig.tiny(seed=23).with_overrides(
+        num_users=96,
+        target_site_count=30,
+        calendar=StudyCalendar(first_day=dt.date(2020, 2, 24), num_days=12),
+        **overrides,
+    ).with_parallelism(shards, workers=1)
+
+
+def _batch_save(directory):
+    from repro import api
+
+    api.simulate(_sweep_config(), directory)
+    yield
+
+
+def _resave_fewer_shards(directory):
+    from repro import api
+
+    api.simulate(_sweep_config(4), directory)
+    yield
+    api.simulate(_sweep_config(2)).save(directory)
+    yield
+
+
+def _resave_without_events(directory):
+    from repro import api
+
+    api.simulate(_sweep_config(emit_signaling=True), directory)
+    yield
+    api.simulate(_sweep_config()).save(directory)
+    yield
+
+
+def _append(directory):
+    from repro import api
+
+    run = api.simulate(_sweep_config(), directory, days=5)
+    yield
+    run.advance(3)
+    yield
+
+
+def _freezing_compaction(directory):
+    from repro import api
+
+    run = api.simulate(_sweep_config(), directory, days=9)
+    yield
+    run.advance(3)  # the append reaches the horizon; the save compacts
+    assert run.frozen()
+    yield
+
+
+class TestCommitSweep:
+    """After every commit a run directory stores what its manifest names.
+
+    The files under ``feeds/``, the root ``*.npy`` tables, ``config.pkl``
+    and any root staging file are exactly the digest map's names:
+    superseded segments and tables, the shards of a wider layout and a
+    dropped event partition are gone.
+    """
+
+    @pytest.mark.parametrize(
+        "commits",
+        [
+            _batch_save,
+            _resave_fewer_shards,
+            _resave_without_events,
+            _append,
+            _freezing_compaction,
+        ],
+        ids=lambda commits: commits.__name__.lstrip("_"),
+    )
+    def test_stored_files_are_the_digest_map(self, commits, tmp_path):
+        import json
+
+        directory = tmp_path / "run"
+        for _ in commits(directory):
+            manifest = json.loads((directory / "manifest.json").read_text())
+            stored = {
+                path.relative_to(directory).as_posix()
+                for path in (directory / "feeds").rglob("*")
+                if path.is_file()
+            }
+            stored.update(
+                path.name
+                for pattern in ("*.npy", "config.pkl", "*.tmp")
+                for path in directory.glob(pattern)
+            )
+            assert stored == set(manifest["feeds_sha256"])
 
 
 class TestFormatV1Compat:

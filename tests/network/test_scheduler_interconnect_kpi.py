@@ -27,7 +27,7 @@ class TestScheduler:
             app_rate_dl_mbps=np.array([4.0]),
         )
         defaults.update(overrides)
-        return self.scheduler.schedule_hour(**defaults)
+        return self.scheduler.schedule_hours(**defaults)
 
     def test_served_never_exceeds_capacity(self):
         out = self.run(offered_dl_mb=np.array([1e9]))
@@ -104,7 +104,7 @@ class TestScheduler:
 
     def test_custom_settings(self):
         scheduler = CellScheduler(SchedulerSettings(baseline_load=0.2))
-        out = scheduler.schedule_hour(
+        out = scheduler.schedule_hours(
             capacity_mbps=np.array([100.0]),
             offered_dl_mb=np.array([0.0]),
             offered_ul_mb=np.array([0.0]),
@@ -165,9 +165,6 @@ class TestInterconnect:
 
 
 class TestKpiAccumulator:
-    def make_metrics(self, value: float, cells: int = 3):
-        return {name: np.full(cells, value) for name in KPI_COLUMNS}
-
     def make_accumulator(self, cells: int = 3):
         return KpiAccumulator(
             cell_ids=np.arange(cells, dtype=np.int64),
@@ -178,11 +175,16 @@ class TestKpiAccumulator:
         rng = np.random.default_rng(seed)
         return {name: rng.random((hours, cells)) for name in KPI_COLUMNS}
 
+    def make_day(self, values, cells: int = 3):
+        """One (hours, cells) block per metric, hour ``h`` at values[h]."""
+        block = np.repeat(
+            np.asarray(values, dtype=np.float64)[:, None], cells, axis=1
+        )
+        return {name: block for name in KPI_COLUMNS}
+
     def test_daily_median_of_hours(self):
         acc = self.make_accumulator()
-        for hour, value in enumerate([1.0, 5.0, 9.0]):
-            acc.add_hour(0, hour, self.make_metrics(value))
-        acc.finalize_day()
+        acc.add_day(0, self.make_day([1.0, 5.0, 9.0]), num_hours=3)
         daily = acc.daily_frame()
         assert np.all(daily["dl_volume_mb"] == 5.0)
         assert len(daily) == 3
@@ -190,55 +192,17 @@ class TestKpiAccumulator:
     def test_multiple_days_stack(self):
         acc = self.make_accumulator()
         for day in range(2):
-            acc.add_hour(day, 0, self.make_metrics(float(day)))
-            acc.finalize_day()
+            acc.add_day(day, self.make_day([float(day)]), num_hours=1)
         daily = acc.daily_frame()
         assert len(daily) == 6
         assert set(daily["day"].tolist()) == {0, 1}
 
-    def test_cannot_mix_days(self):
-        acc = self.make_accumulator()
-        acc.add_hour(0, 0, self.make_metrics(1.0))
-        with pytest.raises(ValueError, match="finaliz"):
-            acc.add_hour(1, 0, self.make_metrics(1.0))
-
-    def test_finalize_without_data_raises(self):
-        with pytest.raises(ValueError):
-            self.make_accumulator().finalize_day()
-
-    def test_daily_frame_with_pending_raises(self):
-        acc = self.make_accumulator()
-        acc.add_hour(0, 0, self.make_metrics(1.0))
-        with pytest.raises(ValueError, match="pending"):
-            acc.daily_frame()
-
-    def test_missing_metric_rejected(self):
-        acc = self.make_accumulator()
-        metrics = self.make_metrics(1.0)
-        del metrics["voice_users"]
-        with pytest.raises(ValueError, match="missing"):
-            acc.add_hour(0, 0, metrics)
-
-    def test_wrong_shape_rejected(self):
-        acc = self.make_accumulator()
-        metrics = self.make_metrics(1.0)
-        metrics["dl_volume_mb"] = np.array([1.0])
-        with pytest.raises(ValueError, match="shape"):
-            acc.add_hour(0, 0, metrics)
-
     def test_add_day_is_the_median_over_hours(self):
         cells = 5
         daily = self.make_accumulator(cells)
-        hourly = self.make_accumulator(cells)
         for day in range(3):
             blocks = self.make_blocks(seed=day, cells=cells)
             daily.add_day(day, blocks, num_hours=24)
-            for hour in range(24):
-                hourly.add_hour(
-                    day, hour,
-                    {name: block[hour] for name, block in blocks.items()},
-                )
-            hourly.finalize_day()
             rows = daily.daily_frame().filter(
                 daily.daily_frame()["day"] == day
             )
@@ -246,11 +210,6 @@ class TestKpiAccumulator:
                 assert np.array_equal(
                     rows[name], np.median(blocks[name], axis=0)
                 ), name
-        bulk, pushed = daily.daily_frame(), hourly.daily_frame()
-        assert bulk.column_names == pushed.column_names
-        for name in bulk.column_names:
-            assert bulk[name].dtype == pushed[name].dtype, name
-            assert bulk[name].tobytes() == pushed[name].tobytes(), name
 
     def test_add_day_broadcasts_a_vector_over_the_hours(self):
         acc = self.make_accumulator()
@@ -279,12 +238,6 @@ class TestKpiAccumulator:
         del blocks["voice_users"]
         with pytest.raises(ValueError, match="missing"):
             acc.add_day(0, blocks, num_hours=24)
-
-    def test_add_day_with_pending_hours_rejected(self):
-        acc = self.make_accumulator()
-        acc.add_hour(0, 0, self.make_metrics(1.0))
-        with pytest.raises(ValueError, match="pending"):
-            acc.add_day(1, self.make_blocks(seed=3), num_hours=24)
 
     def test_empty_daily_frame_has_schema(self):
         daily = self.make_accumulator().daily_frame()

@@ -112,3 +112,41 @@ class TestResumeConfig:
 
         with pytest.raises(CheckpointError, match="nothing to resume"):
             Simulator.resume(tmp_path / "empty")
+
+    def test_store_of_another_version_is_refused_on_resume(self, tmp_path):
+        # A store whose config.pkl no longer hashes to the digest in
+        # state.json (another version of repro wrote it) cannot be
+        # resumed, and resume says so: it did use the stored
+        # configuration.
+        import json
+
+        from repro import api
+        from repro.simulation.checkpoint import CheckpointError
+
+        rundir = tmp_path / "run"
+        _interrupt(rundir, 2)
+        state_path = rundir / "checkpoints" / "state.json"
+        state = json.loads(state_path.read_text(encoding="utf-8"))
+        state["config_digest"] = "0" * 64
+        state_path.write_text(json.dumps(state), encoding="utf-8")
+        with pytest.raises(
+            CheckpointError, match="another version of repro"
+        ) as exc:
+            api.resume(rundir)
+        assert exc.value.path == state_path
+        assert "delete" in str(exc.value)
+
+    def test_simulate_onto_another_configuration_is_refused(self, tmp_path):
+        # Simulating into a directory that holds the checkpoints of
+        # another configuration names the configuration mismatch.
+        from repro import api
+        from repro.simulation.checkpoint import CheckpointError
+
+        rundir = tmp_path / "run"
+        _interrupt(rundir, 2)
+        other = _config(2).with_overrides(seed=12)
+        with pytest.raises(
+            CheckpointError, match="different configuration"
+        ) as exc:
+            api.simulate(other, rundir)
+        assert exc.value.path == rundir / "checkpoints" / "state.json"

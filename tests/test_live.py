@@ -198,6 +198,59 @@ class TestCrashSafety:
         api.simulate(_config(), tmp_path / "batch")
         assert _tree(rundir) == _tree(tmp_path / "batch")
 
+    def test_crash_at_the_freezing_compaction_deletes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        # The advance that reaches the horizon commits an append, then
+        # the compaction re-saves; a crash at the compaction's manifest
+        # write must leave every file the committed manifest names.
+        import repro.io.store as store
+        from repro.io import RunStoreError
+
+        rundir = tmp_path / "run"
+        run = api.simulate(_config(), rundir, days=6)
+        run.advance(3)
+
+        real = store._atomic_text
+        manifests = []
+
+        def torn(text, final):
+            if final.name == "manifest.json":
+                manifests.append(final)
+                if len(manifests) == 2:
+                    raise OSError("disk full")
+            return real(text, final)
+
+        monkeypatch.setattr(store, "_atomic_text", torn)
+        with pytest.raises(OSError, match="disk full"):
+            run.advance(3)
+        monkeypatch.undo()
+
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        assert manifest["num_days"] == _HORIZON
+        for name in manifest["feeds_sha256"]:
+            assert (rundir / name).exists(), name
+        # The compaction rewrote the base dwell stacks under their own
+        # names before its commit point, so the committed manifest's
+        # digest no longer matches them.
+        with pytest.raises(RunStoreError) as exc:
+            api.Run.open(rundir)
+        assert exc.value.path.name == "daily_dwell.npy"
+
+    def test_next_append_sweeps_staging_leftovers(self, tmp_path):
+        rundir = tmp_path / "run"
+        run = api.simulate(_config(2), rundir, days=4)
+        leftovers = [
+            rundir / "feeds" / "shard-0001" / "daily_dwell.00004.npy.7.8.tmp",
+            rundir / "feeds" / "shard-0000" / "rows.npy.tmp",
+            rundir / "manifest.json.7.8.tmp",
+        ]
+        for path in leftovers:
+            path.write_bytes(b"torn")
+        run.advance(3)
+        for path in leftovers:
+            assert not path.exists(), path.name
+
     def test_kill_mid_advance_then_resume(self, tmp_path):
         rundir = tmp_path / "run"
         # The fault arms day 5, beyond the initial 4-day window: the

@@ -120,7 +120,7 @@ class TestSchedulerProperties:
     @settings(max_examples=80, deadline=None)
     def test_kpis_bounded(self, offered_dl, offered_ul, active):
         scheduler = CellScheduler()
-        out = scheduler.schedule_hour(
+        out = scheduler.schedule_hours(
             capacity_mbps=np.array([120.0]),
             offered_dl_mb=np.array([offered_dl]),
             offered_ul_mb=np.array([offered_ul]),
@@ -142,7 +142,7 @@ class TestSchedulerProperties:
         low, high = sorted((first, second))
 
         def load(offered):
-            return scheduler.schedule_hour(
+            return scheduler.schedule_hours(
                 capacity_mbps=np.array([120.0]),
                 offered_dl_mb=np.array([offered]),
                 offered_ul_mb=np.array([0.0]),

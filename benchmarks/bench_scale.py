@@ -26,8 +26,11 @@ maps and must peak *below the event payload itself*.
 
 The smoke also simulates the same population over 28 and 56 days, each
 in its own subprocess: the engine streams (shard, window) tasks and
-writes the partition through the file, so simulate's peak RSS must not
-grow with the study length (gated at 1.10x from 28 to 56 days).
+writes the partition and the KPI table through their files, so
+simulate's peak RSS must not grow with the study length (gated at
+1.10x from 28 to 56 days).  A second pair, 10k agents on 1,000 sites
+over 28 and 98 days, holds the per-(cell, day) KPI table to the same
+1.10x: there the table is a visible share of what a longer study adds.
 Results land as JSON in ``benchmarks/results/scale.json``.
 
 Run with::
@@ -105,6 +108,18 @@ SIZES = {
 #: and the most the longer one's peak RSS may exceed the shorter one's.
 DAYS_PAIR = {
     "days": (28, 56),
+    "max_rss_growth": 1.10,
+}
+
+#: The KPI table's pair.  The smoke pair's 300 sites make a ~2 MB KPI
+#: table, lost in the dwell partition's noise; at 1,000 sites over 98
+#: days the table is 98 x 1,000 rows of 124 B (12 MB a copy), and a
+#: coordinator holding it grows by a multiple of that.
+KPI_DAYS_PAIR = {
+    "users": 10_000,
+    "sites": 1_000,
+    "shards": 4,
+    "days": (28, 98),
     "max_rss_growth": 1.10,
 }
 
@@ -423,12 +438,12 @@ def test_scale_smoke(tmp_path):
     _bench("smoke", tmp_path)
 
 
-def test_simulate_rss_flat_in_days(tmp_path):
-    short_days, long_days = DAYS_PAIR["days"]
-    smoke = SIZES["smoke"]
+def _days_pair(label: str, size: dict, pair: dict, tmp_path: Path) -> None:
+    """Simulate ``size`` over both of ``pair``'s lengths; gate the growth."""
+    short_days, long_days = pair["days"]
     reports = {
         days: _run_phase(
-            "simulate", tmp_path / f"run-{days}", {**smoke, "days": days}
+            "simulate", tmp_path / f"run-{days}", {**size, "days": days}
         )
         for days in (short_days, long_days)
     }
@@ -439,32 +454,41 @@ def test_simulate_rss_flat_in_days(tmp_path):
         / reports[short_days]["own_peak_rss_bytes"]
     )
     _record(
-        "smoke_days",
+        label,
         {
             "config": {
-                "users": smoke["users"],
-                "shards": smoke["shards"],
-                "days": list(DAYS_PAIR["days"]),
+                "users": size["users"],
+                "sites": size["sites"],
+                "shards": size["shards"],
+                "days": list(pair["days"]),
             },
             "simulate": {
                 str(days): report for days, report in reports.items()
             },
             "rss_growth_ratio": growth,
-            "max_rss_growth": DAYS_PAIR["max_rss_growth"],
+            "max_rss_growth": pair["max_rss_growth"],
         },
     )
-    print("\nScale benchmark [smoke_days]")
+    print(f"\nScale benchmark [{label}]")
     for days, report in reports.items():
         print(
-            f"  simulate {smoke['users']} agents x {days} days: "
+            f"  simulate {size['users']} agents x {days} days: "
             f"{report['simulate_seconds']:.1f}s, peak RSS "
             f"{report['own_peak_rss_bytes'] / 2**20:.1f} MiB"
         )
     print(f"  peak RSS {long_days} / {short_days} days: {growth:.3f}")
-    assert growth <= DAYS_PAIR["max_rss_growth"], (
+    assert growth <= pair["max_rss_growth"], (
         f"simulate peak RSS grew {growth:.2f}x from {short_days} to "
-        f"{long_days} days (budget {DAYS_PAIR['max_rss_growth']:g}x)"
+        f"{long_days} days (budget {pair['max_rss_growth']:g}x)"
     )
+
+
+def test_simulate_rss_flat_in_days(tmp_path):
+    _days_pair("smoke_days", SIZES["smoke"], DAYS_PAIR, tmp_path)
+
+
+def test_kpi_table_rss_flat_in_days(tmp_path):
+    _days_pair("kpi_days", KPI_DAYS_PAIR, KPI_DAYS_PAIR, tmp_path)
 
 
 @pytest.mark.slow

@@ -22,7 +22,8 @@ Three cooperating pieces:
 - :class:`ColumnarWriter` — creates the partition and accepts one
   merged day at a time (``write_day``), so the engine can land shard
   outputs directly on disk instead of accumulating 98 days of matrices
-  in RAM.  Every file is written under its staging name and
+  in RAM; the run root's KPI table can be staged on it too
+  (``stage_kpis``).  Every file is written under its staging name and
   :meth:`ColumnarWriter.commit` publishes it (:mod:`repro.io.durable`),
   returning the relative paths for the manifest's per-shard digests.
 - :class:`ShardedMobilityFeed` — a
@@ -54,11 +55,13 @@ a per-shard mobility kernel (:mod:`repro.core.statistics`,
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from repro import telemetry
+from repro.frames import Frame
 from repro.io import durable
 from repro.io.errors import RunStoreError
 from repro.simulation.feeds import MobilityShard
@@ -67,6 +70,7 @@ from repro.simulation.sharding import WINDOW_DAYS
 __all__ = [
     "EVENT_COLUMNS",
     "FEEDS_SUBDIR",
+    "KPI_TABLE",
     "SHARD_COLUMNS",
     "ColumnarWriter",
     "EventsWriter",
@@ -88,6 +92,11 @@ __all__ = [
 ]
 
 FEEDS_SUBDIR = "feeds"
+
+#: The run root's KPI table (:mod:`repro.io.store`), which a run the
+#: engine streams from day 0 stages through its writer
+#: (:meth:`ColumnarWriter.stage_kpis`).
+KPI_TABLE = "radio_kpis.npy"
 
 #: The five columns of one shard directory.  ``rows``/``user_ids``/
 #: ``anchor_sites`` are small and read into RAM; the two dwell stacks
@@ -323,55 +332,89 @@ class ShardedMobilityFeed:
 
 
 class _StackFile:
-    """One float32 ``(num_days, rows, anchors)`` ``.npy`` written by day.
+    """One ``.npy`` array written in place through its staging file.
 
-    Each day's rows go through the staging file of ``final`` at that
-    day's offset rather than into a writable map of the whole stack, so
-    written days sit in the page cache, not in the writer's resident
-    memory.  Days never written read back as zeros, as from a fresh map.
+    The header (format 1.0, as ``np.save`` writes it) declares the
+    whole array up front and the staging file of ``final`` is sized
+    for it; blocks of rows along the leading axis then go through the
+    file at their offsets (:meth:`write_rows`) rather than into a
+    writable map, so written rows sit in the page cache, not in the
+    writer's resident memory.  Rows never written read back as zeros,
+    as from a fresh map.  A dwell stack ``(num_days, rows, anchors)``
+    takes one day per leading index; a row table ``(num_rows,)`` of a
+    structured dtype (the streamed KPI table) takes one day's block of
+    cells at a time.
     """
 
-    def __init__(self, final: Path, shape: tuple[int, int, int]) -> None:
+    def __init__(
+        self, final: Path, shape: tuple[int, ...], dtype=np.float32
+    ) -> None:
         self.final = final
         self.path = durable.staged(final)
         self.shape = tuple(int(size) for size in shape)
-        self._day_bytes = self.shape[1] * self.shape[2] * 4
+        self.dtype = np.dtype(dtype)
+        self._row_bytes = math.prod(self.shape[1:]) * self.dtype.itemsize
+        self._frame = None
         self._handle = open(self.path, "wb+")
         np.lib.format.write_array_header_1_0(
             self._handle,
             {
-                "descr": np.lib.format.dtype_to_descr(np.dtype(np.float32)),
+                "descr": np.lib.format.dtype_to_descr(self.dtype),
                 "fortran_order": False,
                 "shape": self.shape,
             },
         )
         self._data_offset = self._handle.tell()
         self._handle.truncate(
-            self._data_offset + self.shape[0] * self._day_bytes
+            self._data_offset + self.shape[0] * self._row_bytes
         )
 
-    def write(self, day: int, rows: np.ndarray) -> None:
-        block = np.ascontiguousarray(rows, dtype=np.float32)
-        # A stray write would land past the header's shape or in a
-        # neighbouring day; a map would have refused it.
-        if not 0 <= day < self.shape[0] or block.shape != self.shape[1:]:
+    def write_rows(self, start: int, rows: np.ndarray) -> None:
+        """Write ``rows`` (a block along the leading axis) at row ``start``."""
+        block = np.ascontiguousarray(rows, dtype=self.dtype)
+        # A stray write would land past the header's shape or across a
+        # row boundary; a map would have refused it.
+        if (
+            block.shape[1:] != self.shape[1:]
+            or not 0 <= start <= self.shape[0] - block.shape[0]
+        ):
             raise ValueError(
-                f"cannot write a {block.shape} block as day {day} of the "
-                f"{self.shape} stack {self.path}"
+                f"cannot write a {block.shape} block at row {start} of "
+                f"the {self.shape} array {self.path}"
             )
-        self._handle.seek(self._data_offset + day * self._day_bytes)
+        self._handle.seek(self._data_offset + start * self._row_bytes)
         self._handle.write(block.data)
 
     def close(self) -> None:
         self._handle.close()
 
+    def publish(self) -> None:
+        """Close the staging file and publish it as ``final``."""
+        self.close()
+        durable.publish(self.path, self.final)
+
     def read_only(self) -> np.ndarray:
-        """The stack as written so far, mapped read-only."""
+        """The array as written so far, mapped read-only."""
         self._handle.flush()
-        if self._day_bytes * self.shape[0] == 0:
-            # Zero-size stacks cannot be mapped (and cost nothing).
-            return np.zeros(self.shape, dtype=np.float32)
+        if self._row_bytes * self.shape[0] == 0:
+            # Zero-size arrays cannot be mapped (and cost nothing).
+            return np.zeros(self.shape, dtype=self.dtype)
         return np.load(self.path, mmap_mode="r")
+
+    def frame(self) -> Frame:
+        """A row table as one frame of read-only field views of its map.
+
+        Built once: the same frame comes back on every call, which is
+        how :func:`repro.io.store.save_feeds` tells a bundle still
+        holding it from one whose table was replaced.  Building it
+        reads no row.
+        """
+        if self._frame is None:
+            table = self.read_only()
+            self._frame = Frame(
+                {name: table[name] for name in self.dtype.names}
+            )
+        return self._frame
 
 
 class ColumnarWriter:
@@ -384,9 +427,11 @@ class ColumnarWriter:
     offset (no writable map, so written days do not stay resident);
     :meth:`finish` maps the staged files read-only for the feed view,
     and :meth:`commit` closes them, writes the small identity columns,
-    and publishes everything (:mod:`repro.io.durable`).  Until commit,
-    a crash leaves only ``*.tmp`` staging files — a reader never
-    half-accepts them, and the next manifest commit deletes them.
+    and publishes everything (:mod:`repro.io.durable`), the KPI table
+    staged through the writer (:meth:`stage_kpis`) included.
+    Until commit, a crash leaves only ``*.tmp`` staging files — a
+    reader never half-accepts them, and the next manifest commit
+    deletes them.
 
     With ``day_offset > 0`` the writer runs in *append* mode for a live
     run: it lands days ``[day_offset, day_offset + num_days)`` in a new
@@ -421,6 +466,8 @@ class ColumnarWriter:
         self._anchor_sites = anchor_sites
         self._daily: list[_StackFile] = []
         self._night: list[_StackFile] = []
+        #: The KPI table staged through the writer, if any.
+        self.kpi_table: _StackFile | None = None
         num_anchors = anchor_sites.shape[1]
         for index, rows in enumerate(self._rows):
             shard_dir = self.feeds_directory / shard_dir_name(index)
@@ -454,8 +501,22 @@ class ColumnarWriter:
             self._rows, self._daily, self._night
         ):
             if rows.size:
-                daily_out.write(offset, daily[rows])
-                night_out.write(offset, night[rows])
+                daily_out.write_rows(offset, daily[rows][None])
+                night_out.write_rows(offset, night[rows][None])
+
+    def stage_kpis(self, dtype: np.dtype, rows_per_day: int) -> _StackFile:
+        """Stage the run's KPI table, ``rows_per_day`` rows a day.
+
+        The caller writes each day's block through the returned file
+        (day ``d`` at row ``d * rows_per_day``); :meth:`commit`
+        publishes it as :data:`KPI_TABLE` with the partition.
+        """
+        self.kpi_table = _StackFile(
+            self.run_directory / KPI_TABLE,
+            (self.num_days * rows_per_day,),
+            dtype,
+        )
+        return self.kpi_table
 
     def write_all(self, mobility) -> None:
         """Stream every day of an existing feed through the writer."""
@@ -481,13 +542,26 @@ class ColumnarWriter:
         ]
         return ShardedMobilityFeed(shards, pending_writer=self)
 
-    def commit(self) -> list[str]:
-        """Close and publish every new column file.
+    def close(self) -> None:
+        """Close every staged file without publishing it.
 
-        Returns the manifest-relative paths of the committed files (the
-        digest set).  Every publish is one atomic rename; the caller's
-        manifest write is the overall commit point, and the files a
-        previous layout left behind are deleted only after it (see
+        For a run that raised before its save: the staged days stay on
+        disk as ``*.tmp`` leftovers (the next manifest commit deletes
+        them), and no handle outlives the run.
+        """
+        for stack in (*self._daily, *self._night):
+            stack.close()
+        if self.kpi_table is not None:
+            self.kpi_table.close()
+
+    def commit(self) -> list[str]:
+        """Close and publish every new column file and the staged KPI table.
+
+        Returns the manifest-relative paths of the committed partition
+        files (the digest set; the caller digests the KPI table).
+        Every publish is one atomic rename; the caller's manifest write
+        is the overall commit point, and the files a previous layout
+        left behind are deleted only after it (see
         :func:`repro.io.store.save_feeds`).  A base-segment commit
         (``day_offset == 0``) also writes the identity columns; an
         append commit publishes nothing but its own new segment files.
@@ -509,9 +583,10 @@ class ColumnarWriter:
                             np.save(handle, array)
                         written += final.stat().st_size
                 for stack in (self._daily[index], self._night[index]):
-                    stack.close()
-                    durable.publish(stack.path, stack.final)
+                    stack.publish()
                     written += stack.final.stat().st_size
+            if self.kpi_table is not None:
+                self.kpi_table.publish()
             sp.add("bytes", written)
         if appending:
             return segment_relative_paths(self.num_shards, self.day_offset)

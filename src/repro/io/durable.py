@@ -18,6 +18,7 @@ single place every write passes through.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from contextlib import contextmanager
@@ -25,17 +26,23 @@ from pathlib import Path
 
 __all__ = ["publish", "staged", "writing"]
 
+_SERIALS = itertools.count()
+
 
 def staged(final: Path) -> Path:
-    """The staging name of ``final``: ``<name>.<pid>.<thread id>.tmp``.
+    """A fresh staging name of ``final``: ``<name>.<pid>.<tid>.<n>.tmp``.
 
     It sits next to ``final`` (so the rename never crosses a file
-    system), and two processes or threads writing one file never share
-    a staging file.
+    system), and no two calls share one: ``n`` counts the calls of the
+    process.  So two processes, two threads, or two writers of one
+    thread (a run still streaming into its staged files while another
+    save of the same directory runs) never write into each other's
+    staging file.
     """
     final = Path(final)
     return final.with_name(
-        f"{final.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        f"{final.name}.{os.getpid()}.{threading.get_ident()}."
+        f"{next(_SERIALS)}.tmp"
     )
 
 

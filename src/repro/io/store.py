@@ -23,8 +23,11 @@ being read into RAM.  The KPI and RAT tables are one ``.npy`` file
 each: a structured array with one field per column, in column order and
 with the frame's own dtypes, so a load returns exactly the saved
 columns (and never unpickles: an object column is refused at save
-time).  Any other format version is refused at the manifest, naming
-the version.  The world (geography, topology, subscriber base,
+time).  A run the engine streamed into the directory from day 0 has
+written its KPI table through the staged ``radio_kpis.npy`` already;
+the save publishes that file with the partition instead of writing
+the table again.  Any other format version is refused at the manifest,
+naming the version.  The world (geography, topology, subscriber base,
 agents) is *not* stored: it is a pure function of the configuration,
 which keeps saved runs small and guarantees the reloaded bundle is
 exactly what the simulator produced.  A load takes it from
@@ -89,7 +92,7 @@ __all__ = ["RunStoreError", "append_feeds", "save_feeds", "load_feeds"]
 
 _MANIFEST = "manifest.json"
 _CONFIG = "config.pkl"
-_KPIS = "radio_kpis.npy"
+_KPIS = columnar.KPI_TABLE
 _RAT = "rat_time.npy"
 
 #: Small files whose SHA-256 payload digests are recorded in the
@@ -196,12 +199,16 @@ def _commit_manifest(path: Path, manifest: dict) -> None:
         drop_unreachable(path, digests)
 
 
-def _commit_mobility(feeds: DataFeeds, path: Path) -> tuple[list[str], int]:
-    """Land the mobility partition on disk; return (rel paths, K).
+def _commit_mobility(
+    feeds: DataFeeds, path: Path
+) -> tuple[list[str], int, Frame | None]:
+    """Land the mobility partition on disk; return (rel paths, K, KPIs).
 
     A feed that is already streaming into ``path`` (the engine's
     ``stream_dir`` mode leaves :attr:`ShardedMobilityFeed.pending_writer`
-    set) just commits its writer — nothing is rewritten.  Anything else
+    set) just commits its writer — nothing is rewritten — and ``KPIs``
+    is the frame the KPI table it staged and published backs
+    (:meth:`ColumnarWriter.stage_kpis`), if it staged one.  Anything else
     is streamed through a fresh :class:`ColumnarWriter` one day at a
     time, partitioned exactly as the engine would (the run's configured
     shard count over the stable user hash), so saving a feed produces
@@ -210,9 +217,10 @@ def _commit_mobility(feeds: DataFeeds, path: Path) -> tuple[list[str], int]:
     mobility = feeds.mobility
     writer = getattr(mobility, "pending_writer", None)
     if writer is not None and writer.run_directory == path:
+        kpis = None if writer.kpi_table is None else writer.kpi_table.frame()
         relative = writer.commit()
         mobility.pending_writer = None
-        return relative, writer.num_shards
+        return relative, writer.num_shards, kpis
 
     from repro.simulation.sharding import shard_user_indices
 
@@ -229,7 +237,7 @@ def _commit_mobility(feeds: DataFeeds, path: Path) -> tuple[list[str], int]:
     relative = writer.commit()
     if writer is getattr(mobility, "pending_writer", None):
         mobility.pending_writer = None
-    return relative, num_shards
+    return relative, num_shards, None
 
 
 def _commit_events(
@@ -302,9 +310,15 @@ def save_feeds(feeds: DataFeeds, directory: str | Path) -> Path:
 
     with telemetry.span("save_feeds") as sp:
         mobility = feeds.mobility
-        shard_files, num_shards = _commit_mobility(feeds, path)
+        shard_files, num_shards, published_kpis = _commit_mobility(
+            feeds, path
+        )
         event_files = _commit_events(feeds, path, num_shards)
-        _atomic_table(feeds.radio_kpis, path / _KPIS)
+        # The engine's streamed KPI table was published with the
+        # partition; a bundle whose radio_kpis was replaced since
+        # writes its own rows over it.
+        if feeds.radio_kpis is not published_kpis:
+            _atomic_table(feeds.radio_kpis, path / _KPIS)
         _atomic_table(feeds.rat_time, path / _RAT)
         with writing(path / _CONFIG) as staging, open(staging, "wb") as handle:
             pickle.dump(feeds.config, handle)

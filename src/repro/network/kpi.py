@@ -5,8 +5,14 @@ the analysis then "aggregate[s] them per day and extract[s] the (hourly)
 median value per cell" (§2.4). :class:`KpiAccumulator` implements that
 exact reduction: the simulation pushes a day's hourly values (one
 ``(hours, cells)`` block per metric through ``add_day``), and the
-accumulator keeps only one row per (cell, day) holding the median over
-the day's hours for every metric — the shape all of Figs 8–12 consume.
+accumulator reduces them to one row per (cell, day) holding the median
+over the day's hours for every metric — the shape all of Figs 8–12
+consume.  Each day becomes one block of :func:`kpi_row_dtype` rows,
+the store's row format.  A run the engine streams into a directory
+from day 0 writes each block through the staged ``radio_kpis.npy``
+instead of keeping it
+(:meth:`repro.io.columnar.ColumnarWriter.stage_kpis`), so the
+coordinator holds no KPI row past the day that produced it.
 
 Metrics (hourly, per 4G cell), following §2.4:
 
@@ -32,9 +38,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.frames import Frame, concat
+from repro.frames import Frame
 
-__all__ = ["KPI_COLUMNS", "KpiAccumulator"]
+__all__ = ["KPI_COLUMNS", "KpiAccumulator", "kpi_row_dtype"]
 
 KPI_COLUMNS = (
     "dl_volume_mb",
@@ -51,6 +57,23 @@ KPI_COLUMNS = (
 )
 
 
+def kpi_row_dtype(postcodes: np.ndarray) -> np.dtype:
+    """The packed dtype of one (cell, day) row, as the store writes it.
+
+    ``cell_id``, ``postcode`` (with ``postcodes``' dtype), ``day``,
+    then :data:`KPI_COLUMNS` as float64: every row the accumulator
+    emits, and so the fields :func:`repro.io.store.save_feeds` writes.
+    """
+    return np.dtype(
+        [
+            ("cell_id", np.int64),
+            ("postcode", postcodes.dtype),
+            ("day", np.int64),
+            *((name, np.float64) for name in KPI_COLUMNS),
+        ]
+    )
+
+
 class KpiAccumulator:
     """Collect hourly per-cell KPI vectors; emit daily per-cell medians.
 
@@ -61,14 +84,25 @@ class KpiAccumulator:
     postcodes:
         Postcode district of each cell (same order), carried on every
         output row so the analysis can merge administrative labels.
+    table:
+        A staged table of :func:`kpi_row_dtype` rows, one block of
+        cells per day from day 0
+        (:meth:`repro.io.columnar.ColumnarWriter.stage_kpis`), that
+        each day's block is written through instead of kept in memory;
+        the engine passes one for a run it streams into a directory
+        from day 0.
     """
 
-    def __init__(self, cell_ids: np.ndarray, postcodes: np.ndarray) -> None:
+    def __init__(
+        self, cell_ids: np.ndarray, postcodes: np.ndarray, table=None
+    ) -> None:
         if cell_ids.shape != postcodes.shape:
             raise ValueError("cell_ids and postcodes must align")
         self._cell_ids = cell_ids.astype(np.int64)
         self._postcodes = postcodes
-        self._daily_frames: list[Frame] = []
+        self._row_dtype = kpi_row_dtype(postcodes)
+        self._table = table
+        self._blocks: list[np.ndarray] = []
 
     @property
     def num_cells(self) -> int:
@@ -89,11 +123,10 @@ class KpiAccumulator:
         missing = set(KPI_COLUMNS) - set(metrics)
         if missing:
             raise ValueError(f"missing KPI metrics: {sorted(missing)}")
-        data = {
-            "cell_id": self._cell_ids,
-            "postcode": self._postcodes,
-            "day": np.full(self.num_cells, day, dtype=np.int64),
-        }
+        rows = np.empty(self.num_cells, dtype=self._row_dtype)
+        rows["cell_id"] = self._cell_ids
+        rows["postcode"] = self._postcodes
+        rows["day"] = day
         for name in KPI_COLUMNS:
             block = np.asarray(metrics[name], dtype=np.float64)
             if block.ndim == 1:
@@ -105,16 +138,25 @@ class KpiAccumulator:
                     f"metric {name} has shape {block.shape}, expected "
                     f"({num_hours}, {self.num_cells})"
                 )
-            data[name] = np.median(block, axis=0)
-        self._daily_frames.append(Frame(data))
+            rows[name] = np.median(block, axis=0)
+        if self._table is None:
+            self._blocks.append(rows)
+        else:
+            self._table.write_rows(day * self.num_cells, rows)
 
     def daily_frame(self) -> Frame:
-        """All (cell, day) rows pushed so far."""
-        if not self._daily_frames:
-            return Frame(
-                {"cell_id": np.empty(0, dtype=np.int64),
-                 "postcode": np.empty(0, dtype=str),
-                 "day": np.empty(0, dtype=np.int64),
-                 **{name: np.empty(0) for name in KPI_COLUMNS}}
-            )
-        return concat(self._daily_frames)
+        """All (cell, day) rows pushed so far, a field view per column.
+
+        Streaming into a table, the fields are the table's map, read
+        only and not read back (every row of the table, so every day of
+        the run once it has run); otherwise they are the pushed blocks
+        stacked in one array.
+        """
+        if self._table is not None:
+            return self._table.frame()
+        table = (
+            np.concatenate(self._blocks)
+            if self._blocks
+            else np.empty(0, dtype=self._row_dtype)
+        )
+        return Frame({name: table[name] for name in self._row_dtype.names})

@@ -81,6 +81,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
 
@@ -97,7 +98,7 @@ from repro.mobility.pandemic import PandemicTimeline
 from repro.mobility.trajectories import BIN_SECONDS, NUM_BINS, TrajectoryModel
 from repro.network.devices import DeviceCatalog
 from repro.network.interconnect import InterconnectSettings, VoiceInterconnect
-from repro.network.kpi import KpiAccumulator
+from repro.network.kpi import KpiAccumulator, kpi_row_dtype
 from repro.network.rat import RAT_PROFILES, Rat
 from repro.network.scheduler import CellScheduler
 from repro.network.signaling import SignalingGenerator, segments_from_dwell
@@ -898,14 +899,16 @@ class Simulator:
         ``stream_dir``, if given, lands each merged day of the mobility
         feed directly in that run directory's columnar partition
         (:mod:`repro.io.columnar`, written through the files) instead
-        of accumulating the full dwell stacks in RAM; with shard loads
-        dropped once merged, peak memory then no longer grows with
-        ``num_days``.  The returned bundle's ``mobility``
-        is a lazily assembled view over the (uncommitted) partition;
-        :func:`repro.io.save_feeds` to the same directory commits it
-        in place without rewriting.  Identical bytes and results to
-        the in-memory path (a run without ``stream_dir``, saved
-        afterwards).
+        of accumulating the full dwell stacks in RAM; a window from
+        day 0 also writes each day's KPI rows through the staged
+        ``radio_kpis.npy``.  With shard loads dropped once merged,
+        peak memory then no longer grows with ``num_days``.  The
+        returned bundle's ``mobility`` is a lazily assembled view over
+        the (uncommitted) partition and its ``radio_kpis`` a read-only
+        map of the staged table; :func:`repro.io.save_feeds` to the
+        same directory commits both in place without rewriting.
+        Identical bytes and results to the in-memory path (a run
+        without ``stream_dir``, saved afterwards).
 
         When :mod:`repro.telemetry` is enabled, the run records a
         ``simulate`` span tree (world build, shard execution, per-day
@@ -955,12 +958,15 @@ class Simulator:
             with _ShardWindows(
                 config, context, shard_indices, checkpoint,
                 day_start=day_start, day_stop=day_stop,
-            ) as shard_windows:
+            ) as shard_windows, ExitStack() as on_error:
                 feeds = self._assemble_feeds(
                     context, shard_indices, shard_windows, progress,
                     stream_dir=stream_dir,
                     day_start=day_start, day_stop=day_stop, live=live,
+                    on_error=on_error,
                 )
+                # A finished run keeps its staged files open for its save.
+                on_error.pop_all()
         if telemetry.enabled():
             feeds.telemetry = telemetry.snapshot()
         return feeds
@@ -976,6 +982,7 @@ class Simulator:
         day_start: int,
         day_stop: int,
         live,
+        on_error: ExitStack,
     ) -> DataFeeds:
         config = self._config
         world = context.world
@@ -1020,7 +1027,6 @@ class Simulator:
         )
         interconnect = VoiceInterconnect(interconnect_settings)
 
-        # KPI accumulator over the 4G cell of every site.
         cell_of_site = np.array(
             [topology.site_to_4g_cell[s] for s in range(num_sites)],
             dtype=np.int64,
@@ -1029,9 +1035,6 @@ class Simulator:
         for cell in topology.cells:
             if cell.rat is Rat.LTE_4G:
                 capacity_mbps[cell.site_id] = cell.capacity_mbps
-        accumulator = KpiAccumulator(
-            cell_ids=cell_of_site, postcodes=topology.site_postcodes
-        )
 
         stream_writer = None
         if stream_dir is not None:
@@ -1045,12 +1048,31 @@ class Simulator:
                 day_stop - day_start,
                 day_offset=day_start,
             )
+            # A run that raises closes its staged files and leaves them
+            # on disk, for the next manifest commit to sweep.
+            on_error.callback(stream_writer.close)
         mobility = (
             None
             if stream_writer is not None
             else MobilityFeed(
                 user_ids=agents.user_ids, anchor_sites=agents.anchor_sites
             )
+        )
+        # KPI accumulator over the 4G cell of every site.  A streamed
+        # run from day 0 writes each day's rows through the staged
+        # radio_kpis.npy, which save_feeds publishes in place; a later
+        # window keeps its rows, since append_feeds writes the grown
+        # table from the loaded one plus these.
+        kpi_table = None
+        if stream_writer is not None and day_start == 0:
+            kpi_table = stream_writer.stage_kpis(
+                kpi_row_dtype(topology.site_postcodes),
+                rows_per_day=num_sites,
+            )
+        accumulator = KpiAccumulator(
+            cell_ids=cell_of_site,
+            postcodes=topology.site_postcodes,
+            table=kpi_table,
         )
         signaling_frames: dict[int, Frame] | None = (
             {} if config.emit_signaling else None

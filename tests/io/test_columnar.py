@@ -93,7 +93,11 @@ class TestRoundTrip:
         save_feeds(feeds, streamed_dir)
         memory_dir = tmp_path / "memory"
         save_feeds(_feeds(shards), memory_dir)
-        for relative in shard_relative_paths(shards):
+        for relative in (
+            *shard_relative_paths(shards),
+            "radio_kpis.npy",
+            "manifest.json",
+        ):
             streamed = (streamed_dir / relative).read_bytes()
             memory = (memory_dir / relative).read_bytes()
             assert streamed == memory, f"{relative}: bytes differ"
@@ -201,6 +205,147 @@ class TestResumeOnLazyRun:
         in_memory = compute_daily_metrics(_feeds(2))
         assert np.array_equal(streamed.entropy, in_memory.entropy)
         assert np.array_equal(streamed.gyration_km, in_memory.gyration_km)
+
+
+# ---------------------------------------------------------------------------
+# The streamed KPI table: written through its staging file, published
+# in place by the save
+# ---------------------------------------------------------------------------
+
+
+def _kpi_staging(directory: Path) -> list[Path]:
+    return sorted(directory.glob("radio_kpis.npy.*.tmp"))
+
+
+def _mapped_file(column: np.ndarray):
+    """The file of the map ``column`` is a view of (None if none)."""
+    base = column
+    while base is not None and not isinstance(base, np.memmap):
+        base = base.base
+    return None if base is None else Path(base.filename).resolve()
+
+
+class TestStreamedKpiTable:
+    def test_streamed_run_stages_the_whole_table(self, tmp_path):
+        target = tmp_path / "run"
+        feeds = Simulator(_config(2)).run(stream_dir=target)
+        (staging,) = _kpi_staging(target)
+        table = np.load(staging, mmap_mode="r")
+        rows = _CALENDAR.num_days * feeds.topology.num_sites
+        assert table.shape == (rows,)
+        assert staging.stat().st_size == table.offset + table.nbytes
+        kpis = feeds.radio_kpis
+        assert len(kpis) == rows
+        for name in kpis.column_names:
+            column = kpis[name]
+            assert not column.flags.writeable, name
+            assert not column.flags.owndata, name
+            assert _mapped_file(column) == staging.resolve(), name
+
+    def test_save_stages_only_the_rat_table(self, tmp_path, monkeypatch):
+        import repro.io.durable as durable_module
+
+        target = tmp_path / "run"
+        feeds = Simulator(_config(2)).run(stream_dir=target)
+        staged_names = []
+        real_staged = durable_module.staged
+
+        def recording_staged(final):
+            staged_names.append(Path(final).name)
+            return real_staged(final)
+
+        monkeypatch.setattr(durable_module, "staged", recording_staged)
+        save_feeds(feeds, target)
+        assert "rat_time.npy" in staged_names
+        assert "radio_kpis.npy" not in staged_names
+        assert not _kpi_staging(target)
+        assert load_feeds(target).radio_kpis == feeds.radio_kpis
+
+    def test_replaced_kpi_frame_saves_its_own_rows(self, tmp_path):
+        import dataclasses
+
+        target = tmp_path / "run"
+        feeds = Simulator(_config(2)).run(stream_dir=target)
+        kpis = feeds.radio_kpis
+        early = dataclasses.replace(
+            feeds, radio_kpis=kpis.filter(kpis["day"] < 3)
+        )
+        save_feeds(early, target)
+        stored = load_feeds(target).radio_kpis
+        assert 0 < len(stored) < len(kpis)
+        assert stored == early.radio_kpis
+        assert not list(target.glob("*.tmp"))
+
+    def test_second_run_into_the_directory_leaves_the_first_intact(
+        self, tmp_path
+    ):
+        from repro.traffic.demand import DemandSettings
+
+        target = tmp_path / "run"
+        first = Simulator(_config(2)).run(stream_dir=target)
+        kpis = first.radio_kpis
+        kpi_bytes = {
+            name: np.ascontiguousarray(kpis[name]).tobytes()
+            for name in kpis.column_names
+        }
+        night = np.array(first.mobility.night(5))
+        # Same population and file sizes, other KPI and night values.
+        second = Simulator(
+            _config(2).with_overrides(
+                demand=DemandSettings(total_dl_mb_per_day=400.0),
+                night_observation_probability=0.9,
+            )
+        ).run(stream_dir=target)
+        assert not np.array_equal(second.mobility.night(5), night)
+        save_feeds(second, target)
+        for name, expected in kpi_bytes.items():
+            got = np.ascontiguousarray(kpis[name]).tobytes()
+            assert got == expected, name
+        assert np.array_equal(first.mobility.night(5), night)
+
+    def test_killed_run_resumes_the_staged_table(self, tmp_path, monkeypatch):
+        writers = []
+        real_init = ColumnarWriter.__init__
+
+        def recording_init(writer, *args, **kwargs):
+            real_init(writer, *args, **kwargs)
+            writers.append(writer)
+
+        monkeypatch.setattr(ColumnarWriter, "__init__", recording_init)
+        config = (
+            SimulationConfig.tiny(seed=5)
+            .with_overrides(
+                num_users=300,
+                target_site_count=40,
+                recovery=RecoverySettings(max_retries=0),
+            )
+            .with_parallelism(2, workers=1)
+        )
+        killed = tmp_path / "killed"
+        with pytest.raises(ShardExecutionError):
+            api.simulate(
+                config.with_overrides(fault_spec="kill:shard=0,day=60"),
+                killed,
+            )
+        # The raising run closed its staged files and left them on disk.
+        (writer,) = writers
+        for staged in (*writer._daily, *writer._night, writer.kpi_table):
+            assert staged._handle.closed, staged.path
+        assert len(_kpi_staging(killed)) == 1
+        api.resume(killed)
+        clean = tmp_path / "clean"
+        api.simulate(config, clean)
+        assert (killed / "radio_kpis.npy").read_bytes() == (
+            clean / "radio_kpis.npy"
+        ).read_bytes()
+        assert not list(killed.rglob("*.tmp"))
+
+    def test_fresh_handle_reports_like_the_reopened_run(self, tmp_path):
+        config = SimulationConfig.tiny(seed=3).with_parallelism(2, workers=1)
+        target = tmp_path / "run"
+        fresh = api.simulate(config, target).study(cache=False)
+        reopened = api.Run.open(target).study(cache=False)
+        assert fresh.report(full=True) == reopened.report(full=True)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ class TestStaged:
             assert name.name.startswith("manifest.json.")
             assert name.suffix == ".tmp"
 
+    def test_each_call_gets_its_own_staging_name(self, tmp_path):
+        final = tmp_path / "radio_kpis.npy"
+        assert staged(final) != staged(final)
+
 
 class TestWriting:
     def test_publishes_the_written_bytes(self, tmp_path):

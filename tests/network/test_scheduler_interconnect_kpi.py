@@ -11,7 +11,8 @@ from repro.network import (
     SchedulerSettings,
     VoiceInterconnect,
 )
-from repro.network.kpi import KPI_COLUMNS
+from repro.io.columnar import _StackFile
+from repro.network.kpi import KPI_COLUMNS, kpi_row_dtype
 
 
 class TestScheduler:
@@ -244,3 +245,29 @@ class TestKpiAccumulator:
         assert isinstance(daily, Frame)
         assert "dl_volume_mb" in daily.column_names
         assert len(daily) == 0
+
+    def test_streamed_table_gives_the_in_memory_frame(self, tmp_path):
+        cells, days = 4, 3
+        in_memory = self.make_accumulator(cells)
+        postcodes = np.array([f"PC{i}" for i in range(cells)])
+        table = _StackFile(
+            tmp_path / "kpis.npy", (days * cells,), kpi_row_dtype(postcodes)
+        )
+        streamed = KpiAccumulator(
+            cell_ids=np.arange(cells, dtype=np.int64),
+            postcodes=postcodes,
+            table=table,
+        )
+        for day in range(days):
+            blocks = self.make_blocks(seed=day, cells=cells)
+            blocks["voice_ul_loss_rate"] = blocks["voice_ul_loss_rate"][0]
+            in_memory.add_day(day, blocks, num_hours=24)
+            streamed.add_day(day, blocks, num_hours=24)
+        expected, got = in_memory.daily_frame(), streamed.daily_frame()
+        assert got.column_names == expected.column_names
+        for name in expected.column_names:
+            assert got[name].dtype == expected[name].dtype, name
+            assert (
+                np.ascontiguousarray(got[name]).tobytes()
+                == expected[name].tobytes()
+            ), name

@@ -82,20 +82,18 @@ def plan_for(feeds) -> ShardPlan | None:
     """A :class:`ShardPlan` for this bundle, or ``None`` if ineligible.
 
     Eligible bundles back onto a *committed* columnar run: the bundle
-    records its source directory, its mobility view is a
-    :class:`~repro.io.columnar.ShardedMobilityFeed` with no pending
-    (uncommitted) writer, and the directory's manifest still describes
-    a columnar layout with the same shard count.  In-memory feeds never
-    get a plan.  Callers run in process on ``None`` — the pool is an
-    optimisation, never a requirement.
+    records its source directory, its mobility shards map files with
+    no pending (uncommitted) writer, and the directory's manifest still
+    describes a columnar layout with the same shard count.  In-memory
+    feeds (:attr:`~repro.io.columnar.ShardedMobilityFeed.in_memory`)
+    never get a plan, saved or not.  Callers run in process on
+    ``None`` — the pool is an optimisation, never a requirement.
     """
     import json
 
-    from repro.io.columnar import ShardedMobilityFeed
-
     directory = getattr(feeds, "source_directory", None)
     mobility = feeds.mobility
-    if directory is None or not isinstance(mobility, ShardedMobilityFeed):
+    if directory is None or mobility.in_memory:
         return None
     if mobility.pending_writer is not None:
         return None
@@ -357,8 +355,8 @@ def walk_shards(
     The single executor choice of the per-shard mobility kernels.  The
     tasks run in process over the feed's already-open shards (never
     reopened from disk) when ``workers`` is ``None`` or resolves to 1,
-    or when the feed has no :func:`plan_for` — in-memory feeds, whose
-    one shard is the whole population, never do.  Otherwise they fan
+    or when the feed has no :func:`plan_for` — the engine's in-memory
+    feeds never do.  Otherwise they fan
     across the process pool of :func:`map_shards`.  Either way each
     payload is ``(rows, *blocks)`` in shard order, from the same task
     function, so the caller's scatter at ``rows`` is bitwise identical

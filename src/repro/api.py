@@ -158,9 +158,7 @@ class Run:
         self._directory = path
         return path
 
-    def advance(
-        self, days: int = 1, *, checkpoint: bool = True, progress=None
-    ) -> "Run":
+    def advance(self, days: int = 1, *, progress=None) -> "Run":
         """Simulate and append the next ``days`` study days in place.
 
         The engine runs only the window ``[self.days, self.days+days)``
@@ -172,9 +170,8 @@ class Run:
         day-count-versioned KPI tables land first, then the manifest is
         atomically rewritten as the single commit point.  A crash at
         any moment leaves the directory loadable at its previous day
-        count, and re-calling ``advance`` restores any checkpointed
-        window days (``checkpoint=True``, the default) instead of
-        recomputing them.
+        count, and re-calling ``advance`` restores the window days it
+        checkpointed instead of recomputing them.
 
         Incremental analytics: appending invalidates only whole-window
         cache artifacts (their digest-derived keys change); per-range
@@ -211,7 +208,7 @@ class Run:
         day_stop = min(day_start + int(days), self.horizon)
         chunk = Simulator(self.config).run(
             progress=progress,
-            checkpoint_dir=self._directory if checkpoint else None,
+            checkpoint_dir=self._directory,
             stream_dir=self._directory,
             day_start=day_start,
             day_stop=day_stop,

@@ -5,9 +5,9 @@ each visited tower (keeping the top-20 towers), then the entropy and
 radius of gyration, then aggregates. :func:`compute_daily_metrics` does
 exactly that over the whole study window.
 
-The work is one walk over the feed's shards: an in-memory feed is a
-single shard of the whole population, a stored run
-(:func:`repro.io.load_feeds`) one shard per memory-mapped partition.
+The work is one walk over the feed's shards: one per shard of the
+run, over day lists in memory or memory-mapped partitions on disk
+(:func:`repro.io.load_feeds`).
 :func:`shard_metric_blocks` computes a shard's block a day at a time
 and the block scatters into the output at the shard's population rows.
 Both kernels are strictly row-independent, so the result is bitwise

@@ -19,19 +19,19 @@ the parallel engine executes with (:mod:`repro.simulation.sharding`)::
 
 Three cooperating pieces:
 
-- :class:`ColumnarWriter` — creates the partition and accepts one
-  merged day at a time (``write_day``), so the engine can land shard
-  outputs directly on disk instead of accumulating 98 days of matrices
-  in RAM; the run root's KPI table can be staged on it too
+- :class:`ColumnarWriter` — creates the partition and accepts one day
+  of every shard's rows at a time (``write_day``), so the engine lands
+  each shard's output directly on disk instead of accumulating 98 days
+  of matrices in RAM; the run root's KPI table can be staged on it too
   (``stage_kpis``).  Every file is written under its staging name and
   :meth:`ColumnarWriter.commit` publishes it (:mod:`repro.io.durable`),
   returning the relative paths for the manifest's per-shard digests.
-- :class:`ShardedMobilityFeed` — a
-  :class:`~repro.simulation.feeds.MobilityFeed`-compatible view over
-  the partition.  ``dwell(day)`` / ``night(day)`` assemble one day at
-  a time from the shard maps, so every existing day-at-a-time consumer
-  (home detection, relocation, the mobility graph) runs with bounded
-  peak memory unchanged; streaming reductions iterate ``shards``
+- :class:`ShardedMobilityFeed` — the one mobility feed type, a view
+  over per-shard dwell stacks: the partition's maps, or the day lists
+  of a run the engine kept in memory.  ``dwell(day)`` / ``night(day)``
+  assemble one day at a time from the shards, so every day-at-a-time
+  consumer (home detection, relocation, the mobility graph) runs with
+  bounded peak memory; streaming reductions iterate ``shards``
   directly.
 - :func:`open_columnar` — reopens a partition memory-mapped
   (``np.load(mmap_mode="r")``: shards are mapped, pages fault in on
@@ -41,9 +41,9 @@ The per-shard analysis kernels read dwell through :func:`read_days`,
 which maps each segment once per window of
 :data:`~repro.simulation.sharding.WINDOW_DAYS` days and drops the
 window before mapping the next, so a walk's resident set stays bounded
-by one shard × one window.  The engine's in-memory
-:class:`~repro.simulation.feeds.MobilityFeed` is the oracle the stored
-results are asserted bitwise against.
+by one shard × one window.  The engine's in-memory feed (the same
+class over day lists) is the oracle the stored results are asserted
+bitwise against.
 
 Telemetry: ``store.bytes_mapped`` counts bytes opened for on-demand
 mapping, ``store.windows_mapped`` counts day windows mapped by
@@ -199,14 +199,10 @@ class SegmentedStack:
                     f"{start} follows {expected} covered days"
                 )
             expected = start + stack.shape[0]
-        total = expected
-        first = self._segments[0][1]
-        self.shape = (total, *first.shape[1:])
-        self.ndim = first.ndim
-        self.dtype = first.dtype
+        self._num_days = expected
 
     def __len__(self) -> int:
-        return self.shape[0]
+        return self._num_days
 
     def __getitem__(self, day):
         if isinstance(day, slice):
@@ -229,9 +225,9 @@ class SegmentedStack:
 class _DayStack:
     """Sequence view presenting per-shard stacks as a list of day matrices.
 
-    Keeps :class:`ShardedMobilityFeed` drop-in compatible with code
-    written against ``MobilityFeed.daily_dwell[day]`` — each access
-    assembles exactly one day, so iteration stays bounded-memory.
+    ``feed.daily_dwell[day]`` reads a :class:`ShardedMobilityFeed` as a
+    list of population-order day matrices; each access assembles
+    exactly one day, so iteration stays bounded-memory.
     """
 
     def __init__(self, feed: "ShardedMobilityFeed", column: str) -> None:
@@ -256,9 +252,13 @@ class _DayStack:
 
 
 class ShardedMobilityFeed:
-    """A mobility feed assembled on demand from its columnar shards.
+    """Per-user per-day tower dwell aggregates (§2.3's statistics), by shard.
 
-    Drop-in for :class:`~repro.simulation.feeds.MobilityFeed`:
+    The mobility feed of every run.  Each shard's ``daily_dwell`` /
+    ``night_dwell`` stack holds, per day, the float32 seconds its users
+    spent attached to each anchor tower over the whole day / over the
+    nighttime window (00:00–08:00): memory maps for a stored or
+    streamed run, day lists for a run the engine kept in memory.
     ``user_ids`` / ``anchor_sites`` are assembled once (they are small),
     ``dwell(day)`` / ``night(day)`` / ``daily_dwell[day]`` assemble
     one full-population day matrix per call, and streaming consumers
@@ -290,17 +290,49 @@ class ShardedMobilityFeed:
                 self.user_ids[shard.rows] = shard.user_ids
                 self.anchor_sites[shard.rows] = shard.anchor_sites
 
+    @classmethod
+    def from_stacks(
+        cls, shard_rows, user_ids, anchor_sites, daily, night,
+        *, pending_writer: "ColumnarWriter | None" = None,
+    ) -> "ShardedMobilityFeed":
+        """The feed whose shard ``k`` holds the population rows
+        ``shard_rows[k]`` and the dwell stacks ``daily[k]``/``night[k]``."""
+        return cls(
+            [
+                MobilityShard(
+                    index=index,
+                    rows=rows,
+                    user_ids=user_ids[rows],
+                    anchor_sites=anchor_sites[rows],
+                    daily_dwell=daily_stack,
+                    night_dwell=night_stack,
+                )
+                for index, (rows, daily_stack, night_stack) in enumerate(
+                    zip(shard_rows, daily, night)
+                )
+            ],
+            pending_writer=pending_writer,
+        )
+
     @property
     def num_users(self) -> int:
         return int(self.user_ids.shape[0])
 
     @property
     def num_days(self) -> int:
-        return int(self.shards[0].daily_dwell.shape[0])
+        return len(self.shards[0].daily_dwell)
 
     @property
     def num_shards(self) -> int:
         return len(self.shards)
+
+    @property
+    def in_memory(self) -> bool:
+        """True when the shards hold day lists (a run the engine kept in
+        memory, saved or not), not maps of files a pool could reopen."""
+        return all(
+            isinstance(shard.daily_dwell, list) for shard in self.shards
+        )
 
     @property
     def daily_dwell(self) -> _DayStack:
@@ -319,15 +351,14 @@ class ShardedMobilityFeed:
         return self._assemble("night_dwell", day)
 
     def _assemble(self, column: str, day: int) -> np.ndarray:
-        first = self.shards[0]
-        stack = getattr(first, column)
+        blocks = [getattr(shard, column)[day] for shard in self.shards]
         out = np.empty(
             (self.num_users, self.anchor_sites.shape[1]),
-            dtype=stack.dtype,
+            dtype=blocks[0].dtype,
         )
-        for shard in self.shards:
+        for shard, block in zip(self.shards, blocks):
             if shard.rows.size:
-                out[shard.rows] = getattr(shard, column)[day]
+                out[shard.rows] = block
         return out
 
 
@@ -420,11 +451,11 @@ class _StackFile:
 class ColumnarWriter:
     """Creates one run's feed partition, a day at a time, atomically.
 
-    ``shard_indices`` follows the engine's convention: a list of
-    population row-index arrays, or ``[None]`` for the serial
-    whole-population shard.  Each :meth:`write_day` writes the day's
-    rows of every shard through its staged dwell files at that day's
-    offset (no writable map, so written days do not stay resident);
+    ``shard_rows`` holds each shard's population row indices
+    (ascending, as :func:`~repro.simulation.sharding.shard_user_indices`
+    gives them).  Each :meth:`write_day` writes every shard's rows of
+    the day through its staged dwell files at that day's offset (no
+    writable map, so written days do not stay resident);
     :meth:`finish` maps the staged files read-only for the feed view,
     and :meth:`commit` closes them, writes the small identity columns,
     and publishes everything (:mod:`repro.io.durable`), the KPI table
@@ -445,7 +476,7 @@ class ColumnarWriter:
     def __init__(
         self,
         directory: str | Path,
-        shard_indices: list[np.ndarray | None],
+        shard_rows: list[np.ndarray],
         user_ids: np.ndarray,
         anchor_sites: np.ndarray,
         num_days: int,
@@ -457,10 +488,7 @@ class ColumnarWriter:
         self.num_days = int(num_days)
         self.day_offset = int(day_offset)
         self._rows: list[np.ndarray] = [
-            np.arange(user_ids.shape[0], dtype=np.int64)
-            if indices is None
-            else np.asarray(indices, dtype=np.int64)
-            for indices in shard_indices
+            np.asarray(rows, dtype=np.int64) for rows in shard_rows
         ]
         self._user_ids = user_ids
         self._anchor_sites = anchor_sites
@@ -493,16 +521,15 @@ class ColumnarWriter:
         return self.feeds_directory / shard_dir_name(index) / name
 
     def write_day(
-        self, day: int, daily: np.ndarray, night: np.ndarray
+        self, day: int, daily: list[np.ndarray], night: list[np.ndarray]
     ) -> None:
-        """Land one merged (absolute) day's rows in every shard."""
+        """Land one (absolute) day: each shard's ``daily``/``night`` rows."""
         offset = day - self.day_offset
-        for rows, daily_out, night_out in zip(
-            self._rows, self._daily, self._night
+        for daily_rows, night_rows, daily_out, night_out in zip(
+            daily, night, self._daily, self._night, strict=True
         ):
-            if rows.size:
-                daily_out.write_rows(offset, daily[rows][None])
-                night_out.write_rows(offset, night[rows][None])
+            daily_out.write_rows(offset, daily_rows[None])
+            night_out.write_rows(offset, night_rows[None])
 
     def stage_kpis(self, dtype: np.dtype, rows_per_day: int) -> _StackFile:
         """Stage the run's KPI table, ``rows_per_day`` rows a day.
@@ -519,28 +546,35 @@ class ColumnarWriter:
         return self.kpi_table
 
     def write_all(self, mobility) -> None:
-        """Stream every day of an existing feed through the writer."""
+        """Stream every day of any feed through the writer's shards: a
+        feed cut into the same shards (a run saved at its own layout)
+        hands its blocks over, any other is assembled a day at a time."""
+        shards = mobility.shards
+        same_cut = len(shards) == len(self._rows) and all(
+            np.array_equal(shard.rows, rows)
+            for shard, rows in zip(shards, self._rows)
+        )
         for day in range(self.num_days):
-            self.write_day(
-                self.day_offset + day, mobility.dwell(day), mobility.night(day)
-            )
+            if same_cut:
+                daily = [shard.daily_dwell[day] for shard in shards]
+                night = [shard.night_dwell[day] for shard in shards]
+            else:
+                whole = (mobility.dwell(day), mobility.night(day))
+                daily, night = (
+                    [matrix[rows] for rows in self._rows] for matrix in whole
+                )
+            self.write_day(self.day_offset + day, daily, night)
 
     def finish(self) -> ShardedMobilityFeed:
         """The feed view over the (still uncommitted) partition."""
-        shards = [
-            MobilityShard(
-                index=index,
-                rows=rows,
-                user_ids=self._user_ids[rows],
-                anchor_sites=self._anchor_sites[rows],
-                daily_dwell=daily.read_only(),
-                night_dwell=night.read_only(),
-            )
-            for index, (rows, daily, night) in enumerate(
-                zip(self._rows, self._daily, self._night)
-            )
-        ]
-        return ShardedMobilityFeed(shards, pending_writer=self)
+        return ShardedMobilityFeed.from_stacks(
+            self._rows,
+            self._user_ids,
+            self._anchor_sites,
+            [daily.read_only() for daily in self._daily],
+            [night.read_only() for night in self._night],
+            pending_writer=self,
+        )
 
     def close(self) -> None:
         """Close every staged file without publishing it.
@@ -566,6 +600,7 @@ class ColumnarWriter:
         (``day_offset == 0``) also writes the identity columns; an
         append commit publishes nothing but its own new segment files.
         """
+        _require_staged(self, (*self._daily, *self._night, self.kpi_table))
         appending = self.day_offset > 0
         with telemetry.span("columnar_commit") as sp:
             written = 0
@@ -591,6 +626,19 @@ class ColumnarWriter:
         if appending:
             return segment_relative_paths(self.num_shards, self.day_offset)
         return shard_relative_paths(self.num_shards)
+
+
+def _require_staged(writer, files) -> None:
+    """Refuse, before writing anything, a commit whose staged files
+    another save's manifest commit swept (publishing the rest would
+    damage the run that save committed)."""
+    for file in files:
+        if file is not None and not file.path.exists():
+            raise RunStoreError(
+                f"cannot commit into {writer.run_directory}: another save "
+                f"committed into it first and deleted {file.path.name}",
+                path=writer.run_directory,
+            )
 
 
 def _require(path: Path) -> None:
@@ -940,6 +988,8 @@ class EventsWriter:
                 f"event partition covers {self._next_day} of "
                 f"{self.num_days} days; cannot commit"
             )
+        for columns in self._columns:
+            _require_staged(self, columns.values())
         with telemetry.span("events_commit") as sp:
             written = 0
             for index in range(self.num_shards):

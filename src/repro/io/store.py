@@ -211,8 +211,9 @@ def _commit_mobility(
     (:meth:`ColumnarWriter.stage_kpis`), if it staged one.  Anything else
     is streamed through a fresh :class:`ColumnarWriter` one day at a
     time, partitioned exactly as the engine would (the run's configured
-    shard count over the stable user hash), so saving a feed produces
-    byte-identical files whether it was streamed or held in memory.
+    shard count over the stable user hash, whatever shards the feed
+    holds), so saving a feed produces byte-identical files whether it
+    was streamed or held in memory.
     """
     mobility = feeds.mobility
     writer = getattr(mobility, "pending_writer", None)
@@ -234,10 +235,7 @@ def _commit_mobility(
         mobility.num_days,
     )
     writer.write_all(mobility)
-    relative = writer.commit()
-    if writer is getattr(mobility, "pending_writer", None):
-        mobility.pending_writer = None
-    return relative, num_shards, None
+    return writer.commit(), num_shards, None
 
 
 def _commit_events(

@@ -24,19 +24,21 @@ The per-user part of the day loop (dwell assembly and the bincount
 scatters) is embarrassingly parallel across agents.  When the
 configuration's ``parallelism`` block asks for it, the engine
 partitions the population into ``num_shards`` deterministic shards
-(:mod:`repro.simulation.sharding`) and reduces the shard payloads back
-into the exact arrays the serial loop produces.  The work unit is one
-(shard, window) task: one shard over :data:`WINDOW_DAYS` consecutive
-days.  The coordinator keeps tasks submitted at most
+(:mod:`repro.simulation.sharding`) and sums the shard payloads' site
+loads back into the exact arrays the serial loop produces.  The work
+unit is one (shard, window) task: one shard over :data:`WINDOW_DAYS`
+consecutive days.  The coordinator keeps tasks submitted at most
 :data:`LOOKAHEAD_WINDOWS` windows ahead of the window it is reducing,
 on one ``ProcessPoolExecutor`` per run (in process, in submission
 order, for one shard or ``workers=1``), takes each day's loads in
 shard order and drops them once merged.  Its memory is therefore
 bounded by a few windows per shard, not by the study length.
 Everything with global coupling (the voice interconnect, the load
-proxy, the per-cell scheduler, the daily-median KPI reduction, the
-nighttime-observability dropout) runs in the coordinator on the merged
-accumulators, so KPIs are exact rather than approximated.  See
+proxy, the per-cell scheduler, the daily-median KPI reduction) runs in
+the coordinator on the summed accumulators, so KPIs are exact rather
+than approximated.  Dwell rows stay in their shard: the night dropout
+zeroes each shard's slice of one population-order draw, and the rows
+land unmerged in the feed's shard.  See
 :mod:`repro.simulation.sharding` for the bitwise-vs-allclose
 determinism contract.
 
@@ -91,6 +93,7 @@ from repro import telemetry
 from repro.frames import Frame
 from repro.geo.build import build_uk_geography
 from repro.geo.nspl import PostcodeLookup
+from repro.io import columnar
 from repro.mobility.agents import AnchorSlot, NUM_ANCHORS, build_agents
 from repro.mobility.behavior import BehaviorModel
 from repro.mobility.epidemic import EpidemicCurve
@@ -112,10 +115,9 @@ from repro.simulation.faults import (
     ShardExecutionError,
     corrupt_file,
 )
-from repro.simulation.feeds import DataFeeds, MobilityFeed
+from repro.simulation.feeds import DataFeeds
 from repro.simulation.sharding import (
     WINDOW_DAYS,
-    MergedDay,
     ShardDayLoad,
     ShardResult,
     merge_day_loads,
@@ -896,19 +898,19 @@ class Simulator:
         produced, and days already checkpointed there (an interrupted
         earlier run) are restored instead of recomputed.
 
-        ``stream_dir``, if given, lands each merged day of the mobility
-        feed directly in that run directory's columnar partition
+        ``stream_dir``, if given, lands each day of every shard's dwell
+        rows directly in that run directory's columnar partition
         (:mod:`repro.io.columnar`, written through the files) instead
         of accumulating the full dwell stacks in RAM; a window from
         day 0 also writes each day's KPI rows through the staged
-        ``radio_kpis.npy``.  With shard loads dropped once merged,
+        ``radio_kpis.npy``.  With shard loads dropped once written,
         peak memory then no longer grows with ``num_days``.  The
-        returned bundle's ``mobility`` is a lazily assembled view over
-        the (uncommitted) partition and its ``radio_kpis`` a read-only
-        map of the staged table; :func:`repro.io.save_feeds` to the
-        same directory commits both in place without rewriting.
-        Identical bytes and results to the in-memory path (a run
-        without ``stream_dir``, saved afterwards).
+        returned bundle's ``mobility`` maps the (uncommitted) partition
+        and its ``radio_kpis`` the staged table, read-only;
+        :func:`repro.io.save_feeds` to the same directory commits both
+        in place without rewriting.  Identical bytes and results to the
+        in-memory path (a run without ``stream_dir``, whose feed's
+        shards hold day lists, saved afterwards).
 
         When :mod:`repro.telemetry` is enabled, the run records a
         ``simulate`` span tree (world build, shard execution, per-day
@@ -1036,13 +1038,16 @@ class Simulator:
             if cell.rat is Rat.LTE_4G:
                 capacity_mbps[cell.site_id] = cell.capacity_mbps
 
+        # The feed keeps each shard's dwell rows as its own shard.
+        shard_rows = [
+            np.arange(num_users) if indices is None else indices
+            for indices in shard_indices
+        ]
         stream_writer = None
         if stream_dir is not None:
-            from repro.io import columnar
-
             stream_writer = columnar.ColumnarWriter(
                 stream_dir,
-                shard_indices,
+                shard_rows,
                 agents.user_ids,
                 agents.anchor_sites,
                 day_stop - day_start,
@@ -1051,13 +1056,15 @@ class Simulator:
             # A run that raises closes its staged files and leaves them
             # on disk, for the next manifest commit to sweep.
             on_error.callback(stream_writer.close)
-        mobility = (
-            None
-            if stream_writer is not None
-            else MobilityFeed(
-                user_ids=agents.user_ids, anchor_sites=agents.anchor_sites
+            mobility = None
+        else:
+            mobility = columnar.ShardedMobilityFeed.from_stacks(
+                shard_rows,
+                agents.user_ids,
+                agents.anchor_sites,
+                [[] for _ in shard_rows],
+                [[] for _ in shard_rows],
             )
-        )
         # KPI accumulator over the 4G cell of every site.  A streamed
         # run from day 0 writes each day's rows through the staged
         # radio_kpis.npy, which save_feeds publishes in place; a later
@@ -1141,23 +1148,28 @@ class Simulator:
             date = calendar.date_of(day)
             loads = shard_windows.day(day)
             with telemetry.span("merge_shards"):
-                merged: MergedDay = merge_day_loads(
-                    num_users, shard_indices, loads
-                )
-            del loads
+                merged = merge_day_loads(num_users, shard_rows, loads)
             # Nighttime observability: phones that stay idle all night
             # produce no signalling, so the probes cannot place them.
-            night = merged.night_dwell
+            # One draw in population order; each shard zeroes its rows.
             unobserved = (
                 night_rng.random(num_users)
                 >= config.night_observation_probability
             )
-            night[unobserved] = 0.0
+            for rows, load in zip(shard_rows, loads):
+                load.night_dwell[unobserved[rows]] = 0.0
             if stream_writer is not None:
-                stream_writer.write_day(day, merged.daily_dwell, night)
+                stream_writer.write_day(
+                    day,
+                    [load.daily_dwell for load in loads],
+                    [load.night_dwell for load in loads],
+                )
             else:
-                mobility.daily_dwell.append(merged.daily_dwell)
-                mobility.night_dwell.append(night)
+                for shard, load in zip(mobility.shards, loads):
+                    shard.daily_dwell.append(load.daily_dwell)
+                    shard.night_dwell.append(load.night_dwell)
+            # Written (or kept by the feed): drop the day's rows.
+            del loads, load
 
             params = demand_model.day_parameters(date)
             presence = merged.presence

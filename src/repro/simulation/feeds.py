@@ -9,8 +9,9 @@ the analysis layer can be written exactly against what the paper had.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,7 +25,10 @@ from repro.network.subscribers import SubscriberBase
 from repro.network.topology import RadioTopology
 from repro.simulation.clock import StudyCalendar
 
-__all__ = ["MobilityFeed", "MobilityShard", "DataFeeds"]
+if TYPE_CHECKING:
+    from repro.io.columnar import ShardedMobilityFeed
+
+__all__ = ["MobilityShard", "DataFeeds"]
 
 
 @dataclass
@@ -33,9 +37,10 @@ class MobilityShard:
 
     ``rows`` are the shard's indices into population row order
     (ascending); the dwell stacks are day-indexed ``(n, NUM_ANCHORS)``
-    matrices: memory maps or arrays from the columnar store
-    (:mod:`repro.io.columnar`), or the day lists of an in-memory
-    :class:`MobilityFeed`.
+    matrices: memory maps from the columnar store
+    (:mod:`repro.io.columnar`), or, for a run the engine kept in
+    memory, lists holding the day matrices its (shard, window) tasks
+    produced.
     """
 
     index: int
@@ -56,59 +61,6 @@ class MobilityShard:
 
 
 @dataclass
-class MobilityFeed:
-    """Per-user per-day tower dwell aggregates (§2.3's statistics).
-
-    ``daily_dwell[day]`` and ``night_dwell[day]`` are float32 arrays of
-    shape ``(num_users, num_anchors)``: seconds the user spent attached
-    to each of their anchor towers over the whole day / over the
-    nighttime window (00:00–08:00). ``anchor_sites`` maps the anchor
-    axis to tower ids.
-    """
-
-    user_ids: np.ndarray
-    anchor_sites: np.ndarray
-    daily_dwell: list[np.ndarray] = field(default_factory=list)
-    night_dwell: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def num_users(self) -> int:
-        return int(self.user_ids.shape[0])
-
-    @property
-    def num_days(self) -> int:
-        return len(self.daily_dwell)
-
-    def dwell(self, day: int) -> np.ndarray:
-        """Full-day dwell seconds, shape (num_users, num_anchors)."""
-        return self.daily_dwell[day]
-
-    def night(self, day: int) -> np.ndarray:
-        """Nighttime dwell seconds, shape (num_users, num_anchors)."""
-        return self.night_dwell[day]
-
-    @property
-    def shards(self) -> list[MobilityShard]:
-        """The whole population as one shard over the day lists.
-
-        The same surface as
-        :attr:`repro.io.columnar.ShardedMobilityFeed.shards`, so the
-        per-shard analysis kernels walk in-memory and stored feeds
-        alike.
-        """
-        return [
-            MobilityShard(
-                index=0,
-                rows=np.arange(self.num_users),
-                user_ids=self.user_ids,
-                anchor_sites=self.anchor_sites,
-                daily_dwell=self.daily_dwell,
-                night_dwell=self.night_dwell,
-            )
-        ]
-
-
-@dataclass
 class DataFeeds:
     """Everything the analysis consumes, in one bundle."""
 
@@ -119,12 +71,12 @@ class DataFeeds:
     catalog: DeviceCatalog
     base: SubscriberBase
     agents: AgentPopulation
-    # The mobility dwell feed.  Either the engine's in-memory
-    # MobilityFeed or a repro.io.columnar.ShardedMobilityFeed (same
-    # day-at-a-time surface, assembled on demand from memory-mapped
-    # shards) when the run was loaded from disk or streamed to disk by
-    # the engine.
-    mobility: MobilityFeed
+    # The mobility dwell feed: a repro.io.columnar.ShardedMobilityFeed,
+    # one shard per partition of the run's configuration.  Its shards
+    # hold memory-mapped stacks when the run was loaded from disk or
+    # streamed to disk by the engine, and day lists when the engine
+    # kept it in memory.
+    mobility: ShardedMobilityFeed
     radio_kpis: Frame  # daily per-cell medians (the §2.4 reduction)
     rat_time: Frame  # (day, rat, connected-seconds)
     epidemic: EpidemicCurve

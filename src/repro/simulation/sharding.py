@@ -13,8 +13,8 @@ This module owns everything that makes that decomposition safe:
   platform-stable hash partition of the agent population;
 - :class:`ShardDayLoad` / :class:`ShardResult` — the per-day
   accumulators one (shard, window) task ships back to the coordinator;
-- :func:`merge_day_loads` — the associative reduction that combines
-  shard payloads into the exact arrays the serial engine produces.
+- :func:`merge_day_loads` — the associative reduction that sums shard
+  payloads' site loads into the exact arrays the serial engine produces.
 
 Determinism contract
 --------------------
@@ -123,8 +123,8 @@ def shard_user_indices(
 
     Every user appears in exactly one shard; shards may be empty for
     tiny populations.  Row order within a shard follows the population
-    order, which is what lets the coordinator reassemble per-user
-    arrays with one fancy-index write per shard.
+    order, so one fancy index takes a shard's slice of a population
+    array and one fancy-index write per shard assembles a feed's day.
     """
     assignments = stable_shard_of(user_ids, num_shards)
     return [
@@ -139,8 +139,8 @@ class ShardDayLoad:
     """One shard's reducible accumulators for one simulation day.
 
     The five ``(num_sites, NUM_BINS)`` site loads reduce across shards
-    by summation; the per-user rows (``daily_dwell`` etc.) reassemble
-    by the shard's row indices.  ``dwell_s``, the per-bin dwell the
+    by summation; the per-user rows (``daily_dwell`` etc.) go to the
+    feed's shard of the same rows.  ``dwell_s``, the per-bin dwell the
     signalling emitter reads, is present only when the configuration
     emits signalling.
     """
@@ -162,9 +162,9 @@ class ShardResult:
 
     ``indices`` are the shard's population rows; ``days`` holds one
     :class:`ShardDayLoad` per day of the window, indexed from the
-    window's first day.  The coordinator hands each day over to the
-    merge exactly once and sets its slot to ``None``, so a day's loads
-    are dropped once merged.
+    window's first day.  The coordinator takes each day exactly once
+    and sets its slot to ``None``, so a day's loads are dropped once
+    merged and their dwell rows handed to the feed.
 
     ``telemetry`` carries a :mod:`repro.telemetry` snapshot when the
     task ran in a pool worker with telemetry enabled — the plain-dict
@@ -180,15 +180,13 @@ class ShardResult:
 
 @dataclass
 class MergedDay:
-    """Shard payloads reduced back to the serial engine's arrays."""
+    """One day's site loads reduced back to the serial engine's arrays."""
 
     presence: np.ndarray
     activity: np.ndarray
     dl_mb: np.ndarray
     ul_mb: np.ndarray
     voice_minutes: np.ndarray
-    daily_dwell: np.ndarray  # (num_users, NUM_ANCHORS) float32
-    night_dwell: np.ndarray
     total_connected_s: float
     dwell_s: np.ndarray | None
 
@@ -210,17 +208,16 @@ def _reduce_sum(arrays: list[np.ndarray]) -> np.ndarray:
 
 def _scatter_rows(
     num_users: int,
-    indices_list: list[np.ndarray | None],
+    indices_list: list[np.ndarray],
     rows_list: list[np.ndarray],
 ) -> np.ndarray:
-    """Reassemble per-user rows from shard payloads."""
-    if len(rows_list) == 1 and indices_list[0] is None:
+    """Reassemble per-user rows from shard payloads (a single payload
+    is already the whole population's and passes through)."""
+    if len(rows_list) == 1:
         return rows_list[0]
     template = rows_list[0]
     out = np.zeros((num_users, *template.shape[1:]), dtype=template.dtype)
     for indices, rows in zip(indices_list, rows_list):
-        if indices is None:
-            return rows
         if indices.size:
             out[indices] = rows
     return out
@@ -228,15 +225,16 @@ def _scatter_rows(
 
 def merge_day_loads(
     num_users: int,
-    indices_list: list[np.ndarray | None],
+    indices_list: list[np.ndarray],
     loads: list[ShardDayLoad],
 ) -> MergedDay:
     """Associatively reduce one day's shard payloads.
 
-    Site loads are summed in shard order (hence
-    ``allclose``-equal, not bitwise, across different shard counts);
-    per-user rows are scattered back to population order (bitwise for
-    every shard count).
+    Site loads are summed in shard order (hence ``allclose``-equal,
+    not bitwise, across different shard counts); a signalling run's
+    per-bin dwell is scattered to population order at each shard's rows
+    (``indices_list``) for the emitter.  Dwell rows stay in the shard
+    payloads.
     """
     if len(loads) != len(indices_list):
         raise ValueError("one payload per shard expected")
@@ -246,12 +244,6 @@ def merge_day_loads(
         dl_mb=_reduce_sum([load.dl_mb for load in loads]),
         ul_mb=_reduce_sum([load.ul_mb for load in loads]),
         voice_minutes=_reduce_sum([load.voice_minutes for load in loads]),
-        daily_dwell=_scatter_rows(
-            num_users, indices_list, [load.daily_dwell for load in loads]
-        ),
-        night_dwell=_scatter_rows(
-            num_users, indices_list, [load.night_dwell for load in loads]
-        ),
         total_connected_s=float(
             sum(load.total_connected_s for load in loads)
         ),

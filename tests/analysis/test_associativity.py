@@ -11,8 +11,8 @@ that fact directly, property-based where the order space is large:
 - night counts over disjoint day windows simply *add* (the live-run
   incremental identity);
 - and the full ``(shards x workers)`` grid of public entry points, for
-  each metric input, agrees with the in-memory feed — one shard of the
-  whole population — as the oracle.
+  each metric input, agrees with the one-shard in-memory feed — the
+  whole population as one shard — as the oracle.
 """
 
 import datetime as dt
@@ -64,7 +64,10 @@ def _config(shards: int) -> SimulationConfig:
 
 @pytest.fixture(scope="module")
 def eager():
-    """The engine's in-memory feeds, one per shard count: the oracle."""
+    """The engine's in-memory feeds, one per shard count.
+
+    ``eager[1]`` is the oracle; each feed is saved at its own layout.
+    """
     return {
         shards: Simulator(_config(shards)).run() for shards in SHARD_COUNTS
     }
@@ -166,14 +169,15 @@ class TestWindowAdditivity:
 
 
 class TestGridVsSerialOracle:
-    """Every (shards, workers) combo equals the in-memory feed.
+    """Every (shards, workers) combo equals the one-shard in-memory feed.
 
-    The engine's in-memory feed is one shard of the whole population,
-    walked in process: the oracle for every stored layout and executor.
+    The engine's in-memory feed of a one-shard run is one shard of the
+    whole population, walked in process: the oracle for every stored
+    layout and executor.
     """
 
     def test_eager_feed_is_one_shard(self, eager):
-        mobility = eager[4].mobility
+        mobility = eager[1].mobility
         (shard,) = mobility.shards
         assert shard.index == 0
         assert np.array_equal(shard.rows, np.arange(mobility.num_users))
@@ -181,8 +185,8 @@ class TestGridVsSerialOracle:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_metrics_and_homes(self, run_dirs, eager, shards, workers):
-        oracle_metrics = compute_daily_metrics(eager[shards])
-        oracle_homes = detect_homes(eager[shards], min_nights=3)
+        oracle_metrics = compute_daily_metrics(eager[1])
+        oracle_homes = detect_homes(eager[1], min_nights=3)
         stored = load_feeds(run_dirs[shards])
         fanned_metrics = compute_daily_metrics(stored, workers=workers)
         fanned_homes = detect_homes(stored, min_nights=3, workers=workers)
@@ -204,7 +208,7 @@ class TestGridVsSerialOracle:
     @pytest.mark.parametrize("option", sorted(METRIC_OPTIONS))
     def test_metric_options(self, run_dirs, eager, shards, workers, option):
         kwargs = METRIC_OPTIONS[option]
-        oracle = compute_daily_metrics(eager[shards], **kwargs)
+        oracle = compute_daily_metrics(eager[1], **kwargs)
         stored = load_feeds(run_dirs[shards])
         fanned = compute_daily_metrics(stored, workers=workers, **kwargs)
         assert np.array_equal(oracle.entropy, fanned.entropy)

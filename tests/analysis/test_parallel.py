@@ -75,6 +75,32 @@ class TestPlanFor:
         # The engine's in-memory feeds back onto no committed run.
         assert parallel.plan_for(Simulator(_config()).run()) is None
 
+    def test_saved_eager_feeds_have_no_plan(self, tmp_path):
+        # A save writes fresh files but the feed keeps its day lists;
+        # a pool reopening the directory would read whatever run was
+        # saved there last.
+        target = tmp_path / "run"
+        feeds = Simulator(_config()).run()
+        save_feeds(feeds, target)
+        save_feeds(Simulator(_config().with_overrides(seed=32)).run(), target)
+        assert feeds.source_directory == target
+        assert feeds.mobility.in_memory
+        assert parallel.plan_for(feeds) is None
+        own = compute_daily_metrics(feeds)
+        fanned = compute_daily_metrics(feeds, workers=2)
+        assert np.array_equal(own.entropy, fanned.entropy)
+        assert np.array_equal(own.gyration_km, fanned.gyration_km)
+
+    def test_streamed_feeds_get_a_plan_once_committed(self, tmp_path):
+        target = tmp_path / "run"
+        feeds = Simulator(_config()).run(stream_dir=target)
+        assert not feeds.mobility.in_memory
+        assert parallel.plan_for(feeds) is None  # uncommitted writer
+        save_feeds(feeds, target)
+        plan = parallel.plan_for(feeds)
+        assert plan is not None
+        assert plan.num_shards == 2
+
 
 class TestResolveWorkers:
     @pytest.mark.parametrize("value", ["auto"])

@@ -10,6 +10,7 @@ one filtered user), the windowed dwell reads and the ``store.*``
 telemetry counters.
 """
 
+import dataclasses
 import datetime as dt
 import tempfile
 import warnings
@@ -37,7 +38,6 @@ from repro.simulation.clock import StudyCalendar
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import Simulator
 from repro.simulation.faults import RecoverySettings, ShardExecutionError
-from repro.simulation.feeds import MobilityFeed
 from repro.simulation.sharding import WINDOW_DAYS, shard_user_indices
 
 from tests.simulation.harness import assert_feeds_equivalent
@@ -128,7 +128,7 @@ class TestStreamedMetrics:
         stored = load_feeds(lazy_run)
         assert isinstance(stored.mobility, ShardedMobilityFeed)
         streamed = compute_daily_metrics(stored)
-        in_memory = compute_daily_metrics(_feeds(4))
+        in_memory = compute_daily_metrics(_feeds(1))
         assert streamed.entropy.dtype == in_memory.entropy.dtype
         assert np.array_equal(streamed.entropy, in_memory.entropy)
         assert np.array_equal(streamed.gyration_km, in_memory.gyration_km)
@@ -159,12 +159,72 @@ class TestWindowedReads:
         assert counters["store.windows_mapped"] == 3
 
     def test_in_memory_shards_read_without_maps(self, recorder):
-        (shard,) = _feeds(2).mobility.shards
-        served = list(read_days(shard, "daily_dwell", range(3, 12)))
-        assert [day for day, _ in served] == list(range(3, 12))
-        for day, matrix in served:
-            assert matrix is _feeds(2).mobility.dwell(day)
+        shards = _feeds(2).mobility.shards
+        assert len(shards) == 2
+        for shard in shards:
+            served = list(read_days(shard, "daily_dwell", range(3, 12)))
+            assert [day for day, _ in served] == list(range(3, 12))
+            for day, matrix in served:
+                assert matrix is shard.daily_dwell[day]
         assert "store.windows_mapped" not in telemetry.snapshot()["counters"]
+
+
+class TestInMemoryShards:
+    """An in-memory run keeps each shard's dwell rows as its own shard."""
+
+    def test_shards_hold_their_rows_of_the_one_shard_run(self):
+        sharded, serial = _feeds(4).mobility, _feeds(1).mobility
+        expected_rows = shard_user_indices(serial.user_ids, 4)
+        assert len(sharded.shards) == 4
+        for shard, rows in zip(sharded.shards, expected_rows):
+            assert np.array_equal(shard.rows, rows)
+            assert isinstance(shard.daily_dwell, list)
+            assert shard.sources is None
+            for day in range(serial.num_days):
+                for column, whole in (
+                    ("daily_dwell", serial.dwell(day)),
+                    ("night_dwell", serial.night(day)),
+                ):
+                    block = getattr(shard, column)[day]
+                    assert block.dtype == whole.dtype
+                    assert block.tobytes() == whole[rows].tobytes()
+
+    @pytest.mark.parametrize("own, layout", [(4, 4), (2, 4), (4, 1)])
+    def test_save_cuts_the_feed_into_its_configured_layout(
+        self, own, layout, tmp_path
+    ):
+        # Saved under its own layout a feed hands over its shards'
+        # blocks; under another it is assembled and cut again.  Either
+        # way the partition is the one that layout's streamed run writes.
+        retagged = dataclasses.replace(_feeds(own), config=_config(layout))
+        save_feeds(retagged, tmp_path / "saved")
+        reference_dir = tmp_path / "reference"
+        streamed = Simulator(_config(layout)).run(stream_dir=reference_dir)
+        save_feeds(streamed, reference_dir)
+        for relative in shard_relative_paths(layout):
+            saved = (tmp_path / "saved" / relative).read_bytes()
+            reference = (tmp_path / "reference" / relative).read_bytes()
+            assert saved == reference, f"{relative}: bytes differ"
+
+    @pytest.mark.parametrize(
+        "emit_signaling, calls_per_day", [(False, 0), (True, 1)]
+    )
+    def test_coordinator_scatters_only_signalling_dwell(
+        self, monkeypatch, emit_signaling, calls_per_day
+    ):
+        import repro.simulation.sharding as sharding
+
+        calls = []
+        real_scatter = sharding._scatter_rows
+
+        def counting_scatter(*args):
+            calls.append(args)
+            return real_scatter(*args)
+
+        monkeypatch.setattr(sharding, "_scatter_rows", counting_scatter)
+        config = _config(4).with_overrides(emit_signaling=emit_signaling)
+        Simulator(config).run()
+        assert len(calls) == calls_per_day * _CALENDAR.num_days
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +362,46 @@ class TestStreamedKpiTable:
             got = np.ascontiguousarray(kpis[name]).tobytes()
             assert got == expected, name
         assert np.array_equal(first.mobility.night(5), night)
+
+    def test_failed_save_leaves_the_committed_run_intact(self, tmp_path):
+        # The second save's manifest commit deletes the first bundle's
+        # staged files; saving the first afterwards must write nothing.
+        target = tmp_path / "run"
+        first = Simulator(_config(2)).run(stream_dir=target)
+        second = Simulator(_config(2).with_overrides(seed=24)).run(
+            stream_dir=target
+        )
+        save_feeds(second, target)
+        committed = {
+            path: path.read_bytes()
+            for path in sorted(target.rglob("*"))
+            if path.is_file()
+        }
+        with pytest.raises(RunStoreError, match="another save committed"):
+            save_feeds(first, target)
+        first.mobility.pending_writer.close()
+        assert {
+            path: path.read_bytes()
+            for path in sorted(target.rglob("*"))
+            if path.is_file()
+        } == committed
+        assert_feeds_equivalent(second, load_feeds(target), bitwise=True)
+
+    def test_events_commit_refuses_missing_staged_files(self, tmp_path):
+        from repro.io.columnar import EventsWriter
+
+        writer = EventsWriter(tmp_path, num_shards=2, num_days=1)
+        frame = Simulator(
+            _config(2).with_overrides(emit_signaling=True)
+        ).run().signaling[0]
+        writer.write_day(0, frame)
+        writer._columns[1]["site_id"].path.unlink()
+        with pytest.raises(RunStoreError, match="another save committed"):
+            writer.commit()
+        assert not list(tmp_path.rglob("*.npy"))
+        for columns in writer._columns:
+            for column in columns.values():
+                column._handle.close()
 
     def test_killed_run_resumes_the_staged_table(self, tmp_path, monkeypatch):
         writers = []
@@ -479,11 +579,14 @@ def synthetic_feeds(draw):
         (rng.random(shape) * 28_800).astype(np.float32)
         for _ in range(num_days)
     ]
-    return MobilityFeed(
-        user_ids=user_ids,
-        anchor_sites=anchor_sites,
-        daily_dwell=daily,
-        night_dwell=night,
+    return _one_shard_feed(user_ids, anchor_sites, daily, night)
+
+
+def _one_shard_feed(user_ids, anchor_sites, daily, night):
+    """A whole-population feed of one shard over day lists."""
+    rows = np.arange(user_ids.shape[0])
+    return ShardedMobilityFeed.from_stacks(
+        [rows], user_ids, anchor_sites, [daily], [night]
     )
 
 
@@ -521,11 +624,11 @@ class TestPropertyRoundTrip:
     @given(shards=st.sampled_from(SHARD_COUNTS))
     @settings(max_examples=3, deadline=None)
     def test_missing_column_is_named(self, shards):
-        mobility = MobilityFeed(
-            user_ids=np.arange(6, dtype=np.int64),
-            anchor_sites=np.zeros((6, 2), dtype=np.int64),
-            daily_dwell=[np.ones((6, 2), dtype=np.float32)],
-            night_dwell=[np.ones((6, 2), dtype=np.float32)],
+        mobility = _one_shard_feed(
+            np.arange(6, dtype=np.int64),
+            np.zeros((6, 2), dtype=np.int64),
+            [np.ones((6, 2), dtype=np.float32)],
+            [np.ones((6, 2), dtype=np.float32)],
         )
         with tempfile.TemporaryDirectory() as scratch:
             target = Path(scratch) / "run"

@@ -1,9 +1,9 @@
 """Where the per-shard analysis kernels run: in process or in a pool.
 
 The analysis kernels are shard-partitioned by construction: entropy,
-gyration and the night-win counts are strictly row-independent, so
-every per-shard partial can be computed from *that shard's files
-alone* and merged associatively.
+gyration, the night-win counts and Fig 7's per-(county, day) presence
+counts are strictly row-independent, so every per-shard partial can be
+computed from *that shard's files alone* and merged associatively.
 :func:`walk_shards` is the one executor choice for the mobility
 kernels: it runs their tasks over the feed's already-open shards in
 process, or fans them across a
@@ -16,9 +16,12 @@ segment spans — via the pool initializer and calls
 shard's files.  Both executors dispatch to the *same* task functions
 over the same per-shard kernels
 (:func:`repro.core.statistics.shard_metric_blocks`,
-:func:`repro.core.home.shard_night_win_counts`), so the partials are
-bitwise identical by construction for any (shards × workers), and the
-coordinator merge is a scatter into disjoint population rows.
+:func:`repro.core.home.shard_night_win_counts`,
+:func:`repro.core.relocation.shard_relocation_presence`), so the
+partials are bitwise identical by construction for any (shards ×
+workers).  The coordinator merges the metric and night-count partials
+by a scatter into disjoint population rows and the relocation counts
+by an int64 sum; both merges are exact in any shard order.
 
 Serial analysis is ``workers=1``.  When the pool cannot start or dies
 (:class:`_PoolLost`), the coordinator degrades to running the
@@ -243,9 +246,18 @@ def _task_night_counts(
     return shard.rows, counts
 
 
+def _task_relocation(state: _WorkerState, shard_index: int, **kwargs):
+    from repro.core.relocation import shard_relocation_presence
+
+    shard = state.shard(shard_index)
+    telemetry.count("store.shards_streamed", 1)
+    return shard_relocation_presence(shard, **kwargs)
+
+
 _TASKS = {
     "metrics": _task_metrics,
     "night_counts": _task_night_counts,
+    "relocation": _task_relocation,
 }
 
 
@@ -357,10 +369,12 @@ def walk_shards(
     reopened from disk) when ``workers`` is ``None`` or resolves to 1,
     or when the feed has no :func:`plan_for` — the engine's in-memory
     feeds never do.  Otherwise they fan
-    across the process pool of :func:`map_shards`.  Either way each
-    payload is ``(rows, *blocks)`` in shard order, from the same task
-    function, so the caller's scatter at ``rows`` is bitwise identical
-    for every executor.
+    across the process pool of :func:`map_shards`.  Either way the
+    payloads come in shard order, one per non-empty shard, from the
+    same task function, so the caller's merge is bitwise identical for
+    every executor: the row-partitioned kernels return ``(rows,
+    *blocks)`` for a scatter at ``rows``, and the relocation kernel an
+    int64 ``(counties, days)`` partial to add.
     """
     shards = [shard for shard in feeds.mobility.shards if shard.num_rows]
     tasks = [(task, shard.index, kwargs) for shard in shards]

@@ -20,7 +20,11 @@ from repro.core.home import HomeDetectionResult
 from repro.simulation.clock import BASELINE_WEEK
 from repro.simulation.feeds import DataFeeds
 
-__all__ = ["RelocationMatrix", "relocation_matrix"]
+__all__ = [
+    "RelocationMatrix",
+    "relocation_matrix",
+    "shard_relocation_presence",
+]
 
 HOME_COUNTY = "Inner London"
 
@@ -63,6 +67,12 @@ def relocation_matrix(
 ) -> RelocationMatrix:
     """Build the Fig 7 mobility matrix.
 
+    The coordinator selects the residents, ranks the receiving counties
+    and takes the baseline; the per-(county, day) presence counts come
+    from :func:`shard_relocation_presence`, run over every shard in
+    process (:func:`repro.analysis.parallel.walk_shards`), and their
+    int64 partials add exactly.
+
     Parameters
     ----------
     homes:
@@ -74,46 +84,52 @@ def relocation_matrix(
     presence_threshold_s:
         Minimum daily dwell at a tower for it to count as a visited
         location.
+
+    Raises :class:`ValueError` when the feed has no day in
+    ``baseline_week`` or no detected Inner-London resident, before any
+    shard is read.
     """
-    mobility = feeds.mobility
-    topology = feeds.topology
-    geography = feeds.geography
-
-    district_of_site = topology.site_district_indices
-    county_names = np.array([d.county for d in geography.districts])
-
-    resident_mask = homes.detected & (
-        county_names[district_of_site[np.maximum(homes.home_site, 0)]]
-        == HOME_COUNTY
-    )
-    num_residents = int(resident_mask.sum())
-    if num_residents == 0:
-        raise ValueError("no detected Inner-London residents")
-
-    anchors = mobility.anchor_sites[resident_mask]
-    anchor_counties = county_names[district_of_site[anchors]]  # (R, K)
-    all_counties = list(geography.county_names)
-    county_index = {name: i for i, name in enumerate(all_counties)}
-    anchor_county_idx = np.vectorize(county_index.get)(anchor_counties)
-
-    # Per-county slot masks, fixed across days.
-    county_slots = [
-        anchor_county_idx == county_index[name] for name in all_counties
-    ]
+    from repro.analysis.parallel import walk_shards
 
     calendar = feeds.calendar
     days = np.flatnonzero(calendar.weeks >= baseline_week)
-    presence = np.zeros((len(all_counties), days.size), dtype=np.int64)
-    for column, day in enumerate(days):
-        dwell = mobility.dwell(int(day))[resident_mask]
-        visited = dwell >= presence_threshold_s
-        for row, slots in enumerate(county_slots):
-            presence[row, column] = int(
-                (visited & slots).any(axis=1).sum()
-            )
+    in_baseline = calendar.weeks[days] == baseline_week
+    if not in_baseline.any():
+        raise ValueError(f"no days in baseline week {baseline_week}")
 
-    weeks_of_day = calendar.weeks[days]
-    in_baseline = weeks_of_day == baseline_week
+    geography = feeds.geography
+    all_counties = list(geography.county_names)
+    county_index = {name: i for i, name in enumerate(all_counties)}
+    # One county index per district; a site's county is its district's.
+    county_of_district = np.array(
+        [county_index[district.county] for district in geography.districts],
+        dtype=np.int64,
+    )
+    site_county = county_of_district[feeds.topology.site_district_indices]
+
+    resident = homes.detected & (
+        site_county[np.maximum(homes.home_site, 0)]
+        == county_index[HOME_COUNTY]
+    )
+    num_residents = int(resident.sum())
+    if num_residents == 0:
+        raise ValueError("no detected Inner-London residents")
+
+    presence = np.zeros((len(all_counties), days.size), dtype=np.int64)
+    for partial in walk_shards(
+        feeds,
+        "relocation",
+        {
+            "resident": resident,
+            "site_county": site_county,
+            "num_counties": len(all_counties),
+            "days": days,
+            "presence_threshold_s": presence_threshold_s,
+        },
+        workers=None,
+    ):
+        presence += partial
+
     baselines = np.median(presence[:, in_baseline], axis=1)
 
     # Rank receiving counties by *average* week-9 inbound residents
@@ -141,3 +157,45 @@ def relocation_matrix(
         change_pct=change,
         num_residents=num_residents,
     )
+
+
+def shard_relocation_presence(
+    shard,
+    resident: np.ndarray,
+    site_county: np.ndarray,
+    num_counties: int,
+    days: np.ndarray,
+    presence_threshold_s: float,
+) -> np.ndarray:
+    """One shard's Fig 7 partial: ``(counties, days)`` int64 counts.
+
+    Cell ``[c, j]`` counts the shard's residents (``resident`` is the
+    population-order mask) with at least one anchor tower in county
+    ``c`` (``site_county``, indices below ``num_counties``) whose dwell
+    on ``days[j]`` reaches ``presence_threshold_s``; each resident
+    counts once per county and day, however many of its anchors lie
+    there.  Dwell is read through :func:`repro.io.columnar.read_days`,
+    one window of days at a time, and a shard without residents reads
+    none.
+    """
+    from repro.io.columnar import read_days
+
+    presence = np.zeros((num_counties, len(days)), dtype=np.int64)
+    local = np.flatnonzero(resident[shard.rows])
+    if local.size == 0:
+        return presence
+    # A code per (resident, county) pair: equal codes are one resident
+    # present once in one county, whichever of its anchors put it there.
+    codes = (
+        np.arange(local.size, dtype=np.int64)[:, None] * num_counties
+        + site_county[shard.anchor_sites[local]]
+    )
+    for column, (_, dwell) in enumerate(
+        read_days(shard, "daily_dwell", days)
+    ):
+        visited = dwell[local] >= presence_threshold_s
+        del dwell
+        presence[:, column] = np.bincount(
+            np.unique(codes[visited]) % num_counties, minlength=num_counties
+        )
+    return presence

@@ -11,7 +11,8 @@ recomputation and the memo is freed with the study.  ``summary()`` and
 ``report()`` compute their figures in the order they ask for them,
 whether telemetry is on or off; only the per-shard kernels behind
 ``metrics`` and ``homes`` fan out, across the analysis process pool
-(``workers``).
+(``workers``).  Fig 7's presence count is a per-shard kernel too, but
+it always runs in process, one shard and one window of days at a time.
 
 Given an :class:`~repro.analysis.cache.ArtifactCache` (attached
 automatically by :meth:`repro.api.Run.study` and the CLI for persisted
@@ -102,7 +103,8 @@ class CovidImpactStudy:
         Process-pool width for the shard-streaming kernels (metrics,
         home detection).  ``None`` (default) keeps them in process;
         results are bitwise identical for every value.  The figures
-        always compute in the calling process.
+        always compute in the calling process, Fig 7's per-shard
+        presence kernel included.
     """
 
     def __init__(

@@ -29,15 +29,16 @@ Three cooperating pieces:
 - :class:`ShardedMobilityFeed` — the one mobility feed type, a view
   over per-shard dwell stacks: the partition's maps, or the day lists
   of a run the engine kept in memory.  ``dwell(day)`` / ``night(day)``
-  assemble one day at a time from the shards, so every day-at-a-time
-  consumer (home detection, relocation, the mobility graph) runs with
-  bounded peak memory; streaming reductions iterate ``shards``
-  directly.
+  assemble one population-order day at a time from the shards.  The
+  callers that still build such days are
+  :meth:`ColumnarWriter.write_all` (a save at another shard layout),
+  the tests, the examples and the benchmarks; no analysis code does,
+  since every analysis kernel iterates ``shards`` directly.
 - :func:`open_columnar` — reopens a partition memory-mapped
   (``np.load(mmap_mode="r")``: shards are mapped, pages fault in on
   demand); the small identity columns are read into RAM.
 
-The per-shard analysis kernels read dwell through :func:`read_days`,
+Every per-shard analysis kernel reads dwell through :func:`read_days`,
 which maps each segment once per window of
 :data:`~repro.simulation.sharding.WINDOW_DAYS` days and drops the
 window before mapping the next, so a walk's resident set stays bounded
@@ -49,8 +50,9 @@ Telemetry: ``store.bytes_mapped`` counts bytes opened for on-demand
 mapping, ``store.windows_mapped`` counts day windows mapped by
 :func:`window_days`, ``store.shards_streamed`` counts shards walked by
 a per-shard mobility kernel (:mod:`repro.core.statistics`,
-:mod:`repro.core.home`), and ``store.digest_verifications`` (bumped by
-:mod:`repro.io.store`) counts files checked against manifest digests.
+:mod:`repro.core.home`, :mod:`repro.core.relocation`), and
+``store.digest_verifications`` (bumped by :mod:`repro.io.store`)
+counts files checked against manifest digests.
 """
 
 from __future__ import annotations
